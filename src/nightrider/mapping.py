@@ -45,16 +45,26 @@ class StreetlightMap:
         return np.stack([c.center for c in self.clusters])
 
 
-def _neighbor_lists(pts, eps, chunk=256):
-    n = len(pts)
-    eps2 = eps * eps
-    neigh = []
-    for start in range(0, n, chunk):
+_PAIRS_PER_BLOCK = 1 << 17  # bounds the (b, n, 3) difference array to 3 MB
+
+
+def _sq_distance_rows(pts):
+    """Squared distances from each point to every point, a block of rows at a time.
+
+    Yields (b, n) arrays in row order; b * n stays near _PAIRS_PER_BLOCK,
+    so memory does not grow with n squared.
+    """
+    chunk = max(1, _PAIRS_PER_BLOCK // len(pts))
+    for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        for row in d2:
-            neigh.append(np.nonzero(row <= eps2)[0])
-    return neigh
+        yield ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+
+
+def _neighbor_lists(pts, eps):
+    eps2 = eps * eps
+    return [
+        np.nonzero(row <= eps2)[0] for d2 in _sq_distance_rows(pts) for row in d2
+    ]
 
 
 def dbscan(points, eps, min_pts):
@@ -101,8 +111,13 @@ def knn_outlier_filter(points, k=8, std_mult=2.0):
     n = len(pts)
     if n <= k:
         return pts
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    kth = np.sqrt(np.sort(d2, axis=1)[:, k])  # column 0 is the point itself
+    kth = np.empty(n)
+    done = 0
+    for d2 in _sq_distance_rows(pts):
+        # entry 0 of each sorted row is the point itself
+        kth[done : done + len(d2)] = np.partition(d2, k, axis=1)[:, k]
+        done += len(d2)
+    kth = np.sqrt(kth)
     keep = kth <= kth.mean() + std_mult * kth.std()
     return pts[keep]
 

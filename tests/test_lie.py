@@ -13,6 +13,7 @@ from nightrider.lie import (
     se23_vee,
     skew,
     so3_exp,
+    so3_exp_jacobian_many,
     so3_left_jacobian,
     so3_left_jacobian_inv,
     so3_log,
@@ -111,6 +112,19 @@ def test_so3_log_many_equals_scalar_log_bitwise():
     out = so3_log_many(np.array(mats))
     for R, row in zip(mats, out):
         assert row.tobytes() == so3_log(R).tobytes()
+
+
+def test_so3_exp_jacobian_many_matches_scalar_functions():
+    rng = np.random.default_rng(14)
+    phis = [np.zeros(3), np.array([1e-9, 0.0, 0.0]), np.array([0.0, 2e-8, 0.0])]
+    for ang in [1e-6, 1e-3, 0.5, 2.0, 3.0, math.pi]:
+        for _ in range(10):
+            axis = rng.normal(size=3)
+            phis.append(axis / np.linalg.norm(axis) * ang)
+    E, J = so3_exp_jacobian_many(np.array(phis))
+    for phi, e, j in zip(phis, E, J):
+        np.testing.assert_allclose(e, so3_exp(phi), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(j, so3_left_jacobian(phi), rtol=0, atol=1e-15)
 
 
 def test_so3_log_many_rejects_any_bad_matrix():

@@ -192,6 +192,37 @@ def test_knn_outlier_filter():
     assert np.abs(kept).max() < 10.0
 
 
+def _knn_filter_reference(pts, k, std_mult):
+    """The quadratic formula: full (n, n) distances, sorted rows."""
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    kth = np.sqrt(np.sort(d2, axis=1)[:, k])
+    return pts[kth <= kth.mean() + std_mult * kth.std()]
+
+
+@pytest.mark.parametrize("n, k", [(9, 8), (61, 8), (300, 3), (700, 8)])
+def test_knn_outlier_filter_equals_quadratic_reference(n, k):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(scale=2.0, size=(n, 3))
+    pts[: n // 10] *= 20.0  # a sparse halo of outliers
+    pts[n // 2] = pts[n // 2 + 1]  # a duplicate: zero distance ties
+    kept = knn_outlier_filter(pts, k=k, std_mult=1.5)
+    assert kept.tobytes() == _knn_filter_reference(pts, k, 1.5).tobytes()
+
+
+def test_knn_outlier_filter_memory_is_row_blocked():
+    import tracemalloc
+
+    pts = np.random.default_rng(76).normal(scale=5.0, size=(2000, 3))
+    tracemalloc.start()
+    try:
+        knn_outlier_filter(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full (n, n, 3) difference array alone would be 96 MB
+    assert peak < 16e6, peak
+
+
 def test_twenty_lamp_map_recovery():
     # lamp grid with ambient clutter; every recovered center within 0.1 m
     rng = np.random.default_rng(75)

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
-from nightrider.inekf import FilterState
+from nightrider import recovery
+from nightrider.association import MatchSet
+from nightrider.camera import (
+    CamExtrinsics,
+    CameraIntrinsics,
+    DetectionBox,
+    apply_camera_update,
+    project,
+)
+from nightrider.inekf import FilterState, UpdateRejected
 from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
 from nightrider.recovery import (
@@ -11,6 +21,7 @@ from nightrider.recovery import (
     attempt_recovery,
     combination_count,
     is_lost,
+    score_candidate,
 )
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
@@ -147,3 +158,289 @@ def test_recovery_empty_inputs():
     P = _loose_cov()
     assert attempt_recovery([], clusters, state, P, RecoveryParams(), EXT, INTR) is None
     assert attempt_recovery(dets, [], state, P, RecoveryParams(), EXT, INTR) is None
+
+
+def serial_attempt_recovery(
+    detections, clusters, state, P, params, ext, intr, pixel_sigma=2.0
+):
+    """Reference oracle: one apply_camera_update per combination.
+
+    The candidate loop attempt_recovery ran before it shared one
+    linearization across candidates; its choice is the specification.
+    """
+    if len(detections) > params.max_detections:
+        order = sorted(
+            range(len(detections)),
+            key=lambda i: float(np.prod(detections[i].extents)),
+            reverse=True,
+        )
+        detections = [detections[i] for i in order[: params.max_detections]]
+    n, m = len(detections), len(clusters)
+    if n == 0 or m == 0:
+        return None
+    if combination_count(n, m) > params.max_combinations:
+        clusters = sorted(
+            clusters,
+            key=lambda c: float(np.linalg.norm(c.center - state.pose.pos)),
+        )
+        while m > 1 and combination_count(n, m) > params.max_combinations:
+            m -= 1
+        clusters = clusters[:m]
+
+    clusters_by_id = {c.id: c for c in clusters}
+    best = None
+    for combo in assignments(n, m):
+        ids = [clusters[j].id if j >= 0 else None for j in combo]
+        ms = MatchSet(list(detections), ids, [0.0] * n)
+        if ms.positive_count():
+            try:
+                st_, Pc = apply_camera_update(
+                    state, P, ms, clusters_by_id, ext, intr, pixel_sigma
+                )
+            except UpdateRejected:
+                continue
+        else:
+            st_, Pc = state, P
+        score = score_candidate(state, st_, ms, clusters_by_id, ext, intr, params)
+        if score is None:
+            continue
+        if best is None or score < best[0]:
+            best = (score, st_, Pc, ms)
+
+    if best is None:
+        return None
+    score, st_, Pc, ms = best
+    if score < params.th_score and ms.positive_count() > 2:
+        return st_, Pc.copy(), ms
+    return None
+
+
+def _assert_same_recovery(got, want):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    (s1, P1, ms1), (s2, P2, ms2) = got, want
+    assert ms1.cluster_ids == ms2.cluster_ids
+    assert [id(d) for d in ms1.detections] == [id(d) for d in ms2.detections]
+    for a, b in [
+        (s1.pose.rot, s2.pose.rot),
+        (s1.pose.vel, s2.pose.vel),
+        (s1.pose.pos, s2.pose.pos),
+        (s1.bias_gyro, s2.bias_gyro),
+        (s1.bias_accel, s2.bias_accel),
+        (P1, P2),
+    ]:
+        assert a.tobytes() == b.tobytes()
+    assert s1.t == s2.t
+
+
+def _check_against_oracle(dets, clusters, state, P, params):
+    P_before = P.copy()
+    got = attempt_recovery(dets, clusters, state, P, params, EXT, INTR)
+    want = serial_attempt_recovery(dets, clusters, state, P, params, EXT, INTR)
+    _assert_same_recovery(got, want)
+    np.testing.assert_array_equal(P, P_before)
+    return got
+
+
+def _rejecting_cov():
+    # a large position variance: on a lamp about 7 m away it pushes the
+    # innovation covariance's condition number past COND_LIMIT
+    P = _loose_cov()
+    P[6:9, 6:9] = np.eye(3) * 40.0
+    return P
+
+
+@st.composite
+def planted_scenes(draw):
+    """A truth pose, lamps around it, detections of some, and a prior.
+
+    Lamps may sit behind the camera; detections may include false
+    positives, exceed max_detections, or exceed the combination budget,
+    which forces cluster trimming; one prior makes some updates rejected.
+    """
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    yaw = draw(st.floats(-np.pi, np.pi))
+    truth = ExtendedPose(so3_exp([0.0, 0.0, yaw]), np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    n_front = draw(st.integers(1, 6))
+    n_behind = draw(st.integers(0, 2))
+    offsets = [
+        [draw(st.floats(6.0, 40.0)), 12.0 * draw(coord), draw(st.floats(3.0, 7.0))]
+        for _ in range(n_front)
+    ] + [
+        [-draw(st.floats(2.0, 20.0)), 8.0 * draw(coord), draw(st.floats(3.0, 7.0))]
+        for _ in range(n_behind)
+    ]
+    order = draw(st.permutations(range(len(offsets))))
+    clusters = [
+        StreetlightCluster(10 + i, truth.pos + truth.rot @ np.asarray(offsets[j]))
+        for i, j in enumerate(order)
+    ]
+    pixels = [project(c.center, truth, EXT, INTR) for c in clusters]
+    pixels = [pix for pix in pixels if pix is not None]
+    dets = []
+    for pix in pixels[: draw(st.integers(len(pixels) // 2, len(pixels)))]:
+        size = draw(st.floats(4.0, 20.0))
+        noise = np.array([draw(coord), draw(coord)]) * 2.0
+        dets.append(DetectionBox(pix + noise, np.array([size, size])))
+    for _ in range(draw(st.integers(0, 3))):  # false positives
+        pix = np.array([draw(st.floats(0.0, 1279.0)), draw(st.floats(0.0, 719.0))])
+        size = draw(st.floats(4.0, 20.0))
+        dets.append(DetectionBox(pix, np.array([size, size])))
+    dets = draw(st.permutations(dets))
+
+    state = FilterState(
+        ExtendedPose(
+            so3_exp([0.0, 0.0, yaw + 0.1 * draw(coord)]),
+            np.zeros(3),
+            truth.pos + np.array([draw(coord), draw(coord), 0.3 * draw(coord)]) * 1.5,
+        )
+    )
+    P = draw(st.sampled_from([_loose_cov(), _rejecting_cov(), np.eye(15) * 1e-8]))
+    params = RecoveryParams(
+        max_detections=draw(st.sampled_from([5, 4, 3, 2])),
+        max_combinations=draw(st.sampled_from([1000, 300, 60])),
+    )
+    return list(dets), clusters, state, P, params
+
+
+def _scene_rejecting_updates():
+    truth, clusters, dets = _planted_scene()
+    near = StreetlightCluster(7, truth.pos + np.array([6.0, 1.0, 4.0]))
+    clusters = clusters + [near]
+    box = DetectionBox(project(near.center, truth, EXT, INTR), np.array([20.0, 20.0]))
+    dets = dets + [box]
+    return dets, clusters, _offset_state(truth), _rejecting_cov(), RecoveryParams()
+
+
+def _scene_with_lamps_behind():
+    truth, clusters, dets = _planted_scene()
+    behind = [
+        StreetlightCluster(20 + i, truth.pos + np.array([-8.0 - 4 * i, 2.0 - 3 * i, 5.0]))
+        for i in range(2)
+    ]
+    clusters = behind[:1] + clusters + behind[1:]
+    return dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams()
+
+
+def _scene_over_budget():
+    truth, clusters, dets = _planted_scene()
+    far = [
+        StreetlightCluster(10 + i, truth.pos + np.array([45.0 + 3 * i, i - 5.0, 5.0]))
+        for i in range(5)
+    ]
+    fp = [
+        DetectionBox(np.array([300.0 + 90 * i, 200.0]), np.array([6.0, 6.0]))
+        for i in range(3)
+    ]
+    # 7 detections cut to 5; 9 clusters trimmed to the 4 nearest (501 maps)
+    params = RecoveryParams(max_detections=5, max_combinations=600)
+    return dets + fp, clusters + far, _offset_state(truth), _loose_cov(), params
+
+
+def test_scene_features_occur():
+    """The explicit examples below hit the cases the property test targets."""
+    dets, clusters, state, P, params = _scene_rejecting_updates()
+    ids = {c.id: c for c in clusters}
+    ms = MatchSet(dets, [c.id for c in clusters], [0.0] * len(dets))
+    with pytest.raises(UpdateRejected):
+        apply_camera_update(state, P, ms, ids, EXT, INTR, 2.0)
+    dets, clusters, state, P, params = _scene_with_lamps_behind()
+    assert sum(project(c.center, state.pose, EXT, INTR) is None for c in clusters) == 2
+    dets, clusters, state, P, params = _scene_over_budget()
+    assert len(dets) > params.max_detections
+    n = params.max_detections
+    assert combination_count(n, len(clusters)) > params.max_combinations
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scene=planted_scenes())
+@example(scene=_scene_rejecting_updates())
+@example(scene=_scene_with_lamps_behind())
+@example(scene=_scene_over_budget())
+def test_recovery_equals_serial_oracle(scene):
+    _check_against_oracle(*scene)
+
+
+def test_recovery_examples_recover():
+    # the worked scenes are not vacuous: each recovers the planted lamps
+    for make in (_scene_rejecting_updates, _scene_with_lamps_behind, _scene_over_budget):
+        out = _check_against_oracle(*make())
+        assert out is not None and out[2].positive_count() >= 3
+
+
+@pytest.mark.parametrize("block", [1, 7, 208, 209, 210, 512])
+def test_recovery_block_size_does_not_change_result(monkeypatch, block):
+    truth, clusters, dets = _planted_scene()
+    assert combination_count(4, 4) == 209  # 7 * 29 + 6: a ragged last block
+    monkeypatch.setattr(recovery, "CANDIDATE_BLOCK", block)
+    state, P = _offset_state(truth), _loose_cov()
+    out = _check_against_oracle(dets, clusters, state, P, RecoveryParams())
+    assert out[2].cluster_ids == [0, 1, 2, 3]
+
+
+def test_recovery_exact_tie_across_blocks_keeps_earliest(monkeypatch):
+    truth, clusters, dets = _planted_scene()
+    twin = StreetlightCluster(9, clusters[2].center.copy())  # same lamp, other id
+    clusters = clusters + [twin]
+    state, P, params = _offset_state(truth), _loose_cov(), RecoveryParams()
+    combos = list(assignments(4, 5))
+    first, second = combos.index((0, 1, 2, 3)), combos.index((0, 1, 4, 3))
+    assert first < second
+    monkeypatch.setattr(recovery, "CANDIDATE_BLOCK", second)  # second starts block 2
+    lin = recovery._SharedLinearization(dets, clusters, state, P, EXT, INTR, 2.0)
+    pair = np.array([combos[first], combos[second]])
+    s1 = recovery._block_scores(pair[:1], lin, state, params, EXT, INTR)
+    s2 = recovery._block_scores(pair[1:], lin, state, params, EXT, INTR)
+    assert s1.tobytes() == s2.tobytes()  # an exact tie, scored in separate blocks
+    out = _check_against_oracle(dets, clusters, state, P, params)
+    assert out[2].cluster_ids == [0, 1, 2, 3]
+
+
+def test_recovery_lamps_only_behind_camera_leave_state_unchanged():
+    truth, clusters, dets = _planted_scene()
+    behind = [
+        StreetlightCluster(i, truth.pos + np.array([-10.0 - 3 * i, 4.0 - 2 * i, 5.0]))
+        for i in range(3)
+    ]
+    state, P = _offset_state(truth), _loose_cov()
+    # what apply_camera_update does with such pairs: nothing
+    ms = MatchSet(dets[:3], [0, 1, 2], [0.0] * 3)
+    st_, Pc = apply_camera_update(state, P, ms, {c.id: c for c in behind}, EXT, INTR, 2.0)
+    assert st_ is state and Pc is P
+    # the batched path leaves every combination's state alone too
+    lin = recovery._SharedLinearization(dets, behind, state, P, EXT, INTR, 2.0)
+    combos = np.array(list(assignments(len(dets), len(behind))))
+    assert not recovery._corrections(combos, lin).any()
+    scores = recovery._block_scores(combos, lin, state, RecoveryParams(), EXT, INTR)
+    assert np.isfinite(scores[0]) and np.isinf(scores[1:]).all()  # only all-NONE
+    assert _check_against_oracle(dets, behind, state, P, RecoveryParams()) is None
+
+
+def test_recovery_memory_is_bounded_by_block():
+    import tracemalloc
+
+    truth = ExtendedPose(pos=np.array([0.0, 0.0, 1.0]))
+    clusters = [
+        StreetlightCluster(
+            i, truth.pos + np.array([15.0 + 3 * i, (-1) ** i * (2.0 + i), 5.0])
+        )
+        for i in range(8)
+    ]
+    dets = [
+        DetectionBox(project(c.center, truth, EXT, INTR), np.array([10.0, 10.0]))
+        for c in clusters[:5]
+    ]
+    state, P = _offset_state(truth), _loose_cov()
+    assert combination_count(5, 8) == 19_081
+    tracemalloc.start()
+    try:
+        attempt_recovery(dets, clusters, state, P, RecoveryParams(), EXT, INTR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
