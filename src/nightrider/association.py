@@ -4,12 +4,14 @@ Each detection box is scored against each mapped cluster with a blend of
 two Gaussian densities: a reprojection residual in pixels, and an angular
 residual (1 - cos) between the back-projected ray and the predicted ray.
 Both covariances are driven by the filter's pose covariance, so a
-confident filter is strict and an uncertain one is tolerant.
+confident filter is strict and an uncertain one is tolerant.  score_matrix
+computes every pair at once; the projection and angle Jacobians it uses
+are also exposed one pair at a time.
 
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
-explains the detection well.  The resulting rectangular problem is solved
-one-to-one with a Hungarian assignment.
+explains the detection well.  The resulting rectangular problem has one
+solver, hungarian, a thin wrapper over scipy's linear_sum_assignment.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .camera import Z_MIN, back_project, camera_point, project
+from .camera import Z_MIN, back_project
 from .lie import skew
 
 NO_MATCH_FLOOR = 1e-12
@@ -87,15 +90,6 @@ def projection_jacobian(state, center_w, ext, intr):
     return J
 
 
-def sigma_proj(state, P, center_w, ext, intr, alpha):
-    """Reprojection covariance: alpha I plus pose uncertainty pushed
-    through the projection Jacobian.  None when behind the camera."""
-    J = projection_jacobian(state, center_w, ext, intr)
-    if J is None:
-        return None
-    return alpha * np.eye(2) + J @ _pose_cov(P) @ J.T
-
-
 def angle_gradients(state, detection_pixel, center_w, ext, intr):
     """cos(theta) between back-projected and predicted rays plus gradients.
 
@@ -122,45 +116,11 @@ def angle_gradients(state, detection_pixel, center_w, ext, intr):
     return cos_theta, d_pixel, grad6
 
 
-def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
-    """Variance of the angular residual 1 - cos(theta), floored."""
-    out = angle_gradients(state, detection_pixel, center_w, ext, intr)
-    if out is None:
-        return None
-    _, d_pixel, grad6 = out
-    pix_var = alpha * (d_pixel[0] ** 2 + d_pixel[1] ** 2)
-    pose_var = grad6 @ _pose_cov(P) @ grad6
-    return max(pix_var + pose_var, SIGMA_FLOOR)
-
-
-def pair_score(detection, cluster, state, P, params, ext, intr):
-    """Blended density score; exactly 0 for gated-out pairs."""
-    C = cluster.center
-    if np.linalg.norm(C - state.pose.pos) > params.max_range:
-        return 0.0
-    pix = project(C, state.pose, ext, intr)
-    if pix is None:
-        return 0.0
-
-    Sp = sigma_proj(state, P, C, ext, intr, params.alpha)
-    r = np.asarray(detection.center, dtype=float) - pix
-    det2 = Sp[0, 0] * Sp[1, 1] - Sp[0, 1] * Sp[1, 0]
-    quad = (
-        Sp[1, 1] * r[0] ** 2 - 2.0 * Sp[0, 1] * r[0] * r[1] + Sp[0, 0] * r[1] ** 2
-    ) / det2
-    s_proj = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det2))
-
-    cos_theta, _, _ = angle_gradients(state, detection.center, C, ext, intr)
-    var = sigma_ang(state, P, detection.center, C, ext, intr, params.alpha)
-    r_ang = 1.0 - cos_theta
-    s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
-
-    return float(params.weight * s_proj + (1.0 - params.weight) * s_ang)
-
-
 def score_matrix(detections, clusters, state, P, params, ext, intr):
-    """Vectorized pair scores, one row per detection, one column per
-    cluster.  Equals pair_score evaluated pairwise."""
+    """Blended pair scores, one row per detection, one column per cluster.
+
+    Pairs beyond max_range or behind the camera score exactly 0.
+    """
     n, m = len(detections), len(clusters)
     if n == 0 or m == 0:
         return np.zeros((n, m))
@@ -254,60 +214,14 @@ def hungarian(score, maximize=True):
     """Optimal one-to-one assignment of rows to columns.
 
     Requires at least as many columns as rows; returns the column index
-    chosen for each row.  Shortest-augmenting-path formulation; ties
-    resolve deterministically toward low indices through the scan order.
+    chosen for each row.  Solved by scipy's linear_sum_assignment
+    (Crouse, IEEE TAES 2016).
     """
     S = np.asarray(score, dtype=float)
     n, m = S.shape
-    if n == 0:
-        return []
     if n > m:
         raise ValueError(f"assignment needs cols >= rows, got {n}x{m}")
-    C = -S if maximize else S
-
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)  # p[j]: 1-based row matched to column j
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = -1
-            row = C[i0 - 1]
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    out = [-1] * n
-    for j in range(1, m + 1):
-        if p[j]:
-            out[p[j] - 1] = j - 1
-    return out
+    return linear_sum_assignment(S, maximize=maximize)[1].tolist()
 
 
 def associate(detections, clusters, state, P, params, ext, intr):

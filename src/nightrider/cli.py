@@ -23,8 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .mapping import build_map, load_map, load_points, save_map
 from .io import write_jsonl, write_trajectory, read_trajectory
 from .pipeline import PipelineConfig, monte_carlo, run_pipeline
@@ -34,12 +32,9 @@ from .sim import (
     compute_ate,
     corridor_scenario,
     default_scenario,
-    generate_truth,
     make_map,
     ring_scenario,
-    simulate_detections,
-    simulate_imu,
-    simulate_odom,
+    simulate_streams,
 )
 
 BUILTIN_SCENARIOS = {
@@ -121,12 +116,8 @@ def cmd_simulate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    truth = generate_truth(sc)
-    ss = np.random.SeedSequence(sc.seed)
-    rng_imu, rng_odom, rng_cam, _ = [np.random.default_rng(s) for s in ss.spawn(4)]
-    imu, _, _ = simulate_imu(truth, sc, rng_imu)
-    odom = simulate_odom(truth, sc, rng_odom)
-    frames = simulate_detections(truth, sc, smap, rng_cam)
+    streams = simulate_streams(sc, smap)
+    truth, imu, odom, frames = streams.truth, streams.imu, streams.odom, streams.frames
 
     sc.save(out / "scenario.json")
     save_map(smap, out / "map.json")

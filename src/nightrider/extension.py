@@ -1,12 +1,16 @@
 """Match extension from raw intensity images and degeneration handling.
 
-The Hungarian association only sees detector output, which misses dim or
-distant streetlights.  This module recovers those: bright pixels are
-segmented into boxes, and unmatched map clusters within an extended range
-are matched to boxes by projected-point containment.  A separate path
+The association only sees detector output, which misses dim or distant
+streetlights.  This module recovers those: bright pixels are segmented
+into boxes, and unmatched map clusters within an extended range are
+matched to boxes by projected-point containment.  A separate path
 handles the straight-line degeneracy, where z, roll and pitch drift
 accumulate until an off-line streetlight appears; those first off-line
 clusters are matched through tall search rectangles instead of densities.
+
+Both matchers end in the same greedy step (_greedy), and both ask the
+same question of a box: box_contains, optionally padded by a search
+rectangle, which extend_matches evaluates for all points at once.
 """
 
 from __future__ import annotations
@@ -52,6 +56,38 @@ def segment_boxes(image, th_int=220, min_area=4):
     return boxes
 
 
+def box_contains(box, pixel, pad_w=0.0, pad_h=0.0):
+    """Whether pixel lies in box grown by pad_w x pad_h, edges included.
+
+    With padding this is the test that a pad_w x pad_h rectangle centered
+    on pixel intersects the box.
+    """
+    d = np.abs(np.asarray(pixel, dtype=float) - box.center)
+    return d[0] <= (pad_w + box.extents[0]) / 2.0 and d[1] <= (
+        pad_h + box.extents[1]
+    ) / 2.0
+
+
+def _greedy(triples, boxes, key):
+    """One-to-one matches from (score, cluster id, box index) triples.
+
+    Triples are taken in key order (None: ascending score, then cluster
+    id, then box index); each box and each cluster is used at most once.
+    """
+    used_boxes = set()
+    used_clusters = set()
+    dets, ids, scores = [], [], []
+    for score, cid, bi in sorted(triples, key=key):
+        if bi in used_boxes or cid in used_clusters:
+            continue
+        used_boxes.add(bi)
+        used_clusters.add(cid)
+        dets.append(boxes[bi])
+        ids.append(cid)
+        scores.append(score)
+    return MatchSet(dets, ids, scores)
+
+
 def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
     """Match unmatched clusters to segmentation boxes by projected points.
 
@@ -90,21 +126,9 @@ def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
     for ci, bi in zip(*np.nonzero(center_in & (counts > 0))):
         c, bi = cands[ci], int(bi)
         ratio = int(counts[ci, bi]) / int(sizes[ci])
-        triples.append((ratio, c.id, bi, c, boxes[bi]))
+        triples.append((ratio, c.id, bi))
 
-    triples.sort(key=lambda t: (-t[0], t[1], t[2]))
-    used_boxes = set()
-    used_clusters = set()
-    dets, ids, scores = [], [], []
-    for ratio, cid, bi, cluster, box in triples:
-        if bi in used_boxes or cid in used_clusters:
-            continue
-        used_boxes.add(bi)
-        used_clusters.add(cid)
-        dets.append(box)
-        ids.append(cid)
-        scores.append(float(ratio))
-    return MatchSet(dets, ids, scores)
+    return _greedy(triples, boxes, key=lambda t: (-t[0], t[1], t[2]))
 
 
 @dataclass
@@ -194,13 +218,6 @@ def offline_candidates(clusters, degen):
     ]
 
 
-def _rect_intersects(box, center_px, rect_w, rect_h):
-    d = np.abs(box.center - center_px)
-    return d[0] <= (rect_w + box.extents[0]) / 2.0 and d[1] <= (
-        rect_h + box.extents[1]
-    ) / 2.0
-
-
 def degeneration_match(boxes, new_clusters, state, ext, intr, rect_w=30.0, rect_h=300.0):
     """Rectangle-gated matching for the first off-line streetlights.
 
@@ -216,21 +233,7 @@ def degeneration_match(boxes, new_clusters, state, ext, intr, rect_w=30.0, rect_
         if center_px is None:
             continue
         for bi, box in enumerate(boxes):
-            if not _rect_intersects(box, center_px, rect_w, rect_h):
-                continue
-            dist = float(np.linalg.norm(box.center - center_px))
-            triples.append((dist, c.id, bi, c, box))
-
-    triples.sort(key=lambda t: (t[0], t[1], t[2]))
-    used_boxes = set()
-    used_clusters = set()
-    dets, ids, scores = [], [], []
-    for dist, cid, bi, cluster, box in triples:
-        if bi in used_boxes or cid in used_clusters:
-            continue
-        used_boxes.add(bi)
-        used_clusters.add(cid)
-        dets.append(box)
-        ids.append(cid)
-        scores.append(dist)
-    return MatchSet(dets, ids, scores)
+            if box_contains(box, center_px, rect_w, rect_h):
+                dist = float(np.linalg.norm(box.center - center_px))
+                triples.append((dist, c.id, bi))
+    return _greedy(triples, boxes, key=None)

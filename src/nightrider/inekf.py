@@ -101,23 +101,6 @@ def symmetrize(P):
     return (P + P.T) / 2.0
 
 
-def expm_taylor(A, max_terms=20, tol=0.0):
-    """Matrix exponential by truncated Taylor series with early exit.
-
-    A general-purpose reference: propagate no longer calls it, because the
-    error dynamics are nilpotent (A^4 = 0) and propagate sums the four
-    terms of the series in closed form.  max_terms bounds the general case.
-    """
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
-    for k in range(1, max_terms + 1):
-        term = term @ A / k
-        out = out + term
-        if np.abs(term).max() <= tol:
-            break
-    return out
-
-
 _EYE3 = np.eye(3)
 _EYE15 = np.eye(15)
 _EYE3.flags.writeable = _EYE15.flags.writeable = False
@@ -149,13 +132,13 @@ def build_error_dynamics(state, gravity=None):
     return _error_dynamics(_pose_columns(state.pose), skew(g))
 
 
-def propagate(state, P, imu, dt, noise, first_order=False):
+def propagate(state, P, imu, dt, noise):
     """One strapdown step: mean propagation plus covariance Riccati update.
 
     The mean integrates bias-corrected IMU rates over dt.  The covariance
     uses the closed-form transition Phi = I + A dt + (A dt)^2/2 + (A dt)^3/6,
     which is exactly expm(A dt) because the error dynamics are nilpotent
-    (A^4 = 0; Hartley et al., IJRR 2020); first_order keeps only I + A dt.
+    (A^4 = 0; Hartley et al., IJRR 2020).
     The noise maps through the adjoint of the current estimate,
     Q = Ad Q_n Ad', and P' = sym(Phi (P + Q dt) Phi').
     Returns a new (state, P).
@@ -182,13 +165,12 @@ def propagate(state, P, imu, dt, noise, first_order=False):
     cols = _pose_columns(pose)
     M = _error_dynamics(cols, noise.gravity_skew) * dt
     Phi = _EYE15 + M
-    if not first_order:
-        M2 = M @ M
-        M2 /= 2.0
-        Phi += M2
-        M3 = M2 @ M
-        M3 /= 3.0
-        Phi += M3
+    M2 = M @ M
+    M2 /= 2.0
+    Phi += M2
+    M3 = M2 @ M
+    M3 /= 3.0
+    Phi += M3
 
     # noise enters through the adjoint of the current estimate
     Ad = _EYE15.copy()

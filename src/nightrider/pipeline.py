@@ -18,6 +18,7 @@ from .association import MatchSet, ScoreParams, associate
 from .camera import CamExtrinsics, apply_camera_update, camera_point, project
 from .extension import (
     DegenState,
+    box_contains,
     degeneration_match,
     extend_matches,
     offline_candidates,
@@ -31,12 +32,9 @@ from .sim import (
     Scenario,
     compute_ate,
     frame_boxes,
-    generate_truth,
     make_map,
     path_length,
-    simulate_detections,
-    simulate_imu,
-    simulate_odom,
+    simulate_streams,
 )
 
 
@@ -108,11 +106,6 @@ class RunResult:
         }
 
 
-def _box_contains(box, pixel):
-    d = np.abs(np.asarray(pixel, dtype=float) - box.center)
-    return d[0] <= box.extents[0] / 2.0 and d[1] <= box.extents[1] / 2.0
-
-
 def _recovery_candidates(smap, state, config, intr):
     """Clusters the camera could plausibly see from the current estimate."""
     out = []
@@ -131,18 +124,15 @@ def _recovery_candidates(smap, state, config, intr):
 def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None):
     """Simulate the scenario and run the full filter over its sensors.
 
-    The simulated streams come from per-sensor child seeds of the
-    scenario seed, so a (scenario, config) pair reproduces bit-identical
-    results run to run.
+    The sensors come from simulate_streams, whose per-sensor child seeds
+    of the scenario seed make a (scenario, config) pair reproduce
+    bit-identical results run to run.
     """
     config = config if config is not None else PipelineConfig()
     smap = smap if smap is not None else make_map(scenario)
-    truth = generate_truth(scenario)
-    streams = np.random.SeedSequence(scenario.seed).spawn(4)
-    rng_imu, rng_odom, rng_cam, rng_init = (np.random.default_rng(s) for s in streams)
-    imu, bias_g, bias_a = simulate_imu(truth, scenario, rng_imu)
-    odom = simulate_odom(truth, scenario, rng_odom)
-    frames = simulate_detections(truth, scenario, smap, rng_cam)
+    streams = simulate_streams(scenario, smap)
+    truth, imu, odom, frames = streams.truth, streams.imu, streams.odom, streams.frames
+    bias_g, bias_a = streams.bias_gyro, streams.bias_accel
     intr = scenario.intrinsics()
     lookup = smap.by_id()
     noise = NoiseConfig.from_sigmas(
@@ -164,7 +154,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
         pose0 = truth[0].pose.copy()
         bg0, ba0 = np.zeros(3), np.zeros(3)
         if config.perturb_init:
-            delta = np.sqrt(np.diag(P)) * rng_init.standard_normal(15)
+            delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
             pose0 = se23_exp(delta[:9]) @ pose0
             bg0 = bias_g[0] + delta[9:12]
             ba0 = bias_a[0] + delta[12:15]
@@ -182,6 +172,28 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
     nees = [_nees(state, P, truth[0].pose, bias_g[0], bias_a[0])]
     trans_errors = [float(np.linalg.norm(state.pose.pos - truth[0].pose.pos))]
     oi = fi = 0
+    # extended and degeneration matches measure segmentation boxes
+    box_sigma = config.extension_sigma_scale * scenario.pixel_sigma
+
+    def camera_stage(ms, sigma, kind):
+        """Camera update on ms's positive pairs; how many were applied.
+
+        A rejected update applies none and is logged under kind.
+        """
+        nonlocal state, P
+        n = ms.positive_count()
+        if n:
+            try:
+                state, P = apply_camera_update(
+                    state, P, ms, lookup, config.cam_ext, intr, sigma
+                )
+            except UpdateRejected:
+                events.append((frame.t, "update_rejected", kind))
+                return 0
+            matched_pairs.extend(
+                (cid, lookup[cid].center) for _, cid in ms.positive_pairs()
+            )
+        return n
 
     for k, s in enumerate(imu):
         state, P = propagate(state, P, s, dt, noise)
@@ -231,7 +243,6 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                 else:
                     events.append((frame.t, "recovery_failed", len(frame.detections)))
             elif not lost:
-                matched_ids = set()
                 if frame.detections:
                     ms = associate(
                         frame.detections,
@@ -250,23 +261,8 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         ],
                         ms.scores,
                     )
-                    if ms.positive_count():
-                        try:
-                            state, P = apply_camera_update(
-                                state,
-                                P,
-                                ms,
-                                lookup,
-                                config.cam_ext,
-                                intr,
-                                scenario.pixel_sigma,
-                            )
-                            n_ass = ms.positive_count()
-                            for _, cid in ms.positive_pairs():
-                                matched_ids.add(cid)
-                                matched_pairs.append((cid, lookup[cid].center))
-                        except UpdateRejected:
-                            events.append((frame.t, "update_rejected", "camera"))
+                    n_ass = camera_stage(ms, scenario.pixel_sigma, "camera")
+                matched_ids = {cid for cid, _ in matched_pairs}
 
                 run_degen = config.use_degeneration and degen.degenerate
                 if config.use_extension or run_degen:
@@ -279,7 +275,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         b
                         for b in boxes
                         if not any(
-                            px is not None and _box_contains(b, px) for px in taken
+                            px is not None and box_contains(b, px) for px in taken
                         )
                     ]
                 else:
@@ -297,25 +293,11 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         intr,
                         config.extension_range,
                     )
-                    if ems.positive_count():
-                        try:
-                            state, P = apply_camera_update(
-                                state,
-                                P,
-                                ems,
-                                lookup,
-                                config.cam_ext,
-                                intr,
-                                config.extension_sigma_scale * scenario.pixel_sigma,
-                            )
-                            n_ext = ems.positive_count()
-                            used = {id(b) for b in ems.detections}
-                            free = [b for b in free if id(b) not in used]
-                            for _, cid in ems.positive_pairs():
-                                matched_ids.add(cid)
-                                matched_pairs.append((cid, lookup[cid].center))
-                        except UpdateRejected:
-                            events.append((frame.t, "update_rejected", "extension"))
+                    n_ext = camera_stage(ems, box_sigma, "extension")
+                    if n_ext:
+                        used = {id(b) for b in ems.detections}
+                        free = [b for b in free if id(b) not in used]
+                        matched_ids.update(ems.matched_ids())
 
                 if run_degen and free:
                     unmatched = [
@@ -335,24 +317,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         config.rect_w,
                         config.rect_h,
                     )
-                    if dms.positive_count():
-                        try:
-                            state, P = apply_camera_update(
-                                state,
-                                P,
-                                dms,
-                                lookup,
-                                config.cam_ext,
-                                intr,
-                                config.extension_sigma_scale * scenario.pixel_sigma,
-                            )
-                            n_deg = dms.positive_count()
-                            for _, cid in dms.positive_pairs():
-                                matched_pairs.append((cid, lookup[cid].center))
-                        except UpdateRejected:
-                            events.append(
-                                (frame.t, "update_rejected", "degeneration")
-                            )
+                    n_deg = camera_stage(dms, box_sigma, "degeneration")
 
         if config.use_degeneration:
             was_degenerate = degen.degenerate

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +70,12 @@ class Scenario:
     image_height: int = 720
 
     def __post_init__(self):
-        for name in ("imu_rate", "odom_rate", "cam_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        for name in ("imu_rate", "odom_rate", "cam_rate", "duration"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("odom_rate", "cam_rate"):
             ratio = self.imu_rate / getattr(self, name)
             if abs(ratio - round(ratio)) > 1e-9:
@@ -94,6 +96,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown scenario keys: {', '.join(map(repr, unknown))}")
         return cls(**doc)
 
     def save(self, path):
@@ -307,6 +314,36 @@ def simulate_detections(truth, scenario, smap, rng):
             tids.append(None)
         frames.append(CameraFrame(s.t, dets, tids))
     return frames
+
+
+@dataclass
+class SensorStreams:
+    """A scenario's ground truth and simulated sensor streams."""
+
+    truth: list  # TrajectorySample per IMU grid time
+    imu: list
+    bias_gyro: np.ndarray  # true biases, one row per IMU grid time
+    bias_accel: np.ndarray
+    odom: list
+    frames: list  # CameraFrame per camera time
+    rng_init: np.random.Generator  # left for drawing an initial state
+
+
+def simulate_streams(scenario, smap):
+    """Simulate every sensor of the scenario.
+
+    The scenario seed spawns four child streams, one each for the IMU,
+    the odometer and the detector, and one left for the initial state, so
+    each stream's bytes depend only on the seed and its own sensor.
+    """
+    truth = generate_truth(scenario)
+    rng_imu, rng_odom, rng_cam, rng_init = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(scenario.seed).spawn(4)
+    )
+    imu, bias_g, bias_a = simulate_imu(truth, scenario, rng_imu)
+    odom = simulate_odom(truth, scenario, rng_odom)
+    frames = simulate_detections(truth, scenario, smap, rng_cam)
+    return SensorStreams(truth, imu, bias_g, bias_a, odom, frames, rng_init)
 
 
 def _visible_blobs(pose, smap, scenario, intr):

@@ -5,16 +5,14 @@ import numpy as np
 import scipy.optimize
 
 from nightrider.association import (
+    SIGMA_FLOOR,
     MatchSet,
     ScoreParams,
     angle_gradients,
     associate,
     hungarian,
-    pair_score,
     projection_jacobian,
     score_matrix,
-    sigma_ang,
-    sigma_proj,
 )
 from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
 from nightrider.inekf import FilterState
@@ -37,6 +35,62 @@ def _random_pose_cov(rng, scale=1e-3):
 
 def _cluster(cid, center):
     return StreetlightCluster(cid, np.asarray(center, dtype=float))
+
+
+# ------------------------------------------- scalar reference scorers
+# One pair at a time, from the exposed Jacobians; score_matrix must equal
+# pair_score entry by entry.
+
+_POSE_IDX = np.r_[0:3, 6:9]  # rotation and position blocks of the 15-state
+
+
+def _pose_cov(P):
+    return P[np.ix_(_POSE_IDX, _POSE_IDX)]
+
+
+def sigma_proj(state, P, center_w, ext, intr, alpha):
+    """Reprojection covariance: alpha I plus pose uncertainty pushed
+    through the projection Jacobian.  None when behind the camera."""
+    J = projection_jacobian(state, center_w, ext, intr)
+    if J is None:
+        return None
+    return alpha * np.eye(2) + J @ _pose_cov(P) @ J.T
+
+
+def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
+    """Variance of the angular residual 1 - cos(theta), floored."""
+    out = angle_gradients(state, detection_pixel, center_w, ext, intr)
+    if out is None:
+        return None
+    _, d_pixel, grad6 = out
+    pix_var = alpha * (d_pixel[0] ** 2 + d_pixel[1] ** 2)
+    pose_var = grad6 @ _pose_cov(P) @ grad6
+    return max(pix_var + pose_var, SIGMA_FLOOR)
+
+
+def pair_score(detection, cluster, state, P, params, ext, intr):
+    """Blended density score; exactly 0 for gated-out pairs."""
+    C = cluster.center
+    if np.linalg.norm(C - state.pose.pos) > params.max_range:
+        return 0.0
+    pix = project(C, state.pose, ext, intr)
+    if pix is None:
+        return 0.0
+
+    Sp = sigma_proj(state, P, C, ext, intr, params.alpha)
+    r = np.asarray(detection.center, dtype=float) - pix
+    det2 = Sp[0, 0] * Sp[1, 1] - Sp[0, 1] * Sp[1, 0]
+    quad = (
+        Sp[1, 1] * r[0] ** 2 - 2.0 * Sp[0, 1] * r[0] * r[1] + Sp[0, 0] * r[1] ** 2
+    ) / det2
+    s_proj = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det2))
+
+    cos_theta, _, _ = angle_gradients(state, detection.center, C, ext, intr)
+    var = sigma_ang(state, P, detection.center, C, ext, intr, params.alpha)
+    r_ang = 1.0 - cos_theta
+    s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
+
+    return float(params.weight * s_proj + (1.0 - params.weight) * s_ang)
 
 
 # ------------------------------------------------------------- sigma_proj

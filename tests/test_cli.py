@@ -5,7 +5,7 @@ import pytest
 
 from nightrider.cli import main
 from nightrider.mapping import load_map
-from nightrider.sim import default_scenario
+from nightrider.sim import Scenario, default_scenario, simulate_streams
 
 
 @pytest.fixture()
@@ -68,6 +68,33 @@ def test_simulate_rerun_is_byte_identical(tmp_path, short_scenario):
     assert main(["simulate", short_scenario, "--out", str(b)]) == 0
     for name in ("truth.csv", "imu.csv", "odom.csv", "frames.jsonl"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_writes_the_pipeline_streams(tmp_path, short_scenario):
+    """imu.csv, odom.csv and frames.jsonl hold simulate_streams' samples
+    bit for bit, the streams that run_pipeline filters."""
+    out = tmp_path / "sim"
+    assert main(["simulate", short_scenario, "--out", str(out)]) == 0
+    sc = Scenario.load(short_scenario)
+    streams = simulate_streams(sc, load_map(out / "map.json"))
+
+    for name, samples, fields in (
+        ("imu.csv", streams.imu, lambda s: [s.t, *s.gyro, *s.accel]),
+        ("odom.csv", streams.odom, lambda s: [s.t, *s.velocity]),
+    ):
+        rows = (out / name).read_text().splitlines()[1:]
+        written = np.array([[float(v) for v in r.split(",")] for r in rows])
+        expected = np.array([fields(s) for s in samples])
+        assert written.tobytes() == expected.tobytes(), name
+
+    frames = [json.loads(line) for line in (out / "frames.jsonl").open()]
+    assert len(frames) == len(streams.frames)
+    for rec, f in zip(frames, streams.frames):
+        assert rec["t"] == f.t and rec["blackout"] == f.blackout
+        assert rec["truth_ids"] == f.truth_ids
+        for d_rec, d in zip(rec["detections"], f.detections, strict=True):
+            assert np.array(d_rec["center"]).tobytes() == d.center.tobytes()
+            assert np.array(d_rec["extents"]).tobytes() == d.extents.tobytes()
 
 
 def test_localize_rerun_is_byte_identical(tmp_path, short_scenario):
@@ -165,4 +192,16 @@ def test_unknown_scenario_exits_1(tmp_path, capsys):
 
 def test_evaluate_missing_file_exits_1(tmp_path, capsys):
     assert main(["evaluate", "missing_a.csv", "missing_b.csv"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document",
+    ['{"bogus": 1}', "[1, 2]", '{"duration": "abc"}'],
+    ids=["unknown-key", "not-an-object", "string-duration"],
+)
+def test_malformed_scenario_exits_1(tmp_path, capsys, document):
+    path = tmp_path / "x.json"
+    path.write_text(document)
+    assert main(["localize", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
