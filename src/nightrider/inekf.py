@@ -22,11 +22,20 @@ from .lie import ExtendedPose, se23_exp, skew, so3_exp
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 MAX_DT = 0.1
+# Bearing updates floor S's smallest eigenvalue at camera._NOISE_FLOOR
+# (1e-12): the third row of each bearing Jacobian is zero up to rounding.
+# So cond(S) > COND_LIMIT means lambda_max(S) above about 1 (normalized
+# units squared), an uncertainty cap rather than a singularity test.
 COND_LIMIT = 1e12
 
 
 class UpdateRejected(RuntimeError):
-    """Raised when an innovation covariance is numerically singular."""
+    """Raised when an innovation covariance fails the condition check.
+
+    The check rejects S whose condition number is not finite or exceeds
+    COND_LIMIT.  For camera updates that caps S's largest eigenvalue at
+    about 1; it does not detect an indefinite S.
+    """
 
 
 @dataclass
@@ -194,8 +203,11 @@ def invariant_update(state, P, H, z, N):
 
     Gain K = P H' (H P H' + N)^-1; the correction K z retracts the pose by
     left multiplication with se23_exp and adds to the biases.  Covariance
-    uses the Joseph form.  Raises UpdateRejected when the innovation
-    covariance is numerically singular.
+    uses the Joseph form.  Raises UpdateRejected when cond(S) of the
+    innovation covariance S is not finite or exceeds COND_LIMIT.  With the
+    1e-12 noise floor of camera updates, that rejects lambda_max(S) above
+    about 1: an uncertainty cap, not a singularity test (an indefinite S
+    passes).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))

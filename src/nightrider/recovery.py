@@ -12,13 +12,28 @@ Every candidate update starts from the same state and covariance, so
 they share one linearization: the invariant EKF's Jacobians depend on
 the estimate only (Hartley et al., IJRR 2020).  Once per attempt,
 recovery computes each cluster's bearing Jacobian H and prediction h,
-each detection's ray, HP = H P and the cluster-pair blocks H_a P H_b'.
-It then evaluates the combinations in blocks of CANDIDATE_BLOCK.
-Within a block, combinations with equally many in-front matched pairs
-gather their innovation covariances from the pair blocks and are solved
-in one batch; their corrections are retracted in one batch and scored
-with array operations.  Memory is bounded by the block, not by the
-combination count.
+each detection's ray, HP = H P and the 3m x 3m innovation covariance
+S_all = sym(H P H' + kron(I_m, N)) over all m clusters, N being the
+pixel noise.  A combination's innovation covariance is the principal
+submatrix of S_all on its matched clusters' rows.  The combinations are
+evaluated in blocks of CANDIDATE_BLOCK.  Within a block, combinations
+with equally many in-front matched pairs gather their S from S_all and
+are solved in one batch; their corrections are retracted in one batch
+and scored with array operations.  The scoring's memory is bounded by
+the block.  The enumeration is not: assignment_array holds every
+combination at once, n bytes each while m <= 127, and while it is built
+NumPy's index arrays take about 16 bytes more per combination, so its
+memory grows with the max_combinations budget.
+
+By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the
+eigenvalues of a principal submatrix lie within those of S_all, so when
+S_all is positive definite no submatrix's condition number exceeds
+lambda_max / lambda_min of S_all.  One eigvalsh per attempt therefore
+certifies that no candidate can fail invariant_update's condition check
+when that ratio is under COND_LIMIT / COND_MARGIN, and the
+per-candidate np.linalg.cond is skipped.  Otherwise (S_all indefinite,
+not finite or too ill-conditioned) every candidate's condition number
+is computed as invariant_update would.
 
 Batched arithmetic rounds differently from a single update.  So the few
 combinations that score within a relative SCORE_TOL of the best batched
@@ -32,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -55,6 +69,18 @@ CANDIDATE_BLOCK = 512  # combinations evaluated per batch
 # combination within SCORE_TOL * (1 + lowest) of the lowest batched score
 # is re-scored serially.
 SCORE_TOL = 1e-9
+# The interlacing certificate accepts S_all when lambda_max <= lambda_min *
+# COND_LIMIT / COND_MARGIN, i.e. lambda_min >= 16 lambda_max / 1e12.
+# eigvalsh on the 3m x 3m S_all errs by about 3m eps lambda_max per
+# eigenvalue (eps = 2.2e-16), so the relative error of lambda_min is about
+# 3m eps 6.25e10: 3e-4 at m = 8, 6e-3 at m = 140 (the most clusters the
+# default budget allows with two detections) and 0.83 at m = 19,999 (with
+# one).  The SVD behind np.linalg.cond on a candidate's S, 15 x 15 at
+# most by default, errs far less.  So a certified S_all's true lambda_min
+# is at least 0.17 of the computed one, and every certified candidate's
+# condition number is under 4e11 < COND_LIMIT; at m <= 140 the margin of
+# 16 leaves it far under.
+COND_MARGIN = 16.0
 
 
 @dataclass
@@ -83,31 +109,30 @@ def combination_count(n, m):
     )
 
 
-def assignments(n, m):
+def assignment_array(n, m):
     """All one-to-one maps of n detections onto m clusters or -1 (NONE).
 
-    Lexicographic over the choice list [-1, 0, 1, ...] per detection, so
+    One map per row of a (combination_count(n, m), n) array of the
+    narrowest signed integer type that holds -1 and m - 1.  Rows are
+    lexicographic over the choice list [-1, 0, 1, ...] per detection, so
     enumeration order is deterministic and NONE-heavy maps come first.
     """
-    used = set()
-    cur = []
+    dtype = np.min_scalar_type(-m - 1)
+    rows = np.zeros((1, 0), dtype=dtype)
+    for _ in range(n):
+        # free[r, c]: choice c - 1 may extend row r; NONE always may
+        free = np.ones((len(rows), m + 1), dtype=bool)
+        r, i = np.nonzero(rows >= 0)
+        free[r, rows[r, i] + 1] = False
+        parent, choice = np.nonzero(free)
+        rows = np.column_stack([rows[parent], (choice - 1).astype(dtype)])
+    return rows
 
-    def rec(i):
-        if i == n:
-            yield tuple(cur)
-            return
-        cur.append(-1)
-        yield from rec(i + 1)
-        cur.pop()
-        for j in range(m):
-            if j not in used:
-                used.add(j)
-                cur.append(j)
-                yield from rec(i + 1)
-                cur.pop()
-                used.remove(j)
 
-    yield from rec(0)
+def assignments(n, m):
+    """The rows of assignment_array(n, m), as tuples of ints."""
+    for row in assignment_array(n, m).tolist():
+        yield tuple(row)
 
 
 def _yaw(rot):
@@ -147,9 +172,11 @@ def score_candidate(state_before, state_after, matches, clusters_by_id, ext, int
 class _SharedLinearization:
     """What every candidate update of one attempt shares.
 
-    For each cluster in front of the camera: the bearing Jacobian H and
-    prediction h of camera_H, HP = H P, and the pair blocks
-    G[a, b] = H_a P H_b'.  For each detection: its back-projected ray.
+    For each cluster in front of the camera: the prediction h of
+    camera_H and HP = H P.  Over all clusters: the 3m x 3m innovation
+    covariance S_all = sym(H P H' + kron(I_m, N)), and whether one
+    eigvalsh of it certifies every candidate's condition check
+    (certified).  For each detection: its back-projected ray.
     """
 
     def __init__(self, detections, clusters, state, P, ext, intr, pixel_sigma):
@@ -163,12 +190,26 @@ class _SharedLinearization:
                 self.front[j] = True
                 H[j], self.h[j] = out
         self.HP = H @ P
-        G = self.HP.reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
-        self.G = G.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)
-        self.noise = pixel_noise_cov(intr, pixel_sigma)
+        S = self.HP.reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
+        S += np.kron(np.eye(m), pixel_noise_cov(intr, pixel_sigma))
+        self.S_all = (S + S.T) / 2.0
+        self.certified = _certifies(self.S_all)
         self.rays = np.array([back_project(d.center, intr) for d in detections])
         self.pixels = np.array([d.center for d in detections], dtype=float)
         self.centers = np.array([c.center for c in clusters], dtype=float)
+
+
+def _certifies(S_all):
+    """Whether interlacing bounds every principal submatrix's condition.
+
+    lambda_min > 0 is required, not a bounded cond(S_all): an indefinite
+    S_all can be well conditioned and still have a singular principal
+    submatrix.
+    """
+    if not np.isfinite(S_all).all():
+        return False
+    lam = np.linalg.eigvalsh(S_all)
+    return bool(lam[0] > 0 and lam[-1] <= lam[0] * (COND_LIMIT / COND_MARGIN))
 
 
 def _corrections(combos, lin):
@@ -187,13 +228,13 @@ def _corrections(combos, lin):
         rows = np.flatnonzero(k == kk)
         dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
         cl = combos[rows[:, None], dets]
-        S = lin.G[cl[:, :, None], cl[:, None, :]].transpose(0, 1, 3, 2, 4)
-        S = S.reshape(len(rows), 3 * kk, 3 * kk) + np.kron(np.eye(kk), lin.noise)
-        S = (S + S.transpose(0, 2, 1)) / 2.0
-        cond = np.linalg.cond(S)
-        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-        delta[rows[~ok]] = np.nan
-        rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
+        idx = (3 * cl[:, :, None] + np.arange(3)).reshape(len(rows), 3 * kk)
+        S = lin.S_all[idx[:, :, None], idx[:, None, :]]
+        if not lin.certified:
+            cond = np.linalg.cond(S)
+            ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+            delta[rows[~ok]] = np.nan
+            rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
         HP = lin.HP[cl].reshape(len(rows), 3 * kk, 15)
         z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 3 * kk)
         # K z = (H P)' S^-1 z, one right-hand side per combination
@@ -241,6 +282,31 @@ def _block_scores(combos, lin, state, params, ext, intr):
     return score
 
 
+def _shrink(detections, clusters, state, params):
+    """The detections and clusters attempt_recovery searches over.
+
+    Only the max_detections largest boxes are kept; then, while the
+    combination count exceeds the budget, the farthest cluster is dropped.
+    """
+    if len(detections) > params.max_detections:
+        order = sorted(
+            range(len(detections)),
+            key=lambda i: float(np.prod(detections[i].extents)),
+            reverse=True,
+        )
+        detections = [detections[i] for i in order[: params.max_detections]]
+    n, m = len(detections), len(clusters)
+    if n and m and combination_count(n, m) > params.max_combinations:
+        clusters = sorted(
+            clusters,
+            key=lambda c: float(np.linalg.norm(c.center - state.pose.pos)),
+        )
+        while m > 1 and combination_count(n, m) > params.max_combinations:
+            m -= 1
+        clusters = clusters[:m]
+    return detections, clusters
+
+
 def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_sigma=2.0):
     """Try to relocalize; returns (state, P, MatchSet) or None.
 
@@ -263,31 +329,17 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     th_score and it matches more than two lights; the returned state and
     covariance are its serial update's.
     """
-    if len(detections) > params.max_detections:
-        order = sorted(
-            range(len(detections)),
-            key=lambda i: float(np.prod(detections[i].extents)),
-            reverse=True,
-        )
-        detections = [detections[i] for i in order[: params.max_detections]]
+    detections, clusters = _shrink(detections, clusters, state, params)
     n, m = len(detections), len(clusters)
     if n == 0 or m == 0:
         return None
-    if combination_count(n, m) > params.max_combinations:
-        clusters = sorted(
-            clusters,
-            key=lambda c: float(np.linalg.norm(c.center - state.pose.pos)),
-        )
-        while m > 1 and combination_count(n, m) > params.max_combinations:
-            m -= 1
-        clusters = clusters[:m]
 
     lin = _SharedLinearization(detections, clusters, state, P, ext, intr, pixel_sigma)
     lowest = np.inf
     shortlist = []  # (batched score, combination), in enumeration order
-    combos = assignments(n, m)
-    while block := list(islice(combos, CANDIDATE_BLOCK)):
-        block = np.array(block, dtype=np.intp)
+    combos = assignment_array(n, m)
+    for start in range(0, len(combos), CANDIDATE_BLOCK):
+        block = combos[start : start + CANDIDATE_BLOCK].astype(np.intp)
         scores = _block_scores(block, lin, state, params, ext, intr)
         lowest = min(lowest, scores.min())
         cut = lowest + SCORE_TOL * (1.0 + lowest)

@@ -10,13 +10,16 @@ from nightrider.camera import (
     CameraIntrinsics,
     DetectionBox,
     apply_camera_update,
+    camera_H,
+    pixel_noise_cov,
     project,
 )
-from nightrider.inekf import FilterState, UpdateRejected
+from nightrider.inekf import COND_LIMIT, FilterState, UpdateRejected
 from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
 from nightrider.recovery import (
     RecoveryParams,
+    assignment_array,
     assignments,
     attempt_recovery,
     combination_count,
@@ -51,6 +54,51 @@ def test_assignments_lexicographic_none_first():
     assert list(assignments(2, 1)) == [(-1, -1), (-1, 0), (0, -1)]
     combos = list(assignments(3, 3))
     assert combos[0] == (-1, -1, -1)
+
+
+def _recursive_assignments(n, m):
+    """Reference oracle: the recursive enumeration assignment_array replaced."""
+    used = set()
+    cur = []
+
+    def rec(i):
+        if i == n:
+            yield tuple(cur)
+            return
+        cur.append(-1)
+        yield from rec(i + 1)
+        cur.pop()
+        for j in range(m):
+            if j not in used:
+                used.add(j)
+                cur.append(j)
+                yield from rec(i + 1)
+                cur.pop()
+                used.remove(j)
+
+    yield from rec(0)
+
+
+def test_assignment_array_equals_recursive_enumeration():
+    for n in range(6):
+        for m in range(9):
+            rows = assignment_array(n, m)
+            assert rows.shape == (combination_count(n, m), n)
+            want = list(_recursive_assignments(n, m))
+            assert [tuple(r) for r in rows.tolist()] == want
+            assert list(assignments(n, m)) == want
+    assert assignment_array(0, 4).shape == (1, 0)
+    assert assignment_array(3, 0).tolist() == [[-1, -1, -1]]
+
+
+def test_assignment_array_dtype_holds_every_cluster():
+    assert assignment_array(5, 8).dtype == np.int8
+    rows = assignment_array(1, 300)
+    assert rows[:, 0].tolist() == list(range(-1, 300))
+    rows = assignment_array(2, 130)
+    assert rows.shape == (combination_count(2, 130), 2)
+    assert rows.max() == 129 and rows.min() == -1
+    assert [tuple(r) for r in rows[-3:].tolist()] == [(129, 126), (129, 127), (129, 128)]
 
 
 def _planted_scene():
@@ -444,3 +492,168 @@ def test_recovery_memory_is_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
+
+
+def oracle_corrections(combos, lin, G, noise):
+    """Reference oracle: _corrections before S_all and its certificate.
+
+    Each block gathers S from the pair blocks G[a, b] = H_a P H_b', adds
+    the pixel noise per matched pair and symmetrizes, and every
+    combination's S goes through np.linalg.cond.
+    """
+    infront = combos >= 0
+    infront[infront] = lin.front[combos[infront]]
+    k = infront.sum(axis=1)
+    delta = np.zeros((len(combos), 15))
+    for kk in np.unique(k[k > 0]):
+        rows = np.flatnonzero(k == kk)
+        dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
+        cl = combos[rows[:, None], dets]
+        S = G[cl[:, :, None], cl[:, None, :]].transpose(0, 1, 3, 2, 4)
+        S = S.reshape(len(rows), 3 * kk, 3 * kk) + np.kron(np.eye(kk), noise)
+        S = (S + S.transpose(0, 2, 1)) / 2.0
+        cond = np.linalg.cond(S)
+        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+        delta[rows[~ok]] = np.nan
+        rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
+        HP = lin.HP[cl].reshape(len(rows), 3 * kk, 15)
+        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 3 * kk)
+        x = np.linalg.solve(S, z[..., None])
+        delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
+    return delta
+
+
+def _pair_blocks(lin, clusters, state):
+    """G[a, b] = H_a P H_b' as an (m, m, 3, 3) array, from lin's H P."""
+    m = len(clusters)
+    H = np.zeros((m, 3, 15))
+    for j, c in enumerate(clusters):
+        out = camera_H(state, c.center, EXT, INTR)
+        if out is not None:
+            H[j] = out[0]
+    G = lin.HP.reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
+    return G.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)
+
+
+def _corrections_equal_oracle(dets, clusters, state, P, params):
+    """Compare _corrections with the oracle on every block of one attempt.
+
+    Returns (lin.certified, number of rejected combinations), or None when
+    the attempt has nothing to search.
+    """
+    dets, clusters = recovery._shrink(dets, clusters, state, params)
+    n, m = len(dets), len(clusters)
+    if n == 0 or m == 0:
+        return None
+    lin = recovery._SharedLinearization(dets, clusters, state, P, EXT, INTR, 2.0)
+    G = _pair_blocks(lin, clusters, state)
+    noise = pixel_noise_cov(INTR, 2.0)
+    combos = assignment_array(n, m).astype(np.intp)
+    rejected = 0
+    for start in range(0, len(combos), recovery.CANDIDATE_BLOCK):
+        block = combos[start : start + recovery.CANDIDATE_BLOCK]
+        got = recovery._corrections(block, lin)
+        assert got.tobytes() == oracle_corrections(block, lin, G, noise).tobytes()
+        rejected += int(np.isnan(got[:, 0]).sum())
+    return lin.certified, rejected
+
+
+def _certifying_cov():
+    # S_all's smallest eigenvalue is the 1e-12 noise floor, so the
+    # certificate needs its largest under 0.0625: with these variances
+    # the planted scene's cond(S_all) is 3.5e10
+    P = _loose_cov()
+    P[0:3, 0:3] = np.eye(3) * 0.005
+    P[6:9, 6:9] = np.eye(3) * 1.0
+    return P
+
+
+def _planted_scene_certifying():
+    truth, clusters, dets = _planted_scene()
+    return dets, clusters, _offset_state(truth), _certifying_cov(), RecoveryParams()
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scene=planted_scenes())
+@example(scene=_planted_scene_certifying())
+@example(scene=_scene_rejecting_updates())
+@example(scene=_scene_with_lamps_behind())
+@example(scene=_scene_over_budget())
+def test_corrections_equal_oracle(scene):
+    _corrections_equal_oracle(*scene)
+
+
+def test_corrections_oracle_takes_both_branches():
+    assert _corrections_equal_oracle(*_planted_scene_certifying()) == (True, 0)
+    truth, clusters, dets = _planted_scene()
+    state = _offset_state(truth)
+    scene = dets, clusters, state, np.eye(15) * 1e-8, RecoveryParams()
+    assert _corrections_equal_oracle(*scene) == (True, 0)
+    dets_b, clusters_b, state_b, _, params = _scene_with_lamps_behind()
+    scene = dets_b, clusters_b, state_b, _certifying_cov(), params
+    assert _corrections_equal_oracle(*scene) == (True, 0)
+    # the loose prior gives cond(S_all) 1.4e11: no certificate, though
+    # no candidate is rejected
+    for make in (_scene_with_lamps_behind, _scene_over_budget):
+        assert _corrections_equal_oracle(*make()) == (False, 0)
+    # the rejecting prior must fall back and reject some combinations
+    # exactly as the per-candidate check does
+    certified, rejected = _corrections_equal_oracle(*_scene_rejecting_updates())
+    assert not certified and rejected > 0
+
+
+def _innovation_cov_all(H, P):
+    """S_all as recovery builds it, for (m, 3, 15) Jacobians H."""
+    m = len(H)
+    S = (H @ P).reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
+    S += np.kron(np.eye(m), pixel_noise_cov(INTR, 2.0))
+    return (S + S.T) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
+def test_interlacing_bounds_every_block_submatrix(seed, m):
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(m, 3, 15)) * 10.0 ** rng.uniform(-3, 1)
+    B = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-2, 1)
+    P = B @ B.T + np.eye(15) * 1e-3
+    S_all = _innovation_cov_all(H, P)
+    lam = np.linalg.eigvalsh(S_all)
+    assert lam[0] > 0
+    bound = lam[-1] / lam[0] * (1 + 1e-6)
+    for mask in range(1, 2**m):
+        cl = [j for j in range(m) if mask >> j & 1]
+        idx = (3 * np.array(cl)[:, None] + np.arange(3)).ravel()
+        assert np.linalg.cond(S_all[np.ix_(idx, idx)]) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
+def test_indefinite_innovation_cov_is_never_certified(seed, m):
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(3 * m, 3 * m)))[0]
+    lam = rng.uniform(0.5, 2.0, size=3 * m)
+    lam[rng.integers(3 * m)] *= -1.0
+    S = Q @ np.diag(lam) @ Q.T
+    assert not recovery._certifies((S + S.T) / 2.0)
+
+
+def test_well_conditioned_indefinite_cov_with_singular_block_is_not_certified():
+    # eigenvalues +-1, so cond(S_all) = 1; its top-left 3x3 block is zero
+    S_all = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(3))
+    assert np.linalg.cond(S_all) <= COND_LIMIT / recovery.COND_MARGIN
+    assert not np.linalg.matrix_rank(S_all[:3, :3])
+    assert not recovery._certifies(S_all)
+    assert recovery._certifies(np.eye(6))
+
+
+def test_singular_or_non_finite_innovation_cov_is_not_certified():
+    assert not recovery._certifies(np.zeros((6, 6)))  # lambda_max <= 0 * limit
+    for bad in (np.nan, np.inf):
+        S_all = np.eye(6)
+        S_all[0, 1] = S_all[1, 0] = bad
+        assert not recovery._certifies(S_all)
