@@ -122,11 +122,8 @@ def cmd_simulate(args):
     sc.save(out / "scenario.json")
     save_map(smap, out / "map.json")
     step_cam = int(round(sc.imu_rate / sc.cam_rate))
-    write_trajectory(
-        out / "truth.csv",
-        [s.t for s in truth[::step_cam]],
-        [s.pose for s in truth[::step_cam]],
-    )
+    cam_truth = truth[::step_cam]
+    write_trajectory(out / "truth.csv", cam_truth.t, cam_truth.poses())
     lines = ["t,wx,wy,wz,ax,ay,az"]
     for s in imu:
         lines.append(",".join(_fmt(v) for v in (s.t, *s.gyro, *s.accel)))

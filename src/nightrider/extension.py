@@ -1,9 +1,10 @@
 """Match extension from raw intensity images and degeneration handling.
 
 The association only sees detector output, which misses dim or distant
-streetlights.  This module recovers those: bright pixels are segmented
-into boxes, and unmatched map clusters within an extended range are
-matched to boxes by projected-point containment.  A separate path
+streetlights.  This module recovers those: unmatched map clusters
+within an extended range are matched to the frame's segmentation boxes
+(bright 8-connected blobs; sim.frame_boxes renders them) by
+projected-point containment.  A separate path
 handles the straight-line degeneracy, where z, roll and pitch drift
 accumulate until an off-line streetlight appears; those first off-line
 clusters are matched through tall search rectangles instead of densities.
@@ -18,42 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.ndimage
 
 from .association import MatchSet
-from .camera import DetectionBox, project, project_many
-
-_EIGHT_CONN = np.ones((3, 3), dtype=bool)
-
-
-def segment_boxes(image, th_int=220, min_area=4):
-    """Bounding boxes of bright 8-connected components.
-
-    Pixels strictly above th_int form the mask; components with fewer
-    than min_area pixels are dropped.  Box centers are in (u, v) pixel
-    coordinates, extents are (width, height).
-    """
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D intensity image, got shape {img.shape}")
-    mask = img > th_int
-    labels, count = scipy.ndimage.label(mask, structure=_EIGHT_CONN)
-    if count == 0:
-        return []
-    sizes = np.bincount(labels.ravel())
-    boxes = []
-    for k, sl in enumerate(scipy.ndimage.find_objects(labels), start=1):
-        if sizes[k] < min_area:
-            continue
-        rows, cols = sl
-        center = np.array(
-            [(cols.start + cols.stop - 1) / 2.0, (rows.start + rows.stop - 1) / 2.0]
-        )
-        extents = np.array(
-            [float(cols.stop - cols.start), float(rows.stop - rows.start)]
-        )
-        boxes.append(DetectionBox(center, extents, source="segmentation"))
-    return boxes
+from .camera import project, project_many
 
 
 def box_contains(box, pixel, pad_w=0.0, pad_h=0.0):

@@ -1,4 +1,4 @@
-"""File formats: PGM intensity images, trajectory CSV, JSON lines."""
+"""File formats: trajectory CSV and JSON lines."""
 
 from __future__ import annotations
 
@@ -13,56 +13,6 @@ from .lie import ExtendedPose
 TRAJECTORY_HEADER = "t,x,y,z,qw,qx,qy,qz"
 
 
-def write_pgm(path, image):
-    """Write an 8-bit grayscale image as binary PGM (P5)."""
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    data = np.clip(np.round(img), 0, 255).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
-
-
-def _read_tokens(raw):
-    # strip comment lines, then split remaining header tokens
-    out = []
-    i = 0
-    while len(out) < 4 and i < len(raw):
-        line, _, rest = raw[i:].partition(b"\n")
-        i += len(line) + 1
-        line = line.split(b"#", 1)[0]
-        out.extend(line.split())
-    return out, i
-
-
-def read_pgm(path):
-    """Read a P5 (binary) or P2 (ascii) PGM file as a uint8 array."""
-    raw = Path(path).read_bytes()
-    magic = raw[:2]
-    if magic == b"P5":
-        tokens, offset = _read_tokens(raw)
-        if len(tokens) < 4:
-            raise ValueError(f"{path}: truncated PGM header")
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
-    elif magic == b"P2":
-        text = b"\n".join(l.split(b"#", 1)[0] for l in raw.splitlines())
-        tokens = text.split()
-        if len(tokens) < 4:
-            raise ValueError(f"{path}: truncated PGM header")
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        data = np.array([int(v) for v in tokens[4 : 4 + w * h]], dtype=np.int64)
-    else:
-        raise ValueError(f"{path}: not a PGM file")
-    if data.size != w * h:
-        raise ValueError(f"{path}: expected {w * h} pixels, got {data.size}")
-    if maxval != 255:
-        data = np.round(data.astype(float) * 255.0 / maxval)
-    return data.astype(np.uint8).reshape(h, w)
-
-
 def write_trajectory(path, times, poses):
     """CSV with rows t,x,y,z,qw,qx,qy,qz (scalar-first quaternions).
 
@@ -70,11 +20,12 @@ def write_trajectory(path, times, poses):
     inputs produce byte-identical files.
     """
     lines = [TRAJECTORY_HEADER]
-    for t, pose in zip(times, poses):
-        x, y, z = pose.pos
-        qx, qy, qz, qw = Rotation.from_matrix(pose.rot).as_quat()
-        vals = [t, x, y, z, qw, qx, qy, qz]
-        lines.append(",".join(repr(float(v)) for v in vals))
+    if len(poses):
+        rot = np.array([p.rot for p in poses], dtype=float)
+        pos = np.array([p.pos for p in poses], dtype=float)
+        qx, qy, qz, qw = Rotation.from_matrix(rot).as_quat().T
+        rows = np.column_stack([times, pos, qw, qx, qy, qz]).tolist()
+        lines += [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -139,6 +139,23 @@ def so3_left_jacobian(phi):
     )
 
 
+def _skew_many(phis):
+    """skew of every row of an (n, 3) array, as an (n, 3, 3) stack."""
+    x, y, z = phis.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+
+
+def matvec_many(M, v):
+    """Row k is M[k] @ v[k], by the same matmul as the 2-D product."""
+    return (M @ v[:, :, None])[:, :, 0]
+
+
+def dot_many(a, b):
+    """Row-wise a[k] @ b[k], by the same dot as the 1-D product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def so3_exp_jacobian_many(phis):
     """so3_exp and so3_left_jacobian of every row of an (n, 3) array.
 
@@ -148,9 +165,7 @@ def so3_exp_jacobian_many(phis):
     """
     phis = np.asarray(phis, dtype=float)
     theta2 = np.einsum("ni,ni->n", phis, phis)
-    x, y, z = phis.T
-    zero = np.zeros_like(x)
-    S = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    S = _skew_many(phis)
     S2 = S @ S
     small = theta2 < SMALL_ANGLE**2
     t2 = np.where(small, 1.0, theta2)  # placeholder where the branch is unused
@@ -176,6 +191,21 @@ def so3_left_jacobian_inv(phi):
     # cot(theta/2) form stays finite up to (but excluding) 2*pi
     c = 1.0 / theta2 - np.tan(np.pi / 2.0 - theta / 2.0) / (2.0 * theta)
     return np.eye(3) - 0.5 * S + c * (S @ S)
+
+
+def so3_left_jacobian_inv_many(phis):
+    """so3_left_jacobian_inv of every row of an (n, 3) array, bit for bit."""
+    phis = np.asarray(phis, dtype=float)
+    theta2 = dot_many(phis, phis)
+    S = _skew_many(phis)
+    S2 = S @ S
+    small = theta2 < 1e-8
+    t2 = np.where(small, 1.0, theta2)  # placeholder where the branch is unused
+    theta = np.sqrt(t2)
+    c = 1.0 / t2 - np.tan(np.pi / 2.0 - theta / 2.0) / (2.0 * theta)
+    taylor = _EYE3 - 0.5 * S + S2 / 12.0
+    closed = _EYE3 - 0.5 * S + c[:, None, None] * S2
+    return np.where(small[:, None, None], taylor, closed)
 
 
 @dataclass
@@ -246,6 +276,27 @@ def se23_log(pose):
 def right_invariant_error(est, ref):
     """xi = log(X_est @ X_ref^-1); zero when the poses agree."""
     return se23_log(est.compose(ref.inverse()))
+
+
+def right_invariant_error_many(est, ref):
+    """right_invariant_error of every pair of rows, as an (n, 9) array.
+
+    est and ref are (rot, vel, pos) triples of (n, 3, 3), (n, 3) and
+    (n, 3) stacks; row k equals the scalar function bit for bit.
+    """
+    est_rot, est_vel, est_pos = est
+    ref_rot, ref_vel, ref_pos = ref
+    # ref.inverse(), then est.compose(inverse), with the same products
+    rt = np.swapaxes(ref_rot, 1, 2)
+    inv_vel = matvec_many(-rt, ref_vel)
+    inv_pos = matvec_many(-rt, ref_pos)
+    rot = est_rot @ rt
+    vel = matvec_many(est_rot, inv_vel) + est_vel
+    pos = matvec_many(est_rot, inv_pos) + est_pos
+    # se23_log
+    phi = so3_log_many(rot)
+    jinv = so3_left_jacobian_inv_many(phi)
+    return np.concatenate([phi, matvec_many(jinv, vel), matvec_many(jinv, pos)], axis=1)
 
 
 def adjoint_se23(pose):

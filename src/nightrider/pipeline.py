@@ -3,14 +3,16 @@
 run_pipeline wires the whole stack together: IMU propagation at full
 rate, odometer updates, detector association, segmentation-driven match
 extension, degeneration handling along lamp corridors, and combinatorial
-recovery after long match gaps.  Everything downstream of the simulated
-sensors sees only the estimated state; ground truth is used to render
-frames and to score the result.
+recovery after long match gaps.  The filter loop sees only the simulated
+sensor streams, each camera frame with its segmentation boxes, and
+records every frame's estimate and covariance.  Ground truth is used
+only by the simulation and by the scoring after the loop, which computes
+NEES and translation errors for all frames in one batched pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,17 +27,10 @@ from .extension import (
     update_degeneracy,
 )
 from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate
-from .lie import right_invariant_error, se23_exp
+from .lie import ExtendedPose, dot_many, right_invariant_error_many, se23_exp
 from .odometry import OdomExtrinsics, apply_odom_update, transform_odom
 from .recovery import RecoveryParams, attempt_recovery, is_lost
-from .sim import (
-    Scenario,
-    compute_ate,
-    frame_boxes,
-    make_map,
-    path_length,
-    simulate_streams,
-)
+from .sim import Scenario, compute_ate, make_map, path_length, simulate_streams
 
 
 @dataclass
@@ -106,6 +101,67 @@ class RunResult:
         }
 
 
+@dataclass
+class EstimateLog:
+    """Per-frame filter output, in arrays preallocated for a whole run."""
+
+    t: np.ndarray
+    rot: np.ndarray  # (n, 3, 3)
+    vel: np.ndarray  # (n, 3)
+    pos: np.ndarray
+    bias_gyro: np.ndarray
+    bias_accel: np.ndarray
+    P: np.ndarray  # (n, 15, 15)
+
+    @classmethod
+    def empty(cls, n):
+        return cls(
+            np.empty(n),
+            np.empty((n, 3, 3)),
+            *(np.empty((n, 3)) for _ in range(4)),
+            np.empty((n, 15, 15)),
+        )
+
+    def record(self, i, t, state, P):
+        self.t[i] = t
+        self.rot[i] = state.pose.rot
+        self.vel[i] = state.pose.vel
+        self.pos[i] = state.pose.pos
+        self.bias_gyro[i] = state.bias_gyro
+        self.bias_accel[i] = state.bias_accel
+        self.P[i] = P
+
+    def head(self, n):
+        """The first n rows, as views."""
+        return EstimateLog(*(getattr(self, f.name)[:n] for f in fields(self)))
+
+    def poses(self):
+        """One ExtendedPose per row, viewing the arrays."""
+        return [ExtendedPose(*row) for row in zip(self.rot, self.vel, self.pos)]
+
+
+def score_estimates(log, truth, bias_gyro, bias_accel):
+    """(NEES, translation error) of every logged estimate.
+
+    truth is a Trajectory and bias_gyro, bias_accel the true biases, one
+    row per log row.  The NEES uses the 15-dim error: the right-invariant
+    pose error, then the bias errors, weighted by the logged covariance.
+    """
+    err = np.concatenate(
+        [
+            right_invariant_error_many(
+                (log.rot, log.vel, log.pos), (truth.rot, truth.vel, truth.pos)
+            ),
+            log.bias_gyro - bias_gyro,
+            log.bias_accel - bias_accel,
+        ],
+        axis=1,
+    )
+    nees = dot_many(err, np.linalg.solve(log.P, err[:, :, None])[:, :, 0])
+    d = log.pos - truth.pos
+    return nees, np.sqrt(dot_many(d, d))
+
+
 def _recovery_candidates(smap, state, config, intr):
     """Clusters the camera could plausibly see from the current estimate."""
     out = []
@@ -126,7 +182,8 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
 
     The sensors come from simulate_streams, whose per-sensor child seeds
     of the scenario seed make a (scenario, config) pair reproduce
-    bit-identical results run to run.
+    bit-identical results run to run.  The run is scored against the
+    truth after the filter loop.
     """
     config = config if config is not None else PipelineConfig()
     smap = smap if smap is not None else make_map(scenario)
@@ -166,11 +223,8 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
     last_match_t = 0.0
     events = []
     frame_matches = []
-    times = [0.0]
-    est_poses = [state.pose.copy()]
-    truth_poses = [truth[0].pose]
-    nees = [_nees(state, P, truth[0].pose, bias_g[0], bias_a[0])]
-    trans_errors = [float(np.linalg.norm(state.pose.pos - truth[0].pose.pos))]
+    log = EstimateLog.empty(len(frames) + 1)
+    log.record(0, 0.0, state, P)
     oi = fi = 0
     # extended and degeneration matches measure segmentation boxes
     box_sigma = config.extension_sigma_scale * scenario.pixel_sigma
@@ -266,7 +320,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
 
                 run_degen = config.use_degeneration and degen.degenerate
                 if config.use_extension or run_degen:
-                    boxes = frame_boxes(truth[kk].pose, smap, scenario)
+                    boxes = frame.boxes
                     taken = [
                         project(lookup[cid].center, state.pose, config.cam_ext, intr)
                         for cid in matched_ids
@@ -330,39 +384,26 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
         if matched_pairs:
             last_match_t = frame.t
 
-        times.append(frame.t)
-        est_poses.append(state.pose.copy())
-        truth_poses.append(truth[kk].pose)
-        nees.append(_nees(state, P, truth[kk].pose, bias_g[kk], bias_a[kk]))
-        trans_errors.append(
-            float(np.linalg.norm(state.pose.pos - truth[kk].pose.pos))
-        )
+        log.record(fi, frame.t, state, P)
         frame_matches.append((frame.t, len(frame.detections), n_ass, n_ext, n_deg))
 
+    log = log.head(fi + 1)
+    rows = step_cam * np.arange(fi + 1)  # IMU-grid index of each log row
+    truth_rows = truth[rows]
+    nees, trans_errors = score_estimates(log, truth_rows, bias_g[rows], bias_a[rows])
     return RunResult(
         scenario_name=scenario.name,
-        times=np.array(times),
-        est_poses=est_poses,
-        truth_poses=truth_poses,
-        nees=np.array(nees),
-        trans_errors=np.array(trans_errors),
+        times=log.t,
+        est_poses=log.poses(),
+        truth_poses=truth_rows.poses(),
+        nees=nees,
+        trans_errors=trans_errors,
         events=events,
         frame_matches=frame_matches,
         final_state=state,
         final_P=P,
         path_length=path_length(truth),
     )
-
-
-def _nees(state, P, truth_pose, bias_g, bias_a):
-    err = np.concatenate(
-        [
-            right_invariant_error(state.pose, truth_pose),
-            state.bias_gyro - bias_g,
-            state.bias_accel - bias_a,
-        ]
-    )
-    return float(err @ np.linalg.solve(P, err))
 
 
 @dataclass

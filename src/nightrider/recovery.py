@@ -64,6 +64,7 @@ from .inekf import COND_LIMIT, UpdateRejected
 from .lie import so3_exp_jacobian_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
+MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
 # Batched and serial scores of one combination agree to rounding (5e-12
 # relative at worst over the benchmark's 57,243 candidates); every
 # combination within SCORE_TOL * (1 + lowest) of the lowest batched score
@@ -73,13 +74,13 @@ SCORE_TOL = 1e-9
 # COND_LIMIT / COND_MARGIN, i.e. lambda_min >= 16 lambda_max / 1e12.
 # eigvalsh on the 3m x 3m S_all errs by about 3m eps lambda_max per
 # eigenvalue (eps = 2.2e-16), so the relative error of lambda_min is about
-# 3m eps 6.25e10: 3e-4 at m = 8, 6e-3 at m = 140 (the most clusters the
-# default budget allows with two detections) and 0.83 at m = 19,999 (with
-# one).  The SVD behind np.linalg.cond on a candidate's S, 15 x 15 at
-# most by default, errs far less.  So a certified S_all's true lambda_min
-# is at least 0.17 of the computed one, and every certified candidate's
-# condition number is under 4e11 < COND_LIMIT; at m <= 140 the margin of
-# 16 leaves it far under.
+# 3m eps 6.25e10: 3e-4 at m = 8 and 1.1e-3 at m = 27, the most clusters
+# the default budget allows with three detections, the fewest an attempt
+# searches (MIN_LIGHTS).  The SVD behind np.linalg.cond on a candidate's
+# S, 15 x 15 at most by default, errs far less.  So a certified S_all's
+# true lambda_min is within 0.2% of the computed one, and every certified
+# candidate's condition number is under 6.3e10, far under COND_LIMIT.  A
+# budget of m = 19,999 clusters would still leave it under 4e11.
 COND_MARGIN = 16.0
 
 
@@ -127,12 +128,6 @@ def assignment_array(n, m):
         parent, choice = np.nonzero(free)
         rows = np.column_stack([rows[parent], (choice - 1).astype(dtype)])
     return rows
-
-
-def assignments(n, m):
-    """The rows of assignment_array(n, m), as tuples of ints."""
-    for row in assignment_array(n, m).tolist():
-        yield tuple(row)
 
 
 def _yaw(rot):
@@ -326,12 +321,14 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     score_candidate, in enumeration order.  The lowest serial score
     wins, the earliest on a tie, as in a serial loop over every
     combination.  The winner is accepted when its serial score is under
-    th_score and it matches more than two lights; the returned state and
-    covariance are its serial update's.
+    th_score and it matches at least MIN_LIGHTS lights; the returned
+    state and covariance are its serial update's.  With fewer than
+    MIN_LIGHTS detections or clusters left after the shrink no map can
+    be accepted, so nothing is searched.
     """
     detections, clusters = _shrink(detections, clusters, state, params)
     n, m = len(detections), len(clusters)
-    if n == 0 or m == 0:
+    if min(n, m) < MIN_LIGHTS:  # no map could be accepted
         return None
 
     lin = _SharedLinearization(detections, clusters, state, P, ext, intr, pixel_sigma)
@@ -370,6 +367,6 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     if best is None:
         return None
     score, st, Pc, ms = best
-    if score < params.th_score and ms.positive_count() > 2:
+    if score < params.th_score and ms.positive_count() >= MIN_LIGHTS:
         return st, Pc.copy(), ms
     return None

@@ -16,15 +16,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.interpolate
 
-from .camera import CamExtrinsics, CameraIntrinsics, DetectionBox, camera_point, pinhole
+from .camera import CamExtrinsics, CameraIntrinsics, DetectionBox, pinhole
 from .inekf import GRAVITY, ImuSample
-from .lie import ExtendedPose, so3_log, so3_log_many
+from .lie import ExtendedPose, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
 from .odometry import OdomSample
 
@@ -119,12 +120,76 @@ class TrajectorySample:
     accel_world: np.ndarray
 
 
+def _row_field(name):
+    def get(self):
+        return getattr(self._traj, name)[self._k]
+
+    def put(self, value):
+        getattr(self._traj, name)[self._k] = value
+
+    return property(get, put)
+
+
+class _RowPose(ExtendedPose):
+    """Row k of a Trajectory as an ExtendedPose.
+
+    Reading rot, vel or pos reads the row; assigning one writes it, so
+    editing a sample's pose edits the trajectory.
+    """
+
+    rot, vel, pos = _row_field("rot"), _row_field("vel"), _row_field("pos")
+
+    def __init__(self, traj, k):
+        self._traj = traj
+        self._k = k
+
+
+class Trajectory(Sequence):
+    """Ground truth on a time grid, held as arrays.
+
+    Item k is a TrajectorySample whose pose views row k.  Slicing or
+    indexing with an array gives another Trajectory.
+    """
+
+    def __init__(self, t, rot, vel, pos, body_rate, accel_world):
+        self.t = t
+        self.rot = rot
+        self.vel = vel
+        self.pos = pos
+        self.body_rate = body_rate
+        self.accel_world = accel_world
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, (slice, np.ndarray)):
+            return Trajectory(
+                self.t[k],
+                self.rot[k],
+                self.vel[k],
+                self.pos[k],
+                self.body_rate[k],
+                self.accel_world[k],
+            )
+        k = range(len(self))[k]  # bounds check; a negative k counts from the end
+        return TrajectorySample(
+            self.t[k], _RowPose(self, k), self.body_rate[k], self.accel_world[k]
+        )
+
+    def poses(self):
+        """One ExtendedPose per sample, viewing the arrays."""
+        return [ExtendedPose(*row) for row in zip(self.rot, self.vel, self.pos)]
+
+
 @dataclass
 class CameraFrame:
     t: float
     detections: list
     truth_ids: list  # cluster id per detection, None for false positives
     blackout: bool = False
+    # segmentation boxes of the rendered frame (frame_boxes); none while dark
+    boxes: list = field(default_factory=list)
 
 
 def _rotz(yaw):
@@ -197,7 +262,8 @@ def _truth_arrays(spec, t):
 
 
 def generate_truth(scenario):
-    """Ground truth sampled on the IMU grid, with analytic derivatives.
+    """Ground truth sampled on the IMU grid, with analytic derivatives,
+    as a Trajectory.
 
     Attitude is yaw-only (planar heading along the velocity), so the body
     angular rate is (0, 0, yaw_rate).
@@ -205,15 +271,9 @@ def generate_truth(scenario):
     n = int(round(scenario.duration * scenario.imu_rate))
     t = np.arange(n + 1) / scenario.imu_rate
     pos, vel, acc, yaw, yaw_rate = _truth_arrays(scenario.trajectory, t)
-    rot = _rotz(yaw)
     body_rate = np.zeros((n + 1, 3))
     body_rate[:, 2] = yaw_rate
-    return [
-        TrajectorySample(
-            t[k], ExtendedPose(rot[k], vel[k], pos[k]), body_rate[k], acc[k]
-        )
-        for k in range(n + 1)
-    ]
+    return Trajectory(t, _rotz(yaw), vel, pos, body_rate, acc)
 
 
 def simulate_imu(truth, scenario, rng):
@@ -237,30 +297,42 @@ def simulate_imu(truth, scenario, rng):
     noise_g = rng.normal(size=(n, 3)) * (scenario.gyro_sigma / math.sqrt(dt))
     noise_a = rng.normal(size=(n, 3)) * (scenario.accel_sigma / math.sqrt(dt))
 
-    rot = np.array([s.pose.rot for s in truth])
-    vel = np.array([s.pose.vel for s in truth])
+    rot, vel = truth.rot, truth.vel
     rot_t = np.swapaxes(rot[:-1], 1, 2)
     omega = so3_log_many(rot_t @ rot[1:]) / dt
     accel = (rot_t @ ((vel[1:] - vel[:-1]) / dt - GRAVITY)[:, :, None])[:, :, 0]
     gyro = omega + bias_g[:n] + noise_g
     accel = accel + bias_a[:n] + noise_a
-    samples = [ImuSample(truth[k].t, gyro[k], accel[k]) for k in range(n)]
+    samples = [ImuSample(truth.t[k], gyro[k], accel[k]) for k in range(n)]
     return samples, bias_g, bias_a
 
 
 def simulate_odom(truth, scenario, rng):
     """Body-frame velocity samples on the odometer grid (identity mount)."""
-    step = int(round(scenario.imu_rate / scenario.odom_rate))
-    m = int(math.floor(scenario.duration * scenario.odom_rate + 1e-9))
-    noise = rng.normal(size=(m, 3)) * scenario.odom_sigma
-    samples = []
-    for j in range(1, m + 1):
-        s = truth[j * step]
-        samples.append(OdomSample(s.t, s.pose.rot.T @ s.pose.vel + noise[j - 1]))
-    return samples
+    idx = _grid_indices(scenario, scenario.odom_rate)
+    noise = rng.normal(size=(len(idx), 3)) * scenario.odom_sigma
+    vel_b = (np.swapaxes(truth.rot[idx], 1, 2) @ truth.vel[idx][:, :, None])[:, :, 0]
+    return [OdomSample(t, v) for t, v in zip(truth.t[idx], vel_b + noise)]
 
 
 _SIM_EXT = CamExtrinsics()
+
+
+def _grid_indices(scenario, rate):
+    """IMU-grid indices of a sensor's samples at rate, from 1/rate on."""
+    step = int(round(scenario.imu_rate / rate))
+    m = int(math.floor(scenario.duration * rate + 1e-9))
+    return step * np.arange(1, m + 1)
+
+
+def _camera_points(rot, pos, points):
+    """Every world point in every pose's camera frame, as (poses, points, 3).
+
+    Entry [i, j] equals camera_point(points[j], pose i) bit for bit.
+    """
+    d = points[None, :, :] - pos[:, None, :]
+    rot_t = np.swapaxes(rot, 1, 2)[:, None]
+    return (_SIM_EXT.rot @ (rot_t @ d[..., None]))[..., 0] + _SIM_EXT.trans
 
 
 def simulate_detections(truth, scenario, smap, rng):
@@ -269,39 +341,46 @@ def simulate_detections(truth, scenario, smap, rng):
     Visible clusters (in front, large enough on screen, inside the image)
     are dropped with the dropout probability, the survivors get pixel
     noise; Poisson-many false positives are appended.  Blackout frames
-    are empty.
+    are empty.  Visibility is decided for all frames at once; the random
+    draws follow frame by frame, cluster by cluster.
     """
     intr = scenario.intrinsics()
-    step = int(round(scenario.imu_rate / scenario.cam_rate))
-    m = int(math.floor(scenario.duration * scenario.cam_rate + 1e-9))
-    centers = smap.centers()
+    idx = _grid_indices(scenario, scenario.cam_rate)
+    cps = _camera_points(truth.rot[idx], truth.pos[idx], smap.centers())
+    front = cps[..., 2] >= 1.0
+    cp = cps[front]
+    extents = np.zeros(front.shape + (2,))
+    extents[front] = np.stack(
+        [
+            intr.fx * scenario.lamp_size / cp[:, 2],
+            intr.fy * scenario.lamp_size / cp[:, 2],
+        ],
+        1,
+    )
+    pix = np.zeros(front.shape + (2,))
+    pix[front] = pinhole(cp, intr)
+    margin = 2.0
+    visible = (
+        front
+        & (extents.min(axis=-1) >= scenario.detector_min_box)
+        & (margin <= pix[..., 0])
+        & (pix[..., 0] <= intr.width - 1 - margin)
+        & (margin <= pix[..., 1])
+        & (pix[..., 1] <= intr.height - 1 - margin)
+    )
+    ids = [c.id for c in smap.clusters]
     frames = []
-    for j in range(1, m + 1):
-        s = truth[j * step]
-        if scenario.in_blackout(s.t):
-            frames.append(CameraFrame(s.t, [], [], blackout=True))
+    for j, t in enumerate(truth.t[idx]):
+        if scenario.in_blackout(t):
+            frames.append(CameraFrame(t, [], [], blackout=True))
             continue
         dets, tids = [], []
-        cps = camera_point(centers, s.pose, _SIM_EXT)
-        for c, cp in zip(smap.clusters, cps):
-            if cp[2] < 1.0:
-                continue
-            extents = np.array(
-                [
-                    intr.fx * scenario.lamp_size / cp[2],
-                    intr.fy * scenario.lamp_size / cp[2],
-                ]
-            )
-            if extents.min() < scenario.detector_min_box:
-                continue
-            pix = pinhole(cp, intr)
-            if not intr.contains(pix, margin=2.0):
-                continue
+        for c in np.flatnonzero(visible[j]).tolist():
             if rng.random() < scenario.dropout:
                 continue
-            noisy = pix + rng.normal(size=2) * scenario.pixel_sigma
-            dets.append(DetectionBox(noisy, extents))
-            tids.append(c.id)
+            noisy = pix[j, c] + rng.normal(size=2) * scenario.pixel_sigma
+            dets.append(DetectionBox(noisy, extents[j, c].copy()))
+            tids.append(ids[c])
         for _ in range(rng.poisson(scenario.false_positives)):
             center = np.array(
                 [
@@ -309,10 +388,9 @@ def simulate_detections(truth, scenario, smap, rng):
                     rng.uniform(10.0, scenario.image_height - 10.0),
                 ]
             )
-            extents = rng.uniform(8.0, 20.0, size=2)
-            dets.append(DetectionBox(center, extents))
+            dets.append(DetectionBox(center, rng.uniform(8.0, 20.0, size=2)))
             tids.append(None)
-        frames.append(CameraFrame(s.t, dets, tids))
+        frames.append(CameraFrame(t, dets, tids))
     return frames
 
 
@@ -320,12 +398,12 @@ def simulate_detections(truth, scenario, smap, rng):
 class SensorStreams:
     """A scenario's ground truth and simulated sensor streams."""
 
-    truth: list  # TrajectorySample per IMU grid time
+    truth: Trajectory  # on the IMU grid
     imu: list
     bias_gyro: np.ndarray  # true biases, one row per IMU grid time
     bias_accel: np.ndarray
     odom: list
-    frames: list  # CameraFrame per camera time
+    frames: list  # CameraFrame per camera time, with its segmentation boxes
     rng_init: np.random.Generator  # left for drawing an initial state
 
 
@@ -334,7 +412,9 @@ def simulate_streams(scenario, smap):
 
     The scenario seed spawns four child streams, one each for the IMU,
     the odometer and the detector, and one left for the initial state, so
-    each stream's bytes depend only on the seed and its own sensor.
+    each stream's bytes depend only on the seed and its own sensor.  The
+    segmentation boxes of every lit frame are rendered in one frame_boxes
+    call and attached to the detector's frames.
     """
     truth = generate_truth(scenario)
     rng_imu, rng_odom, rng_cam, rng_init = (
@@ -343,17 +423,23 @@ def simulate_streams(scenario, smap):
     imu, bias_g, bias_a = simulate_imu(truth, scenario, rng_imu)
     odom = simulate_odom(truth, scenario, rng_odom)
     frames = simulate_detections(truth, scenario, smap, rng_cam)
+    lit = [j for j, f in enumerate(frames) if not f.blackout]
+    poses = truth[_grid_indices(scenario, scenario.cam_rate)[lit]]
+    for j, boxes in zip(lit, frame_boxes(poses, smap, scenario)):
+        frames[j].boxes = boxes
     return SensorStreams(truth, imu, bias_g, bias_a, odom, frames, rng_init)
 
 
-def _visible_blobs(pose, smap, scenario, intr):
-    """Integer pixel rectangles [u0, u1) x [v0, v1) of the rendered blobs.
+def _blob_rects(rot, pos, smap, scenario, intr):
+    """Integer pixel rectangles [u0, u1) x [v0, v1) of the rendered blobs,
+    one list per pose of the (n, 3, 3) rot and (n, 3) pos stacks.
 
     One per cluster at least 1 m in front of the camera whose blob
     overlaps the image, in cluster order.
     """
-    cp = camera_point(smap.centers(), pose, _SIM_EXT)
-    cp = cp[cp[:, 2] >= 1.0]
+    cps = _camera_points(rot, pos, smap.centers())
+    front = cps[..., 2] >= 1.0
+    cp = cps[front]
     pix = pinhole(cp, intr)
     size = scenario.bloom * scenario.lamp_size
     half = np.stack([intr.fx * size / cp[:, 2], intr.fy * size / cp[:, 2]], 1) / 2.0
@@ -362,33 +448,25 @@ def _visible_blobs(pose, smap, scenario, intr):
     lo = np.maximum(lo, 0.0)
     hi = np.minimum(hi, [scenario.image_width, scenario.image_height])
     keep = (lo < hi).all(axis=1)
-    return [
+    # pose of each kept blob; blobs come pose by pose, cluster by cluster
+    owner = np.nonzero(front)[0][keep]
+    rects = [
         (u0, u1, v0, v1)
         for (u0, v0), (u1, v1) in zip(
             lo[keep].astype(int).tolist(), hi[keep].astype(int).tolist()
         )
     ]
+    bounds = np.searchsorted(owner, np.arange(len(rot) + 1)).tolist()
+    return [rects[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-BLOB_INTENSITY = 240
+def _segment_rects(rects, min_area):
+    """Segmentation boxes of one frame's blob rectangles.
 
-
-def render_intensity_image(pose, smap, scenario):
-    """8-bit camera image: black sky with saturated streetlight blobs."""
-    img = np.zeros((scenario.image_height, scenario.image_width), dtype=np.uint8)
-    for u0, u1, v0, v1 in _visible_blobs(pose, smap, scenario, scenario.intrinsics()):
-        img[v0:v1, u0:u1] = BLOB_INTENSITY
-    return img
-
-
-def frame_boxes(pose, smap, scenario, min_area=4):
-    """Segmentation boxes of the rendered frame, without the image.
-
-    Groups 8-connected blob rectangles and reports each group's bounding
-    box and painted pixel count, which equals segment_boxes applied to
-    render_intensity_image for any threshold below the blob intensity.
+    Groups 8-connected rectangles and reports each group's bounding box
+    when its painted pixel count reaches min_area, sorted by center row,
+    then column.
     """
-    rects = _visible_blobs(pose, smap, scenario, scenario.intrinsics())
     n = len(rects)
     parent = list(range(n))
 
@@ -435,6 +513,25 @@ def frame_boxes(pose, smap, scenario, min_area=4):
         )
     boxes.sort(key=lambda b: (b.center[1], b.center[0]))
     return boxes
+
+
+def frame_boxes(poses, smap, scenario, min_area=4):
+    """Segmentation boxes of the rendered frames, without the images.
+
+    poses is one ExtendedPose, which gives one list of boxes, or a
+    Trajectory, which gives one list per sample; the camera geometry of
+    all its poses is computed in one pass.
+    Blob rectangles are grouped by 8-connectivity, and each group gives
+    its bounding box and painted pixel count.  That equals segmenting
+    the rendered image for any threshold below the blob intensity; the
+    renderer (render_intensity_image in tests/test_sim.py) and the
+    segmenter (segment_boxes in tests/test_extension.py) are the oracle.
+    """
+    one = isinstance(poses, ExtendedPose)
+    rot, pos = (poses.rot[None], poses.pos[None]) if one else (poses.rot, poses.pos)
+    rects = _blob_rects(rot, pos, smap, scenario, scenario.intrinsics())
+    boxes = [_segment_rects(r, min_area) for r in rects]
+    return boxes[0] if one else boxes
 
 
 _LAMP_OFFSETS = np.array(
@@ -488,22 +585,23 @@ def compute_ate(est_times, est_poses, truth_times, truth_poses, max_dt=0.005):
     if not ok.any():
         raise ValueError("no overlapping timestamps within tolerance")
 
-    t_sq = []
-    r_sq = []
-    for i in np.nonzero(ok)[0]:
-        e = est_poses[i]
-        g = truth_poses[nearest[i]]
-        t_sq.append(float(np.sum((e.pos - g.pos) ** 2)))
-        ang = np.linalg.norm(so3_log(e.rot.T @ g.rot))
-        r_sq.append(float(ang**2))
+    est = [est_poses[k] for k in np.flatnonzero(ok)]
+    truth = [truth_poses[k] for k in nearest[ok]]
+    est_pos = np.array([p.pos for p in est], dtype=float)
+    truth_pos = np.array([p.pos for p in truth], dtype=float)
+    t_sq = np.sum((est_pos - truth_pos) ** 2, axis=1)
+    est_rot_t = np.swapaxes(np.array([p.rot for p in est], dtype=float), 1, 2)
+    phi = so3_log_many(est_rot_t @ np.array([p.rot for p in truth], dtype=float))
+    # the square of each angle as a scalar, as its per-pose form squared it
+    r_sq = [ang**2 for ang in np.sqrt(dot_many(phi, phi))]
     trans = math.sqrt(float(np.mean(t_sq)))
     rot = math.degrees(math.sqrt(float(np.mean(r_sq))))
     return trans, rot
 
 
 def path_length(truth):
-    pts = np.stack([s.pose.pos for s in truth])
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    """Length of a Trajectory's polyline through its positions."""
+    return float(np.linalg.norm(np.diff(truth.pos, axis=0), axis=1).sum())
 
 
 def default_scenario(seed=0):

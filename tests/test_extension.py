@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.ndimage
 
 from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
 from nightrider.extension import (
@@ -6,7 +7,6 @@ from nightrider.extension import (
     degeneration_match,
     extend_matches,
     offline_candidates,
-    segment_boxes,
     update_degeneracy,
 )
 from nightrider.inekf import FilterState
@@ -18,6 +18,38 @@ EXT = CamExtrinsics()
 
 
 # ----------------------------------------------------------- segmentation
+
+_EIGHT_CONN = np.ones((3, 3), dtype=bool)
+
+
+def segment_boxes(image, th_int=220, min_area=4):
+    """Bounding boxes of bright 8-connected components.
+
+    Pixels strictly above th_int form the mask; components with fewer
+    than min_area pixels are dropped.  Box centers are in (u, v) pixel
+    coordinates, extents are (width, height).
+    """
+    img = np.asarray(image)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2-D intensity image, got shape {img.shape}")
+    mask = img > th_int
+    labels, count = scipy.ndimage.label(mask, structure=_EIGHT_CONN)
+    if count == 0:
+        return []
+    sizes = np.bincount(labels.ravel())
+    boxes = []
+    for k, sl in enumerate(scipy.ndimage.find_objects(labels), start=1):
+        if sizes[k] < min_area:
+            continue
+        rows, cols = sl
+        center = np.array(
+            [(cols.start + cols.stop - 1) / 2.0, (rows.start + rows.stop - 1) / 2.0]
+        )
+        extents = np.array(
+            [float(cols.stop - cols.start), float(rows.stop - rows.start)]
+        )
+        boxes.append(DetectionBox(center, extents, source="segmentation"))
+    return boxes
 
 
 def _flood_boxes(mask, min_area):

@@ -1,15 +1,64 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from nightrider.io import (
-    read_jsonl,
-    read_pgm,
-    read_trajectory,
-    write_jsonl,
-    write_pgm,
-    write_trajectory,
-)
+from nightrider.io import read_jsonl, read_trajectory, write_jsonl, write_trajectory
 from nightrider.lie import ExtendedPose, so3_exp
+
+
+# PGM is an image format only these tests write and read.
+
+
+def write_pgm(path, image):
+    """Write an 8-bit grayscale image as binary PGM (P5)."""
+    img = np.asarray(image)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
+    data = np.clip(np.round(img), 0, 255).astype(np.uint8)
+    h, w = data.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(data.tobytes())
+
+
+def _read_tokens(raw):
+    # strip comment lines, then split remaining header tokens
+    out = []
+    i = 0
+    while len(out) < 4 and i < len(raw):
+        line, _, rest = raw[i:].partition(b"\n")
+        i += len(line) + 1
+        line = line.split(b"#", 1)[0]
+        out.extend(line.split())
+    return out, i
+
+
+def read_pgm(path):
+    """Read a P5 (binary) or P2 (ascii) PGM file as a uint8 array."""
+    raw = Path(path).read_bytes()
+    magic = raw[:2]
+    if magic == b"P5":
+        tokens, offset = _read_tokens(raw)
+        if len(tokens) < 4:
+            raise ValueError(f"{path}: truncated PGM header")
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
+    elif magic == b"P2":
+        text = b"\n".join(l.split(b"#", 1)[0] for l in raw.splitlines())
+        tokens = text.split()
+        if len(tokens) < 4:
+            raise ValueError(f"{path}: truncated PGM header")
+        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        data = np.array([int(v) for v in tokens[4 : 4 + w * h]], dtype=np.int64)
+    else:
+        raise ValueError(f"{path}: not a PGM file")
+    if data.size != w * h:
+        raise ValueError(f"{path}: expected {w * h} pixels, got {data.size}")
+    if maxval != 255:
+        data = np.round(data.astype(float) * 255.0 / maxval)
+    return data.astype(np.uint8).reshape(h, w)
 
 
 def test_pgm_binary_roundtrip(tmp_path):
@@ -49,6 +98,40 @@ def test_pgm_rejects_garbage(tmp_path):
         read_pgm(short)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
+
+
+def _reference_write_trajectory(path, times, poses):
+    """write_trajectory one pose, and one Rotation, at a time."""
+    lines = ["t,x,y,z,qw,qx,qy,qz"]
+    for t, pose in zip(times, poses):
+        x, y, z = pose.pos
+        qx, qy, qz, qw = Rotation.from_matrix(pose.rot).as_quat()
+        lines.append(",".join(repr(float(v)) for v in [t, x, y, z, qw, qx, qy, qz]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_write_trajectory_equals_per_pose_writer(tmp_path):
+    rng = np.random.default_rng(112)
+    n = 500
+    times = np.arange(n) * 0.1
+    poses = [
+        ExtendedPose(
+            so3_exp(rng.normal(size=3) * s), rng.normal(size=3), rng.normal(size=3) * 100
+        )
+        for s in np.geomspace(1e-9, 3.1, n)
+    ]
+    # a half turn, where the quaternion's sign convention matters
+    poses[7] = ExtendedPose(so3_exp([0.0, 0.0, np.pi]))
+    for name, ts, ps in (
+        ("many", times, poses),
+        ("list", [0, 0.5, 1.25], poses[:3]),
+        ("empty", [], []),
+    ):
+        write_trajectory(tmp_path / f"{name}.csv", ts, ps)
+        _reference_write_trajectory(tmp_path / f"{name}-ref.csv", ts, ps)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}-ref.csv"
+        ).read_bytes()
 
 
 def test_trajectory_roundtrip(tmp_path):

@@ -1,22 +1,93 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightrider.inekf import FilterState, NoiseConfig, propagate
+from nightrider.lie import ExtendedPose, right_invariant_error, so3_exp
 from nightrider.pipeline import (
+    EstimateLog,
     MonteCarloResult,
     PipelineConfig,
     initial_covariance,
     monte_carlo,
     run_pipeline,
+    score_estimates,
 )
 from nightrider.sim import (
     Scenario,
+    Trajectory,
     blackout_scenario,
     corridor_scenario,
     default_scenario,
     generate_truth,
     simulate_imu,
 )
+
+
+def _nees(state, P, truth_pose, bias_g, bias_a):
+    """Per-frame NEES oracle: the form the filter loop once evaluated."""
+    err = np.concatenate(
+        [
+            right_invariant_error(state.pose, truth_pose),
+            state.bias_gyro - bias_g,
+            state.bias_accel - bias_a,
+        ]
+    )
+    return float(err @ np.linalg.solve(P, err))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    # error angle scale: Taylor branch of the inverse Jacobian, small,
+    # moderate, and the obtuse branch of so3_log
+    angle=st.sampled_from([1e-6, 1e-3, 0.3, 2.9]),
+)
+def test_score_estimates_equals_per_frame_oracle(seed, n, angle):
+    rng = np.random.default_rng(seed)
+    ref_rot = np.array([so3_exp(rng.normal(size=3)) for _ in range(n)])
+    ref_vel = rng.normal(size=(n, 3)) * 5.0
+    ref_pos = rng.normal(size=(n, 3)) * 50.0
+    bias_g = rng.normal(size=(n, 3)) * 1e-3
+    bias_a = rng.normal(size=(n, 3)) * 1e-2
+    zeros = np.zeros((n, 3))
+    truth = Trajectory(np.arange(n) * 0.1, ref_rot, ref_vel, ref_pos, zeros, zeros)
+    log = EstimateLog.empty(n)
+    want_nees, want_err = [], []
+    for i in range(n):
+        axis = rng.normal(size=3)
+        err_rot = so3_exp(angle * axis / np.linalg.norm(axis))
+        pose = ExtendedPose(
+            err_rot @ ref_rot[i],
+            ref_vel[i] + rng.normal(size=3) * 0.1,
+            ref_pos[i] + rng.normal(size=3),
+        )
+        state = FilterState(
+            pose,
+            bias_g[i] + rng.normal(size=3) * 1e-3,
+            bias_a[i] + rng.normal(size=3) * 1e-2,
+            0.1 * i,
+        )
+        A = rng.normal(size=(15, 15))
+        P = A @ A.T * 10.0 ** rng.uniform(-4, 0) + 1e-6 * np.eye(15)
+        log.record(i, state.t, state, P)
+        truth_pose = ExtendedPose(ref_rot[i], ref_vel[i], ref_pos[i])
+        want_nees.append(_nees(state, P, truth_pose, bias_g[i], bias_a[i]))
+        want_err.append(float(np.linalg.norm(state.pose.pos - truth_pose.pos)))
+    nees, errors = score_estimates(log, truth, bias_g, bias_a)
+    assert nees.tobytes() == np.array(want_nees).tobytes()
+    assert errors.tobytes() == np.array(want_err).tobytes()
+
+
+def test_estimate_log_head_views_the_first_rows():
+    log = EstimateLog.empty(4)
+    state = FilterState(ExtendedPose(pos=np.array([1.0, 2.0, 3.0])), t=0.5)
+    log.record(0, 0.5, state, np.eye(15))
+    head = log.head(1)
+    assert head.t.tolist() == [0.5] and head.pos.tolist() == [[1.0, 2.0, 3.0]]
+    assert head.P.shape == (1, 15, 15) and np.shares_memory(head.P, log.P)
 
 
 def _quick_scenario(seed=0, duration=10.0):

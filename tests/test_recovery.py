@@ -20,7 +20,6 @@ from nightrider.mapping import StreetlightCluster
 from nightrider.recovery import (
     RecoveryParams,
     assignment_array,
-    assignments,
     attempt_recovery,
     combination_count,
     is_lost,
@@ -29,6 +28,12 @@ from nightrider.recovery import (
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
 EXT = CamExtrinsics()
+
+
+def assignments(n, m):
+    """The rows of assignment_array(n, m), as tuples of ints."""
+    for row in assignment_array(n, m).tolist():
+        yield tuple(row)
 
 
 def test_is_lost_boundaries():
@@ -168,6 +173,30 @@ def test_recovery_needs_more_than_two_matches():
     P = _loose_cov()
     out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), EXT, INTR)
     assert out is None  # at most 2 positive matches possible
+
+
+def test_recovery_below_three_lights_searches_nothing(monkeypatch):
+    truth, clusters, dets = _planted_scene()
+    state = _offset_state(truth)
+    P = _loose_cov()
+    built = []
+    real = recovery._SharedLinearization
+
+    def counting(*args):
+        built.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(recovery, "_SharedLinearization", counting)
+    params = RecoveryParams()
+    for n, m in ((2, 4), (4, 2), (1, 1), (0, 4)):
+        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, EXT, INTR) is None
+    assert built == []
+    # max_detections shrinks the detections before the count is taken
+    shrunk = RecoveryParams(max_detections=2)
+    assert attempt_recovery(dets, clusters, state, P, shrunk, EXT, INTR) is None
+    assert built == []
+    assert attempt_recovery(dets[:3], clusters, state, P, params, EXT, INTR)
+    assert built == [3]
 
 
 def test_recovery_rejects_expensive_scores():

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nightrider.camera import CamExtrinsics, camera_point
-from nightrider.extension import segment_boxes
+from nightrider.camera import CamExtrinsics, DetectionBox, camera_point, pinhole
 from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate
 from nightrider.lie import ExtendedPose, so3_exp, so3_log
 from nightrider.sim import (
     Scenario,
+    Trajectory,
+    TrajectorySample,
     blackout_scenario,
     compute_ate,
     corridor_scenario,
@@ -20,14 +21,31 @@ from nightrider.sim import (
     generate_truth,
     make_map,
     path_length,
-    render_intensity_image,
     ring_scenario,
     simulate_detections,
     simulate_imu,
     simulate_odom,
+    simulate_streams,
+    _blob_rects,
+    _rotz,
     _truth_arrays,
-    _visible_blobs,
 )
+from test_extension import segment_boxes
+
+BLOB_INTENSITY = 240
+
+
+def _visible_blobs(pose, smap, scenario, intr):
+    """The blob rectangles of one pose."""
+    return _blob_rects(pose.rot[None], pose.pos[None], smap, scenario, intr)[0]
+
+
+def render_intensity_image(pose, smap, scenario):
+    """8-bit camera image: black sky with saturated streetlight blobs."""
+    img = np.zeros((scenario.image_height, scenario.image_width), dtype=np.uint8)
+    for u0, u1, v0, v1 in _visible_blobs(pose, smap, scenario, scenario.intrinsics()):
+        img[v0:v1, u0:u1] = BLOB_INTENSITY
+    return img
 
 
 def _finite_difference_check(spec, times):
@@ -68,6 +86,45 @@ def test_low_speed_trajectory_rejected_without_heading():
     sc = Scenario(trajectory={"kind": "figure-eight", "amp_x": 0.01, "amp_y": 0.01, "period": 40.0})
     with pytest.raises(ValueError):
         generate_truth(sc)
+
+
+def test_generate_truth_equals_per_sample_construction():
+    for build in (default_scenario, ring_scenario, corridor_scenario):
+        sc = build()
+        truth = generate_truth(sc)
+        n = int(round(sc.duration * sc.imu_rate))
+        t = np.arange(n + 1) / sc.imu_rate
+        pos, vel, acc, yaw, yaw_rate = _truth_arrays(sc.trajectory, t)
+        rot = _rotz(yaw)
+        assert len(truth) == n + 1
+        for k in (0, 1, n // 2, n):
+            s = truth[k]
+            assert isinstance(s, TrajectorySample) and s.t == t[k]
+            assert s.pose.rot.tobytes() == rot[k].tobytes()
+            assert s.pose.vel.tobytes() == vel[k].tobytes()
+            assert s.pose.pos.tobytes() == pos[k].tobytes()
+            assert s.body_rate.tolist() == [0.0, 0.0, yaw_rate[k]]
+            assert s.accel_world.tobytes() == acc[k].tobytes()
+
+
+def test_trajectory_indexes_slices_and_writes_through():
+    truth = generate_truth(Scenario(duration=1.0))
+    assert truth[-1].t == truth[len(truth) - 1].t == 1.0
+    with pytest.raises(IndexError):
+        truth[len(truth)]
+    part = truth[10:20:5]
+    assert isinstance(part, Trajectory) and len(part) == 2
+    assert [s.t for s in part] == [truth[10].t, truth[15].t]
+    picked = truth[np.array([3, 7])]
+    assert picked.pos.tolist() == [truth[k].pose.pos.tolist() for k in (3, 7)]
+    assert [p.pos.tolist() for p in part.poses()] == part.pos.tolist()
+    # a sample's pose reads and writes its row
+    pose = part[1].pose
+    pose.pos = np.array([1.0, 2.0, 3.0])
+    assert truth[15].pose.pos.tolist() == [1.0, 2.0, 3.0]
+    copy = truth[15].pose.copy()
+    copy.pos[0] = 9.0
+    assert truth[15].pose.pos[0] == 1.0
 
 
 def test_stationary_imu_reads_reaction_to_gravity():
@@ -225,6 +282,72 @@ def test_stream_counts_and_timestamps():
     np.testing.assert_allclose(frames[-1].t, 40.0, atol=1e-12)
 
 
+def _reference_detections(truth, sc, smap, rng):
+    """simulate_detections one frame and one cluster at a time."""
+    intr = sc.intrinsics()
+    step = int(round(sc.imu_rate / sc.cam_rate))
+    m = int(math.floor(sc.duration * sc.cam_rate + 1e-9))
+    frames = []
+    for j in range(1, m + 1):
+        s = truth[j * step]
+        if sc.in_blackout(s.t):
+            frames.append((s.t, [], [], True))
+            continue
+        dets, tids = [], []
+        cps = camera_point(smap.centers(), s.pose, CamExtrinsics())
+        for c, cp in zip(smap.clusters, cps):
+            if cp[2] < 1.0:
+                continue
+            extents = np.array(
+                [intr.fx * sc.lamp_size / cp[2], intr.fy * sc.lamp_size / cp[2]]
+            )
+            if extents.min() < sc.detector_min_box:
+                continue
+            pix = pinhole(cp, intr)
+            if not intr.contains(pix, margin=2.0):
+                continue
+            if rng.random() < sc.dropout:
+                continue
+            noisy = pix + rng.normal(size=2) * sc.pixel_sigma
+            dets.append(DetectionBox(noisy, extents))
+            tids.append(c.id)
+        for _ in range(rng.poisson(sc.false_positives)):
+            center = np.array(
+                [
+                    rng.uniform(10.0, sc.image_width - 10.0),
+                    rng.uniform(10.0, sc.image_height - 10.0),
+                ]
+            )
+            dets.append(DetectionBox(center, rng.uniform(8.0, 20.0, size=2)))
+            tids.append(None)
+        frames.append((s.t, dets, tids, False))
+    return frames
+
+
+@pytest.mark.parametrize(
+    "build", [default_scenario, ring_scenario, corridor_scenario, blackout_scenario]
+)
+def test_simulate_detections_and_odom_match_per_frame_reference_bytes(build):
+    sc = build()
+    truth = generate_truth(sc)
+    smap = make_map(sc)
+    frames = simulate_detections(truth, sc, smap, np.random.default_rng(21))
+    ref = _reference_detections(truth, sc, smap, np.random.default_rng(21))
+    assert len(frames) == len(ref)
+    for f, (t, dets, tids, dark) in zip(frames, ref):
+        assert repr(f.t) == repr(t) and f.blackout == dark and f.truth_ids == tids
+        assert [(d.center.tobytes(), d.extents.tobytes()) for d in f.detections] == [
+            (d.center.tobytes(), d.extents.tobytes()) for d in dets
+        ]
+    odom = simulate_odom(truth, sc, np.random.default_rng(22))
+    noise = np.random.default_rng(22).normal(size=(len(odom), 3)) * sc.odom_sigma
+    step = int(round(sc.imu_rate / sc.odom_rate))
+    for j, o in enumerate(odom):
+        s = truth[(j + 1) * step]
+        assert repr(o.t) == repr(s.t)
+        assert o.velocity.tobytes() == (s.pose.rot.T @ s.pose.vel + noise[j]).tobytes()
+
+
 def test_detection_frames_respect_blackouts_and_labels():
     sc = blackout_scenario()
     truth = generate_truth(sc)
@@ -289,6 +412,37 @@ def test_frame_boxes_matches_rendered_segmentation():
             np.testing.assert_allclose(a.extents, b.extents, atol=1e-12)
         trials += len(fast)
     assert trials > 30
+
+
+def _box_bytes(boxes):
+    return [(b.center.tobytes(), b.extents.tobytes(), b.source) for b in boxes]
+
+
+@pytest.mark.parametrize("build", [default_scenario, ring_scenario, corridor_scenario])
+def test_frame_boxes_over_poses_equal_per_pose_calls(build):
+    sc = build()
+    truth = generate_truth(sc)[::20]
+    smap = make_map(sc)
+    one = [_box_bytes(frame_boxes(s.pose.copy(), smap, sc)) for s in truth]
+    assert [_box_bytes(b) for b in frame_boxes(truth, smap, sc)] == one
+    assert sum(map(len, one)) > len(one) // 2
+    assert frame_boxes(truth[:0], smap, sc) == []
+
+
+def test_simulate_streams_attaches_each_frames_boxes():
+    sc = blackout_scenario()
+    smap = make_map(sc)
+    streams = simulate_streams(sc, smap)
+    step = int(round(sc.imu_rate / sc.cam_rate))
+    lit = 0
+    for j, f in enumerate(streams.frames):
+        if f.blackout:
+            assert f.boxes == []
+            continue
+        pose = streams.truth[(j + 1) * step].pose
+        assert _box_bytes(f.boxes) == _box_bytes(frame_boxes(pose, smap, sc))
+        lit += bool(f.boxes)
+    assert lit > 100
 
 
 def _reference_blobs(pose, smap, sc):
@@ -398,6 +552,48 @@ def test_compute_ate_against_rmse_oracle():
     est = [ExtendedPose(pose.rot.copy(), pose.vel.copy(), pose.pos + o) for pose, o in zip(truth, offs)]
     trans, _ = compute_ate(times, est, times, truth)
     np.testing.assert_allclose(trans, math.sqrt(np.mean(np.sum(offs**2, axis=1))), rtol=1e-12)
+
+
+def _reference_ate(est_times, est_poses, truth_times, truth_poses, max_dt=0.005):
+    """compute_ate one pose pair at a time."""
+    est_times = np.asarray(est_times, dtype=float)
+    truth_times = np.asarray(truth_times, dtype=float)
+    idx = np.clip(np.searchsorted(truth_times, est_times), 0, len(truth_times) - 1)
+    left = np.clip(idx - 1, 0, len(truth_times) - 1)
+    use_left = np.abs(truth_times[left] - est_times) <= np.abs(
+        truth_times[idx] - est_times
+    )
+    nearest = np.where(use_left, left, idx)
+    ok = np.abs(truth_times[nearest] - est_times) <= max_dt + 1e-12
+    t_sq, r_sq = [], []
+    for i in np.nonzero(ok)[0]:
+        e, g = est_poses[i], truth_poses[nearest[i]]
+        t_sq.append(float(np.sum((e.pos - g.pos) ** 2)))
+        ang = np.linalg.norm(so3_log(e.rot.T @ g.rot))
+        r_sq.append(float(ang**2))
+    return (
+        math.sqrt(float(np.mean(t_sq))),
+        math.degrees(math.sqrt(float(np.mean(r_sq)))),
+    )
+
+
+def test_compute_ate_equals_per_pose_reference():
+    rng = np.random.default_rng(31)
+    times = np.arange(400) * 0.1
+    truth = [
+        ExtendedPose(so3_exp(rng.normal(size=3)), rng.normal(size=3), rng.normal(size=3))
+        for _ in times
+    ]
+    for angle in (1e-9, 1e-3, 0.2, 2.5):
+        est = [
+            ExtendedPose(so3_exp(rng.normal(size=3) * angle) @ g.rot, g.vel, g.pos + d)
+            for g, d in zip(truth, rng.normal(size=(len(truth), 3)))
+        ]
+        # every third estimate falls between truth stamps, outside max_dt
+        est_times = times + np.where(np.arange(len(times)) % 3 == 0, 0.05, 0.001)
+        got = compute_ate(est_times, est, times, truth)
+        want = _reference_ate(est_times, est, times, truth)
+        assert repr(got) == repr(want)
 
 
 def test_path_length_of_ring_is_circumference():
