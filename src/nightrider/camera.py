@@ -51,10 +51,16 @@ class CameraIntrinsics:
         )
 
     def contains(self, pixel, margin=0.0):
-        u, v = pixel
+        """Whether pixel (u, v) lies in the image shrunk by margin.
+
+        An (n, 2) array gives one answer per row; NaN pixels lie outside.
+        """
+        u, v = np.asarray(pixel, dtype=float).T
         return (
-            margin <= u <= self.width - 1 - margin
-            and margin <= v <= self.height - 1 - margin
+            (margin <= u)
+            & (u <= self.width - 1 - margin)
+            & (margin <= v)
+            & (v <= self.height - 1 - margin)
         )
 
 

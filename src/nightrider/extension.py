@@ -10,8 +10,9 @@ accumulate until an off-line streetlight appears; those first off-line
 clusters are matched through tall search rectangles instead of densities.
 
 Both matchers end in the same greedy step (_greedy), and both ask the
-same question of a box: box_contains, optionally padded by a search
-rectangle, which extend_matches evaluates for all points at once.
+same questions as array operations: within_range for the clusters near
+the vehicle, and boxes_containing, optionally padded by a search
+rectangle, for which boxes hold which projected pixels.
 """
 
 from __future__ import annotations
@@ -21,19 +22,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import MatchSet
-from .camera import project, project_many
+from .camera import project_many
+from .lie import dot_many
 
 
-def box_contains(box, pixel, pad_w=0.0, pad_h=0.0):
-    """Whether pixel lies in box grown by pad_w x pad_h, edges included.
+def boxes_containing(boxes, pixels, pad_w=0.0, pad_h=0.0):
+    """(pixels, boxes) bool: pixel i lies in box j grown by pad_w x pad_h.
 
-    With padding this is the test that a pad_w x pad_h rectangle centered
-    on pixel intersects the box.
+    Edges are included.  With padding this is the test that a pad_w x
+    pad_h rectangle centered on the pixel intersects the box.  A NaN
+    pixel (a point behind the camera) is in no box.
     """
-    d = np.abs(np.asarray(pixel, dtype=float) - box.center)
-    return d[0] <= (pad_w + box.extents[0]) / 2.0 and d[1] <= (
-        pad_h + box.extents[1]
-    ) / 2.0
+    centers = np.reshape([b.center for b in boxes], (-1, 2))
+    halves = (np.reshape([b.extents for b in boxes], (-1, 2)) + (pad_w, pad_h)) / 2.0
+    d = np.abs(np.reshape(pixels, (-1, 2))[:, None, :] - centers)
+    return (d <= halves).all(axis=2)
+
+
+def within_range(clusters, pos, r):
+    """The clusters whose centers lie within r of pos, in their order."""
+    d = np.reshape([c.center for c in clusters], (-1, 3)) - pos
+    near = np.sqrt(dot_many(d, d)) <= r
+    return [c for c, keep in zip(clusters, near) if keep]
 
 
 def _greedy(triples, boxes, key):
@@ -66,11 +76,7 @@ def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
     at most once.
     """
     pose = state.pose
-    cands = [
-        c
-        for c in unmatched_clusters
-        if np.linalg.norm(c.center - pose.pos) <= max_range
-    ]
+    cands = within_range(unmatched_clusters, pose.pos, max_range)
     if not boxes or not cands:
         return MatchSet([], [], [])
     # one block of rows per cluster: its center, then its points
@@ -83,10 +89,7 @@ def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
     sizes = np.array(sizes)
     starts = np.cumsum(sizes + 1) - (sizes + 1)
     pix = project_many(np.concatenate(rows), pose, ext, intr)
-    # (row, box) containment; NaN rows (behind the camera) are never inside
-    box_centers = np.array([b.center for b in boxes])
-    box_halves = np.array([b.extents for b in boxes]) / 2.0
-    inside = (np.abs(pix[:, None, :] - box_centers) <= box_halves).all(axis=2)
+    inside = boxes_containing(boxes, pix)
     center_in = inside[starts]
     # per-block sums count the center row too
     counts = np.add.reduceat(inside.astype(int), starts) - center_in
@@ -194,14 +197,12 @@ def degeneration_match(boxes, new_clusters, state, ext, intr, rect_w=30.0, rect_
     projected center; among intersecting boxes the nearest center wins,
     greedily by ascending distance.
     """
-    pose = state.pose
-    triples = []
-    for c in new_clusters:
-        center_px = project(c.center, pose, ext, intr)
-        if center_px is None:
-            continue
-        for bi, box in enumerate(boxes):
-            if box_contains(box, center_px, rect_w, rect_h):
-                dist = float(np.linalg.norm(box.center - center_px))
-                triples.append((dist, c.id, bi))
+    centers = np.reshape([c.center for c in new_clusters], (-1, 3))
+    pix = project_many(centers, state.pose, ext, intr)
+    ci, bi = np.nonzero(boxes_containing(boxes, pix, rect_w, rect_h))
+    d = np.reshape([boxes[b].center for b in bi], (-1, 2)) - pix[ci]
+    dist = np.sqrt(dot_many(d, d))
+    triples = [
+        (float(s), new_clusters[c].id, int(b)) for s, c, b in zip(dist, ci, bi)
+    ]
     return _greedy(triples, boxes, key=None)

@@ -12,58 +12,66 @@ NEES and translation errors for all frames in one batched pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .association import MatchSet, ScoreParams, associate
-from .camera import CamExtrinsics, apply_camera_update, camera_point, project
+from .camera import apply_camera_update, camera_point, project_many
 from .extension import (
     DegenState,
-    box_contains,
+    boxes_containing,
     degeneration_match,
     extend_matches,
     offline_candidates,
     update_degeneracy,
+    within_range,
 )
 from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate
 from .lie import ExtendedPose, dot_many, right_invariant_error_many, se23_exp
 from .odometry import OdomExtrinsics, apply_odom_update, transform_odom
 from .recovery import RecoveryParams, attempt_recovery, is_lost
-from .sim import Scenario, compute_ate, make_map, path_length, simulate_streams
+from .sim import (
+    CAMERA_MOUNT,
+    Scenario,
+    compute_ate,
+    make_map,
+    path_length,
+    simulate_streams,
+)
+
+# the association and recovery layers run with their own defaults
+_SCORE = ScoreParams()
+_RECOVERY = RecoveryParams()
+# Extended and degeneration matches measure segmentation-box centers,
+# which quantize to whole pixels and carry bloom asymmetry; their pixel
+# sigma is scaled up to keep the filter consistent.
+EXTENSION_SIGMA_SCALE = 2.0
+# A detection whose row sums above one forfeits its no-match option, so
+# the assignment can pin a stray detection onto a cluster at a vanishing
+# score; such pairs are dropped before the update.
+MIN_MATCH_SCORE = 1e-3
+# 3-vector blocks: rotation, velocity, position, gyro bias, accel bias
+INIT_SIGMAS = (0.02, 0.05, 0.2, 1e-3, 5e-3)
 
 
 @dataclass
 class PipelineConfig:
+    """Stage switches, the extension range (m), and whether to perturb
+    the initial state; every other setting is a named constant here or
+    the default of the layer that uses it."""
+
     use_odom: bool = True
     use_vision: bool = True
     use_extension: bool = True
     use_degeneration: bool = True
     use_recovery: bool = True
-    score: ScoreParams = field(default_factory=ScoreParams)
-    recovery: RecoveryParams = field(default_factory=RecoveryParams)
-    cam_ext: CamExtrinsics = field(default_factory=CamExtrinsics)
-    odom_ext: OdomExtrinsics = None  # defaults to the scenario's odometer noise
     extension_range: float = 80.0
-    # Extended and degeneration matches measure segmentation-box centers,
-    # which quantize to whole pixels and carry bloom asymmetry; their
-    # pixel sigma is scaled up to keep the filter consistent.
-    extension_sigma_scale: float = 2.0
-    rect_w: float = 30.0
-    rect_h: float = 300.0
-    degen_horizon: float = 10.0
-    degen_th_line: float = 1.5
-    # A detection whose row sums above one forfeits its no-match option,
-    # so the assignment can pin a stray detection onto a cluster at a
-    # vanishing score; such pairs are dropped before the update.
-    min_match_score: float = 1e-3
     perturb_init: bool = False
-    # 3-vector blocks: rotation, velocity, position, gyro bias, accel bias
-    init_sigmas: tuple = (0.02, 0.05, 0.2, 1e-3, 5e-3)
 
 
-def initial_covariance(config):
-    return np.diag(np.repeat(np.square(config.init_sigmas), 3))
+def initial_covariance():
+    return np.diag(np.repeat(np.square(INIT_SIGMAS), 3))
 
 
 @dataclass
@@ -162,22 +170,17 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
     return nees, np.sqrt(dot_many(d, d))
 
 
-def _recovery_candidates(smap, state, config, intr):
+def _recovery_candidates(smap, pose, intr):
     """Clusters the camera could plausibly see from the current estimate."""
-    out = []
-    for c in smap.clusters:
-        if np.linalg.norm(c.center - state.pose.pos) > config.score.max_range:
-            continue
-        if camera_point(c.center, state.pose, config.cam_ext)[2] < 1.0:
-            continue
-        pix = project(c.center, state.pose, config.cam_ext, intr)
-        if pix is None or not intr.contains(pix, margin=-50.0):
-            continue
-        out.append(c)
-    return out
+    near = within_range(smap.clusters, pose.pos, _SCORE.max_range)
+    centers = np.reshape([c.center for c in near], (-1, 3))
+    depth = camera_point(centers, pose, CAMERA_MOUNT)[:, 2]
+    pix = project_many(centers, pose, CAMERA_MOUNT, intr)
+    seen = (depth >= 1.0) & intr.contains(pix, margin=-50.0)
+    return [c for c, keep in zip(near, seen) if keep]
 
 
-def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None):
+def run_pipeline(scenario, smap=None, config=None):
     """Simulate the scenario and run the full filter over its sensors.
 
     The sensors come from simulate_streams, whose per-sensor child seeds
@@ -198,28 +201,24 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
         scenario.gyro_bias_sigma,
         scenario.accel_bias_sigma,
     )
-    odom_ext = config.odom_ext
-    if odom_ext is None:
-        odom_ext = OdomExtrinsics(cov=np.eye(3) * scenario.odom_sigma**2)
+    # the simulated odometer sits at the body origin (sim.simulate_odom)
+    odom_ext = OdomExtrinsics(cov=np.eye(3) * scenario.odom_sigma**2)
     dt = 1.0 / scenario.imu_rate
     gyro_cov = np.eye(3) * scenario.gyro_sigma**2 / dt
 
-    P = np.array(init_P, dtype=float) if init_P is not None else initial_covariance(config)
-    if init_state is not None:
-        state = init_state.copy()
-    else:
-        pose0 = truth[0].pose.copy()
-        bg0, ba0 = np.zeros(3), np.zeros(3)
-        if config.perturb_init:
-            delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
-            pose0 = se23_exp(delta[:9]) @ pose0
-            bg0 = bias_g[0] + delta[9:12]
-            ba0 = bias_a[0] + delta[12:15]
-        state = FilterState(pose0, bg0, ba0, 0.0)
+    P = initial_covariance()
+    pose0 = truth[0].pose.copy()
+    bg0, ba0 = np.zeros(3), np.zeros(3)
+    if config.perturb_init:
+        delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
+        pose0 = se23_exp(delta[:9]) @ pose0
+        bg0 = bias_g[0] + delta[9:12]
+        ba0 = bias_a[0] + delta[12:15]
+    state = FilterState(pose0, bg0, ba0, 0.0)
 
     step_odom = int(round(scenario.imu_rate / scenario.odom_rate))
     step_cam = int(round(scenario.imu_rate / scenario.cam_rate))
-    degen = DegenState(horizon=config.degen_horizon, th_line=config.degen_th_line)
+    degen = DegenState()
     last_match_t = 0.0
     events = []
     frame_matches = []
@@ -227,7 +226,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
     log.record(0, 0.0, state, P)
     oi = fi = 0
     # extended and degeneration matches measure segmentation boxes
-    box_sigma = config.extension_sigma_scale * scenario.pixel_sigma
+    box_sigma = EXTENSION_SIGMA_SCALE * scenario.pixel_sigma
 
     def camera_stage(ms, sigma, kind):
         """Camera update on ms's positive pairs; how many were applied.
@@ -239,7 +238,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
         if n:
             try:
                 state, P = apply_camera_update(
-                    state, P, ms, lookup, config.cam_ext, intr, sigma
+                    state, P, ms, lookup, CAMERA_MOUNT, intr, sigma
                 )
             except UpdateRejected:
                 events.append((frame.t, "update_rejected", kind))
@@ -272,18 +271,16 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
         matched_pairs = []  # (cluster id, world center) seen this frame
 
         if config.use_vision and not frame.blackout:
-            lost = config.use_recovery and is_lost(
-                state.t - last_match_t, config.recovery
-            )
+            lost = config.use_recovery and is_lost(state.t - last_match_t, _RECOVERY)
             if lost and frame.detections:
-                cands = _recovery_candidates(smap, state, config, intr)
+                cands = _recovery_candidates(smap, state.pose, intr)
                 found = attempt_recovery(
                     frame.detections,
                     cands,
                     state,
                     P,
-                    config.recovery,
-                    config.cam_ext,
+                    _RECOVERY,
+                    CAMERA_MOUNT,
                     intr,
                     scenario.pixel_sigma,
                 )
@@ -303,14 +300,14 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         smap.clusters,
                         state,
                         P,
-                        config.score,
-                        config.cam_ext,
+                        _SCORE,
+                        CAMERA_MOUNT,
                         intr,
                     )
                     ms = MatchSet(
                         ms.detections,
                         [
-                            cid if s >= config.min_match_score else None
+                            cid if s >= MIN_MATCH_SCORE else None
                             for cid, s in zip(ms.cluster_ids, ms.scores)
                         ],
                         ms.scores,
@@ -320,18 +317,14 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
 
                 run_degen = config.use_degeneration and degen.degenerate
                 if config.use_extension or run_degen:
-                    boxes = frame.boxes
-                    taken = [
-                        project(lookup[cid].center, state.pose, config.cam_ext, intr)
-                        for cid in matched_ids
-                    ]
-                    free = [
-                        b
-                        for b in boxes
-                        if not any(
-                            px is not None and box_contains(b, px) for px in taken
-                        )
-                    ]
+                    taken = project_many(
+                        [lookup[cid].center for cid in matched_ids],
+                        state.pose,
+                        CAMERA_MOUNT,
+                        intr,
+                    )
+                    hit = boxes_containing(frame.boxes, taken).any(axis=0)
+                    free = [b for b, h in zip(frame.boxes, hit) if not h]
                 else:
                     free = []
 
@@ -343,7 +336,7 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         free,
                         unmatched,
                         state,
-                        config.cam_ext,
+                        CAMERA_MOUNT,
                         intr,
                         config.extension_range,
                     )
@@ -354,23 +347,10 @@ def run_pipeline(scenario, smap=None, config=None, init_state=None, init_P=None)
                         matched_ids.update(ems.matched_ids())
 
                 if run_degen and free:
-                    unmatched = [
-                        c
-                        for c in smap.clusters
-                        if c.id not in matched_ids
-                        and np.linalg.norm(c.center - state.pose.pos)
-                        <= config.extension_range
-                    ]
-                    cands = offline_candidates(unmatched, degen)
-                    dms = degeneration_match(
-                        free,
-                        cands,
-                        state,
-                        config.cam_ext,
-                        intr,
-                        config.rect_w,
-                        config.rect_h,
-                    )
+                    unmatched = [c for c in smap.clusters if c.id not in matched_ids]
+                    near = within_range(unmatched, state.pose.pos, config.extension_range)
+                    cands = offline_candidates(near, degen)
+                    dms = degeneration_match(free, cands, state, CAMERA_MOUNT, intr)
                     n_deg = camera_stage(dms, box_sigma, "degeneration")
 
         if config.use_degeneration:

@@ -30,6 +30,22 @@ from .mapping import StreetlightCluster, StreetlightMap
 from .odometry import OdomSample
 
 
+# keys each trajectory kind cannot do without
+_TRAJECTORY_KEYS = {
+    "circle": ("radius", "speed"),
+    "figure-eight": ("amp_x", "amp_y", "period"),
+    "waypoints": ("times", "points"),
+}
+
+
+def _finite_real(value):
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and math.isfinite(value)
+    )
+
+
 @dataclass
 class Scenario:
     name: str = "figure-eight"
@@ -71,12 +87,35 @@ class Scenario:
     image_height: int = 720
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            scalar = f.type in ("float", "int") and f.name != "seed"
+            if scalar and not _finite_real(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("imu_rate", "odom_rate", "cam_rate", "duration"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        try:
+            lamps = np.asarray(self.lamps, dtype=float)
+        except (TypeError, ValueError):
+            lamps = None
+        if lamps is None or (
+            lamps.size and (lamps.shape[1:] != (3,) or not np.isfinite(lamps).all())
+        ):
+            raise ValueError("lamps must be a list of finite [x, y, z] points")
+        if not isinstance(self.trajectory, dict):
+            raise ValueError(f"trajectory must be an object, got {self.trajectory!r}")
+        kind = self.trajectory.get("kind")
+        missing = [k for k in _TRAJECTORY_KEYS.get(kind, ()) if k not in self.trajectory]
+        if missing:
+            raise ValueError(f"a {kind} trajectory needs {', '.join(map(repr, missing))}")
+        pairs = self.blackouts
+        for b in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
+            pair = isinstance(b, (list, tuple)) and len(b) == 2
+            if not (pair and all(map(_finite_real, b)) and b[0] < b[1]):
+                raise ValueError(f"blackouts must be [t0, t1] pairs, t0 < t1, got {b!r}")
         for name in ("odom_rate", "cam_rate"):
             ratio = self.imu_rate / getattr(self, name)
             if abs(ratio - round(ratio)) > 1e-9:
@@ -315,7 +354,8 @@ def simulate_odom(truth, scenario, rng):
     return [OdomSample(t, v) for t, v in zip(truth.t[idx], vel_b + noise)]
 
 
-_SIM_EXT = CamExtrinsics()
+# The simulated camera's body-to-camera mount; the filter uses the same one.
+CAMERA_MOUNT = CamExtrinsics()
 
 
 def _grid_indices(scenario, rate):
@@ -332,7 +372,7 @@ def _camera_points(rot, pos, points):
     """
     d = points[None, :, :] - pos[:, None, :]
     rot_t = np.swapaxes(rot, 1, 2)[:, None]
-    return (_SIM_EXT.rot @ (rot_t @ d[..., None]))[..., 0] + _SIM_EXT.trans
+    return (CAMERA_MOUNT.rot @ (rot_t @ d[..., None]))[..., 0] + CAMERA_MOUNT.trans
 
 
 def simulate_detections(truth, scenario, smap, rng):

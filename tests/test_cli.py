@@ -195,13 +195,48 @@ def test_evaluate_missing_file_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# lamps around the start of the default figure-eight, some of them in view
+_LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
+
+
 @pytest.mark.parametrize(
     "document",
-    ['{"bogus": 1}', "[1, 2]", '{"duration": "abc"}'],
-    ids=["unknown-key", "not-an-object", "string-duration"],
+    [
+        '{"bogus": 1}',
+        "[1, 2]",
+        '{"duration": "abc"}',
+        '{"lamps": 5}',
+        '{"trajectory": 3}',
+        '{"trajectory": {"kind": "circle"}}',
+        '{"seed": 1.5}',
+        '{"dropout": "a", %s}' % _LAMPS_IN_VIEW,
+        '{"pixel_sigma": "x", %s}' % _LAMPS_IN_VIEW,
+        '{"fx": NaN}',
+        '{"lamps": [[NaN, 0, 4]]}',
+        '{"blackouts": [[5, 3]]}',
+    ],
+    ids=[
+        "unknown-key",
+        "not-an-object",
+        "string-duration",
+        "scalar-lamps",
+        "scalar-trajectory",
+        "circle-without-radius",
+        "fractional-seed",
+        "string-dropout",
+        "string-pixel-sigma",
+        "nan-fx",
+        "nan-lamp",
+        "reversed-blackout",
+    ],
 )
 def test_malformed_scenario_exits_1(tmp_path, capsys, document):
     path = tmp_path / "x.json"
     path.write_text(document)
     assert main(["localize", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_localize_runs_zero_exits_1(tmp_path, capsys):
+    assert main(["localize", "default", "--runs", "0", "--out", str(tmp_path)]) == 1
+    assert "error: --runs must be at least 1" in capsys.readouterr().err

@@ -1,13 +1,18 @@
 import numpy as np
 import scipy.ndimage
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
 from nightrider.extension import (
     DegenState,
+    _greedy,
+    boxes_containing,
     degeneration_match,
     extend_matches,
     offline_candidates,
     update_degeneracy,
+    within_range,
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, so3_exp
@@ -140,6 +145,110 @@ def test_segment_matches_flood_fill_reference():
         got = _as_corner_boxes(segment_boxes(img, th_int=220, min_area=min_area))
         want = _flood_boxes(img > 220, min_area)
         assert got == want
+
+
+# ------------------------------------------- boxes_containing, within_range
+
+
+def box_contains(box, pixel, pad_w=0.0, pad_h=0.0):
+    """Scalar oracle: whether pixel lies in box grown by pad_w x pad_h."""
+    d = np.abs(np.asarray(pixel, dtype=float) - box.center)
+    return d[0] <= (pad_w + box.extents[0]) / 2.0 and d[1] <= (
+        pad_h + box.extents[1]
+    ) / 2.0
+
+
+# whole numbers make pixels land exactly on box edges
+_coord = st.one_of(
+    st.integers(-1000, 1000).map(float), st.floats(-1000.0, 1000.0)
+)
+_size = st.one_of(st.integers(0, 300).map(float), st.floats(0.0, 300.0))
+_box = st.builds(
+    lambda c, e: DetectionBox(np.array(c), np.array(e)),
+    st.tuples(_coord, _coord),
+    st.tuples(_size, _size),
+)
+
+
+@st.composite
+def _boxes_pixels_pads(draw):
+    boxes = draw(st.lists(_box, max_size=5))
+    pads = draw(st.tuples(_size, _size))
+    pixels = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["any", "edge", "nan"]))
+        if kind == "edge" and boxes:
+            b = draw(st.sampled_from(boxes))
+            side = np.array(draw(st.tuples(*[st.sampled_from([-1, 0, 1])] * 2)))
+            pixels.append(b.center + side * (b.extents + pads) / 2.0)
+        elif kind == "nan":
+            pixels.append(draw(st.sampled_from([[np.nan, np.nan], [np.nan, 0.0]])))
+        else:
+            pixels.append(draw(st.tuples(_coord, _coord)))
+    return boxes, pixels, pads
+
+
+@given(_boxes_pixels_pads())
+def test_boxes_containing_equals_scalar_oracle(case):
+    boxes, pixels, (pad_w, pad_h) = case
+    got = boxes_containing(boxes, pixels, pad_w, pad_h)
+    assert got.shape == (len(pixels), len(boxes))
+    want = [[box_contains(b, px, pad_w, pad_h) for b in boxes] for px in pixels]
+    assert got.tolist() == want
+
+
+_point = st.tuples(_coord, _coord, st.floats(-20.0, 20.0))
+
+
+@given(st.lists(_point, max_size=8), _point, st.data())
+def test_within_range_equals_per_cluster_norm(centers, pos, data):
+    clusters = [StreetlightCluster(i, np.array(c)) for i, c in enumerate(centers)]
+    pos = np.array(pos)
+    # the range is arbitrary or exactly some cluster's distance
+    exact = [float(np.linalg.norm(c.center - pos)) for c in clusters]
+    r = data.draw(st.one_of(st.floats(0.0, 3000.0), *[st.just(d) for d in exact]))
+    want = [c for c in clusters if np.linalg.norm(c.center - pos) <= r]
+    assert [c.id for c in within_range(clusters, pos, r)] == [c.id for c in want]
+
+
+def _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h):
+    """degeneration_match one cluster and one box at a time."""
+    triples = []
+    for c in clusters:
+        center_px = project(c.center, state.pose, EXT, INTR)
+        if center_px is None:
+            continue
+        for bi, box in enumerate(boxes):
+            if box_contains(box, center_px, rect_w, rect_h):
+                dist = float(np.linalg.norm(box.center - center_px))
+                triples.append((dist, c.id, bi))
+    return _greedy(triples, boxes, key=None)
+
+
+@given(st.integers(0, 2**32 - 1), _size, _size)
+def test_degeneration_match_equals_loop(seed, rect_w, rect_h):
+    rng = np.random.default_rng(seed)
+    yaw = rng.uniform(-np.pi, np.pi)
+    pose = ExtendedPose(so3_exp([0.0, 0.0, yaw]), np.zeros(3), rng.normal(size=3))
+    state = FilterState(pose)
+    clusters = [
+        StreetlightCluster(cid, pose.pos + rng.normal(size=3) * [40.0, 40.0, 3.0])
+        for cid in range(rng.integers(0, 10))
+    ]
+    boxes = [
+        DetectionBox(rng.uniform([0, 0], [1280, 720]), rng.uniform(5, 60, size=2))
+        for _ in range(rng.integers(0, 8))
+    ]
+    # boxes a little off some projections, so that rectangles catch them
+    for c in clusters[:3]:
+        px = project(c.center, pose, EXT, INTR)
+        if px is not None:
+            boxes.append(DetectionBox(px + rng.normal(size=2) * 30, rng.uniform(4, 30, 2)))
+    got = degeneration_match(boxes, clusters, state, EXT, INTR, rect_w, rect_h)
+    want = _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h)
+    assert [id(d) for d in got.detections] == [id(d) for d in want.detections]
+    assert got.cluster_ids == want.cluster_ids
+    assert got.scores == want.scores
 
 
 # --------------------------------------------------------- extend_matches

@@ -110,7 +110,7 @@ def test_dead_reckoning_equals_manual_propagation():
         sc.gyro_sigma, sc.accel_sigma, sc.gyro_bias_sigma, sc.accel_bias_sigma
     )
     state = FilterState(truth[0].pose.copy(), t=0.0)
-    P = initial_covariance(PipelineConfig())
+    P = initial_covariance()
     dt = 1.0 / sc.imu_rate
     step = int(round(sc.imu_rate / sc.cam_rate))
     manual = [state.pose.pos.copy()]

@@ -50,6 +50,10 @@ def runs():
     yield "corridor use_degeneration=False", corridor_scenario(), PipelineConfig(
         use_degeneration=False
     )
+    # acceptance 6's configuration, the one run that sets extension_range
+    yield "corridor use_odom=False extension_range=35", corridor_scenario(), PipelineConfig(
+        use_odom=False, extension_range=35.0
+    )
     for s in range(3):
         yield f"blackout seed={s} start=16.5", blackout_scenario(s, start=16.5), None
         yield f"blackout seed={s}", blackout_scenario(s), None
