@@ -7,9 +7,10 @@ world point C with estimated pose (R, p) sits at
     Psi = R' (C - p)            (body frame)
     C_c = rot @ Psi + trans     (camera frame)
 
-and the filter observes the normalized vector h = C_c / C_c[2], whose
-pixel image is K @ h.  Measurements are compared in normalized coordinates
-(both sides have third component 1, so innovations have a zero third row).
+and the filter observes its bearing, the normalized image point
+h = C_c[:2] / C_c[2], whose pixel image is (fx h_x + cx, fy h_y + cy).
+Each matched lamp gives a two-row residual in normalized coordinates, as
+in the MSCKF (Mourikis & Roumeliotis, ICRA 2007).
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from .inekf import invariant_update
 from .lie import skew
 
 Z_MIN = 0.01
-_NOISE_FLOOR = 1e-12
+# Largest innovation variance a bearing update accepts, in normalized
+# units squared: a 1-sigma spread of one focal length, 45 degrees off the
+# predicted ray, wider than the image (1.28 units either side at 1280 px
+# and fx = 500).  x / z linearized at the estimate is not trusted so far.
+MAX_BEARING_VAR = 1.0
 
 
 @dataclass
@@ -131,9 +136,9 @@ def back_project(pixel, intr):
 def camera_H(state, center_w, ext, intr):
     """Linearized bearing observation of a mapped streetlight center.
 
-    Returns (H, h) where h is the predicted normalized observation and the
-    model is z = y - h = -H [xi; zeta] + n.  Returns None when the point is
-    behind the camera (no valid Jacobian).
+    Returns (H, h): h is the predicted bearing (2,), H its (2, 15)
+    Jacobian, and the model is z = y - h = -H [xi; zeta] + n.  Returns
+    None when the point is behind the camera (no valid Jacobian).
     """
     pose = state.pose
     C = np.asarray(center_w, dtype=float)
@@ -142,11 +147,11 @@ def camera_H(state, center_w, ext, intr):
     z_depth = c[2]
     if z_depth < Z_MIN:
         return None
-    h = c / z_depth
+    h = c[:2] / z_depth
 
-    # d(normalize)/d(camera point): rows of ext.rot scaled by the depth
-    row3 = ext.rot[2, :]  # third row: d z_depth / d psi
-    H_i = -np.outer(c, row3) / z_depth**2 + ext.rot / z_depth
+    # d(c[:2] / c[2]) / d psi
+    row3 = ext.rot[2, :]  # d z_depth / d psi
+    H_i = -np.outer(c[:2], row3) / z_depth**2 + ext.rot[:2] / z_depth
 
     D = np.zeros((3, 15))
     D[:, 0:3] = skew(C)
@@ -156,43 +161,32 @@ def camera_H(state, center_w, ext, intr):
 
 
 def pixel_noise_cov(intr, pixel_sigma):
-    """Normalized-coordinate noise for an isotropic pixel sigma.
-
-    The pixel covariance diag(s^2, s^2, 0) maps through K^-1; the zero
-    third row/column is regularized on the diagonal so stacked innovation
-    covariances stay invertible.
-    """
-    Sc = np.diag([pixel_sigma**2, pixel_sigma**2, 0.0])
-    Ki = intr.K_inv
-    return Ki @ Sc @ Ki.T + np.eye(3) * _NOISE_FLOOR
+    """Bearing noise (2x2) for an isotropic pixel sigma: K^-1 scales the
+    pixel axes by 1/fx and 1/fy."""
+    return np.diag([(pixel_sigma / intr.fx) ** 2, (pixel_sigma / intr.fy) ** 2])
 
 
 def apply_camera_update(state, P, matches, clusters_by_id, ext, intr, pixel_sigma):
     """Stacked bearing update for all positive matches in a MatchSet.
 
     matches pairs detection boxes with cluster ids; each matched pair
-    contributes a 3-row block (normalized observation minus prediction).
+    contributes a 2-row block (observed bearing minus prediction).
     Matches whose cluster sits behind the camera are dropped.  Returns
-    (state, P) unchanged when nothing usable remains.
+    (state, P) unchanged when nothing usable remains; raises
+    UpdateRejected past MAX_BEARING_VAR (see invariant_update).
     """
-    rows_H, rows_z, blocks_N = [], [], []
-    noise = pixel_noise_cov(intr, pixel_sigma)
+    rows_H, rows_z = [], []
     for det, cluster_id in matches.positive_pairs():
         cluster = clusters_by_id[cluster_id]
         out = camera_H(state, cluster.center, ext, intr)
         if out is None:
             continue
         H, h = out
-        y = back_project(det.center, intr)
         rows_H.append(H)
-        rows_z.append(y - h)
-        blocks_N.append(noise)
+        rows_z.append(back_project(det.center, intr)[:2] - h)
     if not rows_H:
         return state, P
-    H = np.vstack(rows_H)
-    z = np.concatenate(rows_z)
-    n = len(blocks_N)
-    N = np.zeros((3 * n, 3 * n))
-    for i, blk in enumerate(blocks_N):
-        N[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = blk
-    return invariant_update(state, P, H, z, N)
+    N = np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), len(rows_H)))
+    return invariant_update(
+        state, P, np.vstack(rows_H), np.concatenate(rows_z), N, MAX_BEARING_VAR
+    )

@@ -22,19 +22,14 @@ from .lie import ExtendedPose, se23_exp, skew, so3_exp
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 MAX_DT = 0.1
-# Bearing updates floor S's smallest eigenvalue at camera._NOISE_FLOOR
-# (1e-12): the third row of each bearing Jacobian is zero up to rounding.
-# So cond(S) > COND_LIMIT means lambda_max(S) above about 1 (normalized
-# units squared), an uncertainty cap rather than a singularity test.
-COND_LIMIT = 1e12
 
 
 class UpdateRejected(RuntimeError):
-    """Raised when an innovation covariance fails the condition check.
+    """Raised when a measurement update fails the update rule.
 
-    The check rejects S whose condition number is not finite or exceeds
-    COND_LIMIT.  For camera updates that caps S's largest eigenvalue at
-    about 1; it does not detect an indefinite S.
+    The rule: the innovation and its covariance S are finite, S is
+    positive definite, and no eigenvalue of S exceeds the caller's cap
+    (camera.MAX_BEARING_VAR for bearings, none for odometry).
     """
 
 
@@ -198,16 +193,14 @@ def propagate(state, P, imu, dt, noise):
     return new_state, symmetrize(P_new)
 
 
-def invariant_update(state, P, H, z, N):
+def invariant_update(state, P, H, z, N, max_var=math.inf):
     """Measurement update under  z = -H [xi; zeta] + n,  n ~ N(0, N).
 
     Gain K = P H' (H P H' + N)^-1; the correction K z retracts the pose by
     left multiplication with se23_exp and adds to the biases.  Covariance
-    uses the Joseph form.  Raises UpdateRejected when cond(S) of the
-    innovation covariance S is not finite or exceeds COND_LIMIT.  With the
-    1e-12 noise floor of camera updates, that rejects lambda_max(S) above
-    about 1: an uncertainty cap, not a singularity test (an indefinite S
-    passes).
+    uses the Joseph form.  Raises UpdateRejected unless z and the
+    innovation covariance S = H P H' + N are finite and S's eigenvalues,
+    both ends from one eigvalsh, lie in (0, max_var].
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -215,9 +208,11 @@ def invariant_update(state, P, H, z, N):
 
     S = H @ P @ H.T + N
     S = symmetrize(S)
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise UpdateRejected(f"innovation covariance condition {cond:.3e}")
+    if not (np.isfinite(z).all() and np.isfinite(S).all()):
+        raise UpdateRejected("non-finite innovation or innovation covariance")
+    lam = np.linalg.eigvalsh(S)
+    if not (lam[0] > 0.0 and lam[-1] <= max_var):
+        raise UpdateRejected(f"eigenvalues of S in [{lam[0]:.3e}, {lam[-1]:.3e}]")
 
     K = np.linalg.solve(S, H @ P).T
     delta = K @ z

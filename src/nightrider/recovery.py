@@ -12,9 +12,9 @@ Every candidate update starts from the same state and covariance, so
 they share one linearization: the invariant EKF's Jacobians depend on
 the estimate only (Hartley et al., IJRR 2020).  Once per attempt,
 recovery computes each cluster's bearing Jacobian H and prediction h,
-each detection's ray, HP = H P and the 3m x 3m innovation covariance
-S_all = sym(H P H' + kron(I_m, N)) over all m clusters, N being the
-pixel noise.  A combination's innovation covariance is the principal
+each detection's bearing, HP = H P and the 2m x 2m innovation covariance
+S_all = sym(H P H') plus the pixel noise on its diagonal, over all m
+clusters.  A combination's innovation covariance is the principal
 submatrix of S_all on its matched clusters' rows.  The combinations are
 evaluated in blocks of CANDIDATE_BLOCK.  Within a block, combinations
 with equally many in-front matched pairs gather their S from S_all and
@@ -26,14 +26,12 @@ NumPy's index arrays take about 16 bytes more per combination, so its
 memory grows with the max_combinations budget.
 
 By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the
-eigenvalues of a principal submatrix lie within those of S_all, so when
-S_all is positive definite no submatrix's condition number exceeds
-lambda_max / lambda_min of S_all.  One eigvalsh per attempt therefore
-certifies that no candidate can fail invariant_update's condition check
-when that ratio is under COND_LIMIT / COND_MARGIN, and the
-per-candidate np.linalg.cond is skipped.  Otherwise (S_all indefinite,
-not finite or too ill-conditioned) every candidate's condition number
-is computed as invariant_update would.
+eigenvalues of a principal submatrix lie within [lambda_min, lambda_max]
+of S_all.  So when S_all's eigenvalues lie in (0, MAX_BEARING_VAR], with
+a rounding margin at each end, every candidate passes invariant_update's
+rule, and one eigvalsh per attempt stands in for one per candidate.
+Otherwise every candidate's S is checked by the rule, in one batched
+eigvalsh per block.
 
 Batched arithmetic rounds differently from a single update.  So the few
 combinations that score within a relative SCORE_TOL of the best batched
@@ -52,6 +50,7 @@ import numpy as np
 
 from .association import MatchSet
 from .camera import (
+    MAX_BEARING_VAR,
     Z_MIN,
     apply_camera_update,
     back_project,
@@ -60,7 +59,7 @@ from .camera import (
     pixel_noise_cov,
     project,
 )
-from .inekf import COND_LIMIT, UpdateRejected
+from .inekf import UpdateRejected
 from .lie import so3_exp_jacobian_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
@@ -70,18 +69,13 @@ MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
 # combination within SCORE_TOL * (1 + lowest) of the lowest batched score
 # is re-scored serially.
 SCORE_TOL = 1e-9
-# The interlacing certificate accepts S_all when lambda_max <= lambda_min *
-# COND_LIMIT / COND_MARGIN, i.e. lambda_min >= 16 lambda_max / 1e12.
-# eigvalsh on the 3m x 3m S_all errs by about 3m eps lambda_max per
-# eigenvalue (eps = 2.2e-16), so the relative error of lambda_min is about
-# 3m eps 6.25e10: 3e-4 at m = 8 and 1.1e-3 at m = 27, the most clusters
-# the default budget allows with three detections, the fewest an attempt
-# searches (MIN_LIGHTS).  The SVD behind np.linalg.cond on a candidate's
-# S, 15 x 15 at most by default, errs far less.  So a certified S_all's
-# true lambda_min is within 0.2% of the computed one, and every certified
-# candidate's condition number is under 6.3e10, far under COND_LIMIT.  A
-# budget of m = 19,999 clusters would still leave it under 4e11.
-COND_MARGIN = 16.0
+# eigvalsh errs by about 2m eps lambda_max in each eigenvalue of the 2m x
+# 2m S_all (eps = 2.2e-16), and a candidate's own S, computed by
+# invariant_update, differs from S_all's submatrix by rounding of the same
+# order.  Where lambda_max <= MAX_BEARING_VAR both are under
+# CERTIFY_MARGIN for any m below 10^5, so a margin this wide at both ends
+# of S_all's spectrum keeps every certified candidate inside the rule.
+CERTIFY_MARGIN = 1e-9 * MAX_BEARING_VAR
 
 
 @dataclass
@@ -168,43 +162,43 @@ class _SharedLinearization:
     """What every candidate update of one attempt shares.
 
     For each cluster in front of the camera: the prediction h of
-    camera_H and HP = H P.  Over all clusters: the 3m x 3m innovation
-    covariance S_all = sym(H P H' + kron(I_m, N)), and whether one
-    eigvalsh of it certifies every candidate's condition check
-    (certified).  For each detection: its back-projected ray.
+    camera_H and HP = H P.  Over all clusters: the 2m x 2m innovation
+    covariance S_all, and whether one eigvalsh of it certifies every
+    candidate's update rule (certified).  For each detection: its
+    observed bearing.
     """
 
     def __init__(self, detections, clusters, state, P, ext, intr, pixel_sigma):
         m = len(clusters)
         self.front = np.zeros(m, dtype=bool)
-        H = np.zeros((m, 3, 15))
-        self.h = np.zeros((m, 3))
+        H = np.zeros((m, 2, 15))
+        self.h = np.zeros((m, 2))
         for j, c in enumerate(clusters):
             out = camera_H(state, c.center, ext, intr)
             if out is not None:
                 self.front[j] = True
                 H[j], self.h[j] = out
         self.HP = H @ P
-        S = self.HP.reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
-        S += np.kron(np.eye(m), pixel_noise_cov(intr, pixel_sigma))
+        S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
+        S += np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), m))
         self.S_all = (S + S.T) / 2.0
         self.certified = _certifies(self.S_all)
-        self.rays = np.array([back_project(d.center, intr) for d in detections])
+        self.rays = np.array([back_project(d.center, intr)[:2] for d in detections])
         self.pixels = np.array([d.center for d in detections], dtype=float)
         self.centers = np.array([c.center for c in clusters], dtype=float)
 
 
 def _certifies(S_all):
-    """Whether interlacing bounds every principal submatrix's condition.
-
-    lambda_min > 0 is required, not a bounded cond(S_all): an indefinite
-    S_all can be well conditioned and still have a singular principal
-    submatrix.
+    """Whether interlacing passes every principal submatrix of S_all
+    through invariant_update's rule: S_all finite, with eigenvalues in
+    [CERTIFY_MARGIN, MAX_BEARING_VAR - CERTIFY_MARGIN].
     """
     if not np.isfinite(S_all).all():
         return False
     lam = np.linalg.eigvalsh(S_all)
-    return bool(lam[0] > 0 and lam[-1] <= lam[0] * (COND_LIMIT / COND_MARGIN))
+    return bool(
+        CERTIFY_MARGIN <= lam[0] and lam[-1] <= MAX_BEARING_VAR - CERTIFY_MARGIN
+    )
 
 
 def _corrections(combos, lin):
@@ -213,7 +207,7 @@ def _corrections(combos, lin):
     Row b is, up to rounding, the correction invariant_update applies for
     combination b: zero when no matched cluster is in front of the camera
     (apply_camera_update then leaves the state alone), and NaN when the
-    innovation covariance fails invariant_update's condition check.
+    innovation covariance fails invariant_update's rule.
     """
     infront = combos >= 0
     infront[infront] = lin.front[combos[infront]]
@@ -223,15 +217,17 @@ def _corrections(combos, lin):
         rows = np.flatnonzero(k == kk)
         dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
         cl = combos[rows[:, None], dets]
-        idx = (3 * cl[:, :, None] + np.arange(3)).reshape(len(rows), 3 * kk)
+        idx = (2 * cl[:, :, None] + np.arange(2)).reshape(len(rows), 2 * kk)
         S = lin.S_all[idx[:, :, None], idx[:, None, :]]
         if not lin.certified:
-            cond = np.linalg.cond(S)
-            ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+            # invariant_update's rule; a non-finite S becomes 0 and fails it
+            finite = np.isfinite(S).all(axis=(1, 2))
+            lam = np.linalg.eigvalsh(np.where(finite[:, None, None], S, 0.0))
+            ok = (lam[:, 0] > 0.0) & (lam[:, -1] <= MAX_BEARING_VAR)
             delta[rows[~ok]] = np.nan
             rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
-        HP = lin.HP[cl].reshape(len(rows), 3 * kk, 15)
-        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 3 * kk)
+        HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
+        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
         # K z = (H P)' S^-1 z, one right-hand side per combination
         x = np.linalg.solve(S, z[..., None])
         delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]

@@ -36,6 +36,12 @@ _TRAJECTORY_KEYS = {
     "figure-eight": ("amp_x", "amp_y", "period"),
     "waypoints": ("times", "points"),
 }
+# those of them that are numbers; radius and period must be positive
+_TRAJECTORY_SCALARS = {
+    "circle": ("radius", "speed"),
+    "figure-eight": ("amp_x", "amp_y", "period"),
+}
+_FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
 
 
 def _finite_real(value):
@@ -111,6 +117,12 @@ class Scenario:
         missing = [k for k in _TRAJECTORY_KEYS.get(kind, ()) if k not in self.trajectory]
         if missing:
             raise ValueError(f"a {kind} trajectory needs {', '.join(map(repr, missing))}")
+        for key in _TRAJECTORY_SCALARS.get(kind, ()):
+            value = self.trajectory[key]
+            if not _finite_real(value):
+                raise ValueError(f"trajectory {key} must be a finite number, got {value!r}")
+            if key in ("radius", "period") and not value > 0:
+                raise ValueError(f"trajectory {key} must be positive, got {value!r}")
         pairs = self.blackouts
         for b in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
             pair = isinstance(b, (list, tuple)) and len(b) == 2
@@ -122,6 +134,14 @@ class Scenario:
                 raise ValueError(f"imu_rate must be an integer multiple of {name}")
         if self.bias_mode not in ("random-walk", "constant"):
             raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        for name in ("image_width", "image_height"):
+            size = getattr(self, name)
+            if not isinstance(size, numbers.Integral):  # bools fail above
+                raise ValueError(f"{name} must be an integer, got {size!r}")
+            if size < 2 * _FP_INSET:
+                raise ValueError(f"{name} must be at least {2 * _FP_INSET:g} px, got {size}")
 
     def intrinsics(self):
         return CameraIntrinsics(
@@ -424,8 +444,8 @@ def simulate_detections(truth, scenario, smap, rng):
         for _ in range(rng.poisson(scenario.false_positives)):
             center = np.array(
                 [
-                    rng.uniform(10.0, scenario.image_width - 10.0),
-                    rng.uniform(10.0, scenario.image_height - 10.0),
+                    rng.uniform(_FP_INSET, scenario.image_width - _FP_INSET),
+                    rng.uniform(_FP_INSET, scenario.image_height - _FP_INSET),
                 ]
             )
             dets.append(DetectionBox(center, rng.uniform(8.0, 20.0, size=2)))

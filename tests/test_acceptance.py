@@ -132,7 +132,7 @@ def test_01_jacobian_suite():
         if out is None:
             continue
         H, h = out
-        H_fd = np.zeros((3, 9))
+        H_fd = np.zeros((2, 9))
         eps = 1e-4
         for k in range(9):
             e = np.zeros(9)
@@ -141,7 +141,7 @@ def test_01_jacobian_suite():
             for s in (eps, -eps):
                 true = se23_exp(-(s / eps) * e).compose(st.pose)
                 c = camera_point(C, true, EXT)
-                zs.append(c / c[2] - h)
+                zs.append(c[:2] / c[2] - h)
             H_fd[:, k] = -(zs[0] - zs[1]) / (2.0 * eps)
         worst_H = max(worst_H, _max_rel(H_fd - H[:, 0:9], H[:, 0:9]))
         checked += 1

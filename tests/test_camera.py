@@ -68,7 +68,7 @@ def test_back_project_matches_camera_ray():
         np.testing.assert_allclose(ray, c / c[2], atol=1e-10)
 
 
-def test_camera_H_third_row_zero():
+def test_camera_H_is_a_two_row_bearing():
     rng = np.random.default_rng(91)
     for _ in range(20):
         pose = ExtendedPose(so3_exp(rng.normal(size=3)), pos=rng.normal(size=3))
@@ -77,8 +77,9 @@ def test_camera_H_third_row_zero():
         if out is None:
             continue
         H, h = out
-        assert np.abs(H[2]).max() < 1e-14
-        assert h[2] == 1.0
+        assert H.shape == (2, 15) and h.shape == (2,)
+        c = camera_point(C, pose, EXT)
+        assert h.tobytes() == (c[:2] / c[2]).tobytes()
         assert np.abs(H[:, 3:6]).max() == 0.0  # bearings carry no velocity info
         assert np.abs(H[:, 9:15]).max() == 0.0
 
@@ -106,7 +107,7 @@ def test_camera_H_matches_error_model():
         def innovation(scale):
             true_pose = se23_exp(-scale * xi).compose(pose)
             c = camera_point(C, true_pose, EXT)
-            return c / c[2] - h
+            return c[:2] / c[2] - h
 
         z = (innovation(eps) - innovation(-eps)) / 2.0
         np.testing.assert_allclose(z, -eps * H[:, 0:9] @ xi, rtol=1e-5, atol=1e-12)
@@ -115,9 +116,9 @@ def test_camera_H_matches_error_model():
 def test_pixel_noise_cov_values():
     N = pixel_noise_cov(INTR, 2.0)
     Ki = INTR.K_inv
-    expect = Ki @ np.diag([4.0, 4.0, 0.0]) @ Ki.T + np.eye(3) * 1e-12
+    expect = (Ki @ np.diag([4.0, 4.0, 0.0]) @ Ki.T)[:2, :2]
     np.testing.assert_allclose(N, expect)
-    assert np.all(np.linalg.eigvalsh(N) > 0)
+    np.testing.assert_array_equal(N, np.diag([(2.0 / 500.0) ** 2] * 2))
 
 
 def _scene_clusters(pose, offsets):

@@ -200,20 +200,29 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
 
 
 @pytest.mark.parametrize(
-    "document",
+    "document, named",
     [
-        '{"bogus": 1}',
-        "[1, 2]",
-        '{"duration": "abc"}',
-        '{"lamps": 5}',
-        '{"trajectory": 3}',
-        '{"trajectory": {"kind": "circle"}}',
-        '{"seed": 1.5}',
-        '{"dropout": "a", %s}' % _LAMPS_IN_VIEW,
-        '{"pixel_sigma": "x", %s}' % _LAMPS_IN_VIEW,
-        '{"fx": NaN}',
-        '{"lamps": [[NaN, 0, 4]]}',
-        '{"blackouts": [[5, 3]]}',
+        ('{"bogus": 1}', "bogus"),
+        ("[1, 2]", "JSON object"),
+        ('{"duration": "abc"}', "duration"),
+        ('{"lamps": 5}', "lamps"),
+        ('{"trajectory": 3}', "trajectory"),
+        ('{"trajectory": {"kind": "circle"}}', "radius"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"dropout": "a", %s}' % _LAMPS_IN_VIEW, "dropout"),
+        ('{"pixel_sigma": "x", %s}' % _LAMPS_IN_VIEW, "pixel_sigma"),
+        ('{"fx": NaN}', "fx"),
+        ('{"lamps": [[NaN, 0, 4]]}', "lamps"),
+        ('{"blackouts": [[5, 3]]}', "blackouts"),
+        ('{"trajectory": {"kind": "circle", "radius": [1], "speed": 5}}', "radius"),
+        ('{"trajectory": {"kind": "circle", "radius": 0, "speed": 5}}', "radius"),
+        (
+            '{"trajectory": {"kind": "figure-eight", "amp_x": 25, "amp_y": 12, "period": 0}}',
+            "period",
+        ),
+        ('{"image_width": 0.5}', "image_width"),
+        ('{"image_height": 19}', "image_height"),
+        ('{"name": 5}', "name"),
     ],
     ids=[
         "unknown-key",
@@ -228,13 +237,20 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         "nan-fx",
         "nan-lamp",
         "reversed-blackout",
+        "list-radius",
+        "zero-radius",
+        "zero-period",
+        "fractional-width",
+        "narrow-height",
+        "numeric-name",
     ],
 )
-def test_malformed_scenario_exits_1(tmp_path, capsys, document):
+def test_malformed_scenario_exits_1(tmp_path, capsys, document, named):
     path = tmp_path / "x.json"
     path.write_text(document)
     assert main(["localize", str(path), "--out", str(tmp_path / "out")]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err  # the message names the fault
 
 
 def test_localize_runs_zero_exits_1(tmp_path, capsys):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from nightrider.camera import MAX_BEARING_VAR
 from nightrider.inekf import (
     FilterState,
     ImuSample,
@@ -354,6 +357,50 @@ def test_update_rejects_singular_innovation():
     H[1, 3] = 1.0  # duplicate row, zero noise -> singular S
     with pytest.raises(UpdateRejected):
         invariant_update(st, P, H, np.zeros(2), np.zeros((2, 2)))
+
+
+def _velocity_rows():
+    H = np.zeros((3, 15))
+    H[:, 3:6] = np.eye(3)
+    return H
+
+
+def test_update_rejects_non_finite_innovation():
+    st = FilterState()
+    z = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(UpdateRejected):
+        invariant_update(st, np.eye(15) * 0.1, _velocity_rows(), z, np.eye(3) * 0.01)
+
+
+def test_update_rejects_indefinite_innovation_cov():
+    # S = diag(0.11, -0.15, 0.11): well conditioned, but not a covariance
+    st = FilterState()
+    N = np.diag([0.01, -0.25, 0.01])
+    with pytest.raises(UpdateRejected):
+        invariant_update(st, np.eye(15) * 0.1, _velocity_rows(), np.zeros(3), N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_update_rule_caps_largest_innovation_variance(seed, k):
+    """With P and N positive definite, the update is rejected exactly when
+    lambda_max(S) exceeds the cap, and every accepted P stays SPD."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-2, 0)
+    P = B @ B.T + np.eye(15) * 1e-4
+    H = rng.normal(size=(2 * k, 15)) * 10.0 ** rng.uniform(-2, 0)
+    N = np.diag(rng.uniform(1e-5, 1e-2, size=2 * k))
+    lam_max = np.linalg.eigvalsh(H @ P @ H.T + N)[-1]
+    assume(abs(lam_max - MAX_BEARING_VAR) > 1e-6)  # rounding would decide
+    z = rng.normal(size=2 * k) * 0.1
+    state = _random_state(rng)
+    if lam_max > MAX_BEARING_VAR:
+        with pytest.raises(UpdateRejected):
+            invariant_update(state, P, H, z, N, MAX_BEARING_VAR)
+        return
+    _, P_new = invariant_update(state, P, H, z, N, MAX_BEARING_VAR)
+    np.testing.assert_array_equal(P_new, P_new.T)
+    assert np.linalg.eigvalsh(P_new)[0] > 0
 
 
 def test_many_cycles_covariance_stays_psd():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nightrider import recovery
 from nightrider.association import MatchSet
 from nightrider.camera import (
+    MAX_BEARING_VAR,
     CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
@@ -14,7 +15,7 @@ from nightrider.camera import (
     pixel_noise_cov,
     project,
 )
-from nightrider.inekf import COND_LIMIT, FilterState, UpdateRejected
+from nightrider.inekf import FilterState, UpdateRejected
 from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
 from nightrider.recovery import (
@@ -322,9 +323,17 @@ def _check_against_oracle(dets, clusters, state, P, params):
 
 def _rejecting_cov():
     # a large position variance: on a lamp about 7 m away it pushes the
-    # innovation covariance's condition number past COND_LIMIT
+    # innovation covariance's largest eigenvalue past MAX_BEARING_VAR
     P = _loose_cov()
     P[6:9, 6:9] = np.eye(3) * 40.0
+    return P
+
+
+def _uncertifying_cov():
+    # on the planted scene's four lamps S_all's largest eigenvalue is 1.07,
+    # over MAX_BEARING_VAR, while every three-lamp submatrix's is under 0.92
+    P = _loose_cov()
+    P[6:9, 6:9] = np.eye(3) * 110.0
     return P
 
 
@@ -415,6 +424,13 @@ def _scene_over_budget():
     return dets + fp, clusters + far, _offset_state(truth), _loose_cov(), params
 
 
+def _scene_uncertified_without_rejections():
+    # more clusters than detections: S_all spans all four lamps, but a
+    # combination matches at most three of them
+    truth, clusters, dets = _planted_scene()
+    return dets[:3], clusters, _offset_state(truth), _uncertifying_cov(), RecoveryParams()
+
+
 def test_scene_features_occur():
     """The explicit examples below hit the cases the property test targets."""
     dets, clusters, state, P, params = _scene_rejecting_updates()
@@ -439,6 +455,7 @@ def test_scene_features_occur():
 @example(scene=_scene_rejecting_updates())
 @example(scene=_scene_with_lamps_behind())
 @example(scene=_scene_over_budget())
+@example(scene=_scene_uncertified_without_rejections())
 def test_recovery_equals_serial_oracle(scene):
     _check_against_oracle(*scene)
 
@@ -528,7 +545,8 @@ def oracle_corrections(combos, lin, G, noise):
 
     Each block gathers S from the pair blocks G[a, b] = H_a P H_b', adds
     the pixel noise per matched pair and symmetrizes, and every
-    combination's S goes through np.linalg.cond.
+    combination's S goes through invariant_update's rule: eigenvalues in
+    (0, MAX_BEARING_VAR].
     """
     infront = combos >= 0
     infront[infront] = lin.front[combos[infront]]
@@ -539,29 +557,29 @@ def oracle_corrections(combos, lin, G, noise):
         dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
         cl = combos[rows[:, None], dets]
         S = G[cl[:, :, None], cl[:, None, :]].transpose(0, 1, 3, 2, 4)
-        S = S.reshape(len(rows), 3 * kk, 3 * kk) + np.kron(np.eye(kk), noise)
+        S = S.reshape(len(rows), 2 * kk, 2 * kk) + np.kron(np.eye(kk), noise)
         S = (S + S.transpose(0, 2, 1)) / 2.0
-        cond = np.linalg.cond(S)
-        ok = np.isfinite(cond) & (cond <= COND_LIMIT)
+        lam = np.linalg.eigvalsh(S)
+        ok = (lam[:, 0] > 0) & (lam[:, -1] <= MAX_BEARING_VAR)
         delta[rows[~ok]] = np.nan
         rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
-        HP = lin.HP[cl].reshape(len(rows), 3 * kk, 15)
-        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 3 * kk)
+        HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
+        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
         x = np.linalg.solve(S, z[..., None])
         delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
     return delta
 
 
 def _pair_blocks(lin, clusters, state):
-    """G[a, b] = H_a P H_b' as an (m, m, 3, 3) array, from lin's H P."""
+    """G[a, b] = H_a P H_b' as an (m, m, 2, 2) array, from lin's H P."""
     m = len(clusters)
-    H = np.zeros((m, 3, 15))
+    H = np.zeros((m, 2, 15))
     for j, c in enumerate(clusters):
         out = camera_H(state, c.center, EXT, INTR)
         if out is not None:
             H[j] = out[0]
-    G = lin.HP.reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
-    return G.reshape(m, 3, m, 3).transpose(0, 2, 1, 3)
+    G = lin.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
+    return G.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
 
 
 def _corrections_equal_oracle(dets, clusters, state, P, params):
@@ -588,9 +606,7 @@ def _corrections_equal_oracle(dets, clusters, state, P, params):
 
 
 def _certifying_cov():
-    # S_all's smallest eigenvalue is the 1e-12 noise floor, so the
-    # certificate needs its largest under 0.0625: with these variances
-    # the planted scene's cond(S_all) is 3.5e10
+    # tighter than _loose_cov: the planted scene's lambda_max(S_all) is 0.035
     P = _loose_cov()
     P[0:3, 0:3] = np.eye(3) * 0.005
     P[6:9, 6:9] = np.eye(3) * 1.0
@@ -612,6 +628,7 @@ def _planted_scene_certifying():
 @example(scene=_scene_rejecting_updates())
 @example(scene=_scene_with_lamps_behind())
 @example(scene=_scene_over_budget())
+@example(scene=_scene_uncertified_without_rejections())
 def test_corrections_equal_oracle(scene):
     _corrections_equal_oracle(*scene)
 
@@ -625,10 +642,12 @@ def test_corrections_oracle_takes_both_branches():
     dets_b, clusters_b, state_b, _, params = _scene_with_lamps_behind()
     scene = dets_b, clusters_b, state_b, _certifying_cov(), params
     assert _corrections_equal_oracle(*scene) == (True, 0)
-    # the loose prior gives cond(S_all) 1.4e11: no certificate, though
-    # no candidate is rejected
+    # the loose prior gives lambda_max(S_all) 0.14: certified
     for make in (_scene_with_lamps_behind, _scene_over_budget):
-        assert _corrections_equal_oracle(*make()) == (False, 0)
+        assert _corrections_equal_oracle(*make()) == (True, 0)
+    # S_all over the cap: no certificate, though no candidate is rejected
+    scene = _scene_uncertified_without_rejections()
+    assert _corrections_equal_oracle(*scene) == (False, 0)
     # the rejecting prior must fall back and reject some combinations
     # exactly as the per-candidate check does
     certified, rejected = _corrections_equal_oracle(*_scene_rejecting_updates())
@@ -636,9 +655,9 @@ def test_corrections_oracle_takes_both_branches():
 
 
 def _innovation_cov_all(H, P):
-    """S_all as recovery builds it, for (m, 3, 15) Jacobians H."""
+    """S_all as recovery builds it, for (m, 2, 15) Jacobians H."""
     m = len(H)
-    S = (H @ P).reshape(3 * m, 15) @ H.reshape(3 * m, 15).T
+    S = (H @ P).reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
     S += np.kron(np.eye(m), pixel_noise_cov(INTR, 2.0))
     return (S + S.T) / 2.0
 
@@ -647,41 +666,45 @@ def _innovation_cov_all(H, P):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
 def test_interlacing_bounds_every_block_submatrix(seed, m):
     rng = np.random.default_rng(seed)
-    H = rng.normal(size=(m, 3, 15)) * 10.0 ** rng.uniform(-3, 1)
+    H = rng.normal(size=(m, 2, 15)) * 10.0 ** rng.uniform(-3, 1)
     B = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-2, 1)
     P = B @ B.T + np.eye(15) * 1e-3
     S_all = _innovation_cov_all(H, P)
     lam = np.linalg.eigvalsh(S_all)
     assert lam[0] > 0
-    bound = lam[-1] / lam[0] * (1 + 1e-6)
+    tol = 1e-9 * lam[-1]  # recovery.CERTIFY_MARGIN relative to the cap
     for mask in range(1, 2**m):
         cl = [j for j in range(m) if mask >> j & 1]
-        idx = (3 * np.array(cl)[:, None] + np.arange(3)).ravel()
-        assert np.linalg.cond(S_all[np.ix_(idx, idx)]) <= bound
+        idx = (2 * np.array(cl)[:, None] + np.arange(2)).ravel()
+        sub = np.linalg.eigvalsh(S_all[np.ix_(idx, idx)])
+        assert sub[-1] <= lam[-1] + tol
+        assert sub[0] >= lam[0] - tol
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6))
 def test_indefinite_innovation_cov_is_never_certified(seed, m):
     rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.normal(size=(3 * m, 3 * m)))[0]
-    lam = rng.uniform(0.5, 2.0, size=3 * m)
-    lam[rng.integers(3 * m)] *= -1.0
+    Q = np.linalg.qr(rng.normal(size=(2 * m, 2 * m)))[0]
+    lam = rng.uniform(0.1, 0.5, size=2 * m)  # under the cap
+    lam[rng.integers(2 * m)] *= -1.0
     S = Q @ np.diag(lam) @ Q.T
     assert not recovery._certifies((S + S.T) / 2.0)
 
 
 def test_well_conditioned_indefinite_cov_with_singular_block_is_not_certified():
-    # eigenvalues +-1, so cond(S_all) = 1; its top-left 3x3 block is zero
-    S_all = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(3))
-    assert np.linalg.cond(S_all) <= COND_LIMIT / recovery.COND_MARGIN
-    assert not np.linalg.matrix_rank(S_all[:3, :3])
+    # eigenvalues +-0.5, so cond(S_all) = 1 and lambda_max is under the
+    # cap; its top-left 2x2 block is zero
+    S_all = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(2))
+    assert np.linalg.eigvalsh(S_all)[-1] <= MAX_BEARING_VAR
+    assert not np.linalg.matrix_rank(S_all[:2, :2])
     assert not recovery._certifies(S_all)
-    assert recovery._certifies(np.eye(6))
+    assert recovery._certifies(0.5 * np.eye(4))
+    assert not recovery._certifies(MAX_BEARING_VAR * np.eye(4))  # inside the margin
 
 
 def test_singular_or_non_finite_innovation_cov_is_not_certified():
-    assert not recovery._certifies(np.zeros((6, 6)))  # lambda_max <= 0 * limit
+    assert not recovery._certifies(np.zeros((6, 6)))  # lambda_min = 0
     for bad in (np.nan, np.inf):
         S_all = np.eye(6)
         S_all[0, 1] = S_all[1, 0] = bad

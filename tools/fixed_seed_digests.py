@@ -57,8 +57,9 @@ def runs():
     for s in range(3):
         yield f"blackout seed={s} start=16.5", blackout_scenario(s, start=16.5), None
         yield f"blackout seed={s}", blackout_scenario(s), None
-    # the recovery whose shared innovation covariance is nearest the
-    # condition limit among the built-ins (cond 4.4e10)
+    # the recovery whose shared innovation covariance comes nearest the
+    # bearing cap among the built-ins: lambda_max(S_all) = 4.4e-2 against
+    # camera.MAX_BEARING_VAR = 1
     yield "blackout seed=0 start=10 length=30", blackout_scenario(
         0, start=10, length=30
     ), None
