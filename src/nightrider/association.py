@@ -3,10 +3,12 @@
 Each detection box is scored against each mapped cluster with a blend of
 two Gaussian densities: a reprojection residual in pixels, and an angular
 residual (1 - cos) between the back-projected ray and the predicted ray.
-Both covariances are driven by the filter's pose covariance, so a
-confident filter is strict and an uncertain one is tolerant.  score_matrix
-computes every pair at once; the projection and angle Jacobians it uses
-are also exposed one pair at a time.
+Both covariances are driven by the filter's covariance, so a confident
+filter is strict and an uncertain one is tolerant.  score_matrix computes
+every pair at once.  It pushes P through camera.bearing_jacobians' dc/dxi,
+the filter's own invariant-error Jacobian, into one 3x3 camera-point
+covariance per cluster, Sc = Dc P Dc'; the pixel density reads it through
+diag(fx, fy) dh/dc and the angle density through d cos / dc.
 
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
@@ -21,13 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .camera import Z_MIN, back_project
-from .lie import skew
+from .camera import back_project, bearing_jacobians
 
 NO_MATCH_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
-
-_POSE_IDX = np.r_[0:3, 6:9]  # rotation and position blocks of the 15-state
 
 
 @dataclass
@@ -57,65 +56,6 @@ class MatchSet:
         return [cid for cid in self.cluster_ids if cid is not None]
 
 
-def _pi_jacobian(c, intr):
-    """Jacobian of the pixel projection wrt the camera-frame point."""
-    X, Y, Z = c
-    return np.array(
-        [
-            [intr.fx / Z, 0.0, -X * intr.fx / Z**2],
-            [0.0, intr.fy / Z, -Y * intr.fy / Z**2],
-        ]
-    )
-
-
-def _pose_cov(P):
-    return P[np.ix_(_POSE_IDX, _POSE_IDX)]
-
-
-def projection_jacobian(state, center_w, ext, intr):
-    """2x6 sensitivity of the projected center to [rotation, position].
-
-    Rotation columns follow a body-frame (right) perturbation of the
-    attitude estimate; position columns are additive.  None behind camera.
-    """
-    pose = state.pose
-    psi = pose.rot.T @ (np.asarray(center_w, dtype=float) - pose.pos)
-    c = ext.rot @ psi + ext.trans
-    if c[2] < Z_MIN:
-        return None
-    Jpi = _pi_jacobian(c, intr)
-    J = np.zeros((2, 6))
-    J[:, 0:3] = Jpi @ ext.rot @ skew(psi)
-    J[:, 3:6] = -Jpi @ ext.rot @ pose.rot.T
-    return J
-
-
-def angle_gradients(state, detection_pixel, center_w, ext, intr):
-    """cos(theta) between back-projected and predicted rays plus gradients.
-
-    Returns (cos_theta, d_cos/d_pixel_homog (3,), d_cos/d_pose (6,)) or
-    None behind the camera.  Pose convention as projection_jacobian.
-    """
-    pose = state.pose
-    psi = pose.rot.T @ (np.asarray(center_w, dtype=float) - pose.pos)
-    c = ext.rot @ psi + ext.trans
-    if c[2] < Z_MIN:
-        return None
-    ray = back_project(detection_pixel, intr)
-    n_ray = np.linalg.norm(ray)
-    n_c = np.linalg.norm(c)
-    u = ray / n_ray
-    w = c / n_c
-    cos_theta = float(u @ w)
-
-    d_pixel = ((w - u * cos_theta) / n_ray) @ intr.K_inv
-    mcu = (u - w * cos_theta) / n_c
-    grad6 = np.concatenate(
-        [mcu @ ext.rot @ skew(psi), -(mcu @ ext.rot @ pose.rot.T)]
-    )
-    return cos_theta, d_pixel, grad6
-
-
 def score_matrix(detections, clusters, state, P, params, ext, intr):
     """Blended pair scores, one row per detection, one column per cluster.
 
@@ -124,51 +64,19 @@ def score_matrix(detections, clusters, state, P, params, ext, intr):
     n, m = len(detections), len(clusters)
     if n == 0 or m == 0:
         return np.zeros((n, m))
-    pose = state.pose
-    R_bc = ext.rot
-
     Cw = np.stack([c.center for c in clusters])
-    delta = Cw - pose.pos
-    rng = np.linalg.norm(delta, axis=1)
-    psi = delta @ pose.rot  # rows are R' (C - p)
-    cc = psi @ R_bc.T + ext.trans
-    zdep = cc[:, 2]
-    valid = (zdep >= Z_MIN) & (rng <= params.max_range)
-    zsafe = np.where(valid, zdep, 1.0)
+    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state, ext)
+    rng = np.linalg.norm(Cw - state.pose.pos, axis=1)
+    valid = front & (rng <= params.max_range)
+    f = np.array([intr.fx, intr.fy])
+    pix = f * h + [intr.cx, intr.cy]
 
-    pix = np.stack(
-        [
-            intr.fx * cc[:, 0] / zsafe + intr.cx,
-            intr.fy * cc[:, 1] / zsafe + intr.cy,
-        ],
-        axis=1,
-    )
+    # camera-point covariance, (m, 3, 3); zero behind the camera
+    Sc = Dc @ P @ Dc.transpose(0, 2, 1)
 
-    # projection Jacobians, (m, 2, 3) against camera point then pose
-    Jpi = np.zeros((m, 2, 3))
-    Jpi[:, 0, 0] = intr.fx / zsafe
-    Jpi[:, 1, 1] = intr.fy / zsafe
-    Jpi[:, 0, 2] = -intr.fx * cc[:, 0] / zsafe**2
-    Jpi[:, 1, 2] = -intr.fy * cc[:, 1] / zsafe**2
-
-    skew_psi = np.zeros((m, 3, 3))
-    skew_psi[:, 0, 1] = -psi[:, 2]
-    skew_psi[:, 0, 2] = psi[:, 1]
-    skew_psi[:, 1, 0] = psi[:, 2]
-    skew_psi[:, 1, 2] = -psi[:, 0]
-    skew_psi[:, 2, 0] = -psi[:, 1]
-    skew_psi[:, 2, 1] = psi[:, 0]
-
-    rot_block = np.einsum("ab,mbc->mac", R_bc, skew_psi)
-    J6 = np.concatenate(
-        [
-            np.einsum("mij,mjk->mik", Jpi, rot_block),
-            np.einsum("mij,jk->mik", Jpi, -R_bc @ pose.rot.T),
-        ],
-        axis=2,
-    )
-    P6 = _pose_cov(P)
-    Sp = params.alpha * np.eye(2) + np.einsum("mij,jk,mlk->mil", J6, P6, J6)
+    # pixel Jacobians against the camera point, diag(fx, fy) dh/dc
+    Jpi = f[:, None] * dh_dc
+    Sp = params.alpha * np.eye(2) + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
     det2 = Sp[:, 0, 0] * Sp[:, 1, 1] - Sp[:, 0, 1] * Sp[:, 1, 0]
 
     dets_px = np.stack([np.asarray(d.center, dtype=float) for d in detections])
@@ -192,15 +100,9 @@ def score_matrix(detections, clusters, state, P, params, ext, intr):
     d_pixel = np.einsum("nmk,kl->nml", mpw, intr.K_inv)
     pix_var = params.alpha * (d_pixel[..., 0] ** 2 + d_pixel[..., 1] ** 2)
 
+    # d cos / dc, pushed through the camera-point covariance
     mcu = (u[:, None, :] - w[None, :, :] * cos[:, :, None]) / n_c[None, :, None]
-    grad6 = np.concatenate(
-        [
-            np.einsum("nmk,mkl->nml", mcu, rot_block),
-            np.einsum("nmk,kl->nml", mcu, -(R_bc @ pose.rot.T)),
-        ],
-        axis=2,
-    )
-    pose_var = np.einsum("nmi,ij,nmj->nm", grad6, P6, grad6)
+    pose_var = np.einsum("nmi,mij,nmj->nm", mcu, Sc, mcu)
     var = np.maximum(pix_var + pose_var, SIGMA_FLOOR)
     r_ang = 1.0 - cos
     s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)

@@ -11,6 +11,13 @@ and the filter observes its bearing, the normalized image point
 h = C_c[:2] / C_c[2], whose pixel image is (fx h_x + cx, fy h_y + cy).
 Each matched lamp gives a two-row residual in normalized coordinates, as
 in the MSCKF (Mourikis & Roumeliotis, ICRA 2007).
+
+bearing_jacobians is the one bearing Jacobian.  It differentiates with
+respect to the filter's right-invariant error, the coordinates its
+covariance P is kept in, and factors through the camera point:
+H = dh/dc @ dc/dxi.  The stacked update (apply_camera_update),
+association's densities (association.score_matrix) and recovery's shared
+linearization all read it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inekf import invariant_update
-from .lie import skew
+from .lie import skew_many
 
 Z_MIN = 0.01
 # Largest innovation variance a bearing update accepts, in normalized
@@ -133,31 +140,36 @@ def back_project(pixel, intr):
     return np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
 
 
-def camera_H(state, center_w, ext, intr):
-    """Linearized bearing observation of a mapped streetlight center.
+def bearing_jacobians(centers_w, state, ext):
+    """Predicted bearings of world points and their invariant-error Jacobians.
 
-    Returns (H, h): h is the predicted bearing (2,), H its (2, 15)
-    Jacobian, and the model is z = y - h = -H [xi; zeta] + n.  Returns
-    None when the point is behind the camera (no valid Jacobian).
+    For an (m, 3) array of centers (one center gives m = 1) returns
+    (front, c, h, H, dh_dc, Dc).  front (m,) marks points at least Z_MIN
+    in front of the camera, c (m, 3) is camera_point, h (m, 2) the
+    bearing c[:2] / c[2], and H (m, 2, 15) its Jacobian, with the model
+    z = y - h = -H [xi; zeta] + n (Barrau & Bonnabel, IEEE TAC 2017).
+    H = dh_dc @ Dc factors through the camera point: dh_dc (m, 2, 3) is
+    d(c[:2] / c[2]) / dc, and Dc = dc / dxi = ext.rot R' [skew(C), 0, -I,
+    0, 0] (m, 3, 15) depends on the estimate only.  Rows behind the
+    camera hold zeros in h, H and Dc.
     """
+    C = np.reshape(np.asarray(centers_w, dtype=float), (-1, 3))
     pose = state.pose
-    C = np.asarray(center_w, dtype=float)
-    psi = pose.rot.T @ (C - pose.pos)
-    c = ext.rot @ psi + ext.trans
-    z_depth = c[2]
-    if z_depth < Z_MIN:
-        return None
-    h = c[:2] / z_depth
+    c = camera_point(C, pose, ext)
+    front = c[:, 2] >= Z_MIN
+    z = np.where(front, c[:, 2], 1.0)
+    h = np.where(front[:, None], c[:, :2] / z[:, None], 0.0)
 
-    # d(c[:2] / c[2]) / d psi
-    row3 = ext.rot[2, :]  # d z_depth / d psi
-    H_i = -np.outer(c[:2], row3) / z_depth**2 + ext.rot[:2] / z_depth
+    dh_dc = np.zeros((len(C), 2, 3))
+    dh_dc[:, 0, 0] = dh_dc[:, 1, 1] = 1.0 / z
+    dh_dc[:, :, 2] = -c[:, :2] / (z * z)[:, None]
 
-    D = np.zeros((3, 15))
-    D[:, 0:3] = skew(C)
-    D[:, 6:9] = -np.eye(3)
-    H = H_i @ pose.rot.T @ D
-    return H, h
+    A = ext.rot @ pose.rot.T
+    Dc = np.zeros((len(C), 3, 15))
+    Dc[:, :, 0:3] = A @ skew_many(C)
+    Dc[:, :, 6:9] = -A
+    Dc[~front] = 0.0
+    return front, c, h, dh_dc @ Dc, dh_dc, Dc
 
 
 def pixel_noise_cov(intr, pixel_sigma):
@@ -175,18 +187,20 @@ def apply_camera_update(state, P, matches, clusters_by_id, ext, intr, pixel_sigm
     (state, P) unchanged when nothing usable remains; raises
     UpdateRejected past MAX_BEARING_VAR (see invariant_update).
     """
-    rows_H, rows_z = [], []
-    for det, cluster_id in matches.positive_pairs():
-        cluster = clusters_by_id[cluster_id]
-        out = camera_H(state, cluster.center, ext, intr)
-        if out is None:
-            continue
-        H, h = out
-        rows_H.append(H)
-        rows_z.append(back_project(det.center, intr)[:2] - h)
-    if not rows_H:
+    pairs = list(matches.positive_pairs())
+    front, _, h, H, _, _ = bearing_jacobians(
+        [clusters_by_id[cid].center for _, cid in pairs], state, ext
+    )
+    if not front.any():
         return state, P
-    N = np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), len(rows_H)))
+    rays = np.array([back_project(det.center, intr)[:2] for det, _ in pairs])
+    k = int(front.sum())
+    N = np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), k))
     return invariant_update(
-        state, P, np.vstack(rows_H), np.concatenate(rows_z), N, MAX_BEARING_VAR
+        state,
+        P,
+        H[front].reshape(2 * k, 15),
+        (rays[front] - h[front]).reshape(2 * k),
+        N,
+        MAX_BEARING_VAR,
     )

@@ -139,7 +139,7 @@ def so3_left_jacobian(phi):
     )
 
 
-def _skew_many(phis):
+def skew_many(phis):
     """skew of every row of an (n, 3) array, as an (n, 3, 3) stack."""
     x, y, z = phis.T
     zero = np.zeros_like(x)
@@ -165,7 +165,7 @@ def so3_exp_jacobian_many(phis):
     """
     phis = np.asarray(phis, dtype=float)
     theta2 = np.einsum("ni,ni->n", phis, phis)
-    S = _skew_many(phis)
+    S = skew_many(phis)
     S2 = S @ S
     small = theta2 < SMALL_ANGLE**2
     t2 = np.where(small, 1.0, theta2)  # placeholder where the branch is unused
@@ -197,7 +197,7 @@ def so3_left_jacobian_inv_many(phis):
     """so3_left_jacobian_inv of every row of an (n, 3) array, bit for bit."""
     phis = np.asarray(phis, dtype=float)
     theta2 = dot_many(phis, phis)
-    S = _skew_many(phis)
+    S = skew_many(phis)
     S2 = S @ S
     small = theta2 < 1e-8
     t2 = np.where(small, 1.0, theta2)  # placeholder where the branch is unused

@@ -10,8 +10,9 @@ combination wins if it is cheap enough and matches more than two lights.
 
 Every candidate update starts from the same state and covariance, so
 they share one linearization: the invariant EKF's Jacobians depend on
-the estimate only (Hartley et al., IJRR 2020).  Once per attempt,
-recovery computes each cluster's bearing Jacobian H and prediction h,
+the estimate only (Hartley et al., IJRR 2020).  Once per attempt, one
+camera.bearing_jacobians call gives each cluster's bearing Jacobian H and
+prediction h, the same ones apply_camera_update uses; recovery adds
 each detection's bearing, HP = H P and the 2m x 2m innovation covariance
 S_all = sym(H P H') plus the pixel noise on its diagonal, over all m
 clusters.  A combination's innovation covariance is the principal
@@ -54,7 +55,7 @@ from .camera import (
     Z_MIN,
     apply_camera_update,
     back_project,
-    camera_H,
+    bearing_jacobians,
     pinhole,
     pixel_noise_cov,
     project,
@@ -161,23 +162,17 @@ def score_candidate(state_before, state_after, matches, clusters_by_id, ext, int
 class _SharedLinearization:
     """What every candidate update of one attempt shares.
 
-    For each cluster in front of the camera: the prediction h of
-    camera_H and HP = H P.  Over all clusters: the 2m x 2m innovation
-    covariance S_all, and whether one eigvalsh of it certifies every
-    candidate's update rule (certified).  For each detection: its
+    For each cluster: bearing_jacobians' front flag and prediction h, and
+    HP = H P (zero behind the camera).  Over all clusters: the 2m x 2m
+    innovation covariance S_all, and whether one eigvalsh of it certifies
+    every candidate's update rule (certified).  For each detection: its
     observed bearing.
     """
 
     def __init__(self, detections, clusters, state, P, ext, intr, pixel_sigma):
         m = len(clusters)
-        self.front = np.zeros(m, dtype=bool)
-        H = np.zeros((m, 2, 15))
-        self.h = np.zeros((m, 2))
-        for j, c in enumerate(clusters):
-            out = camera_H(state, c.center, ext, intr)
-            if out is not None:
-                self.front[j] = True
-                H[j], self.h[j] = out
+        self.centers = np.array([c.center for c in clusters], dtype=float)
+        self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state, ext)
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
         S += np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), m))
@@ -185,7 +180,6 @@ class _SharedLinearization:
         self.certified = _certifies(self.S_all)
         self.rays = np.array([back_project(d.center, intr)[:2] for d in detections])
         self.pixels = np.array([d.center for d in detections], dtype=float)
-        self.centers = np.array([c.center for c in clusters], dtype=float)
 
 
 def _certifies(S_all):

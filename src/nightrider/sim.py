@@ -36,11 +36,15 @@ _TRAJECTORY_KEYS = {
     "figure-eight": ("amp_x", "amp_y", "period"),
     "waypoints": ("times", "points"),
 }
-# those of them that are numbers; radius and period must be positive
+# the numbers _truth_arrays reads, needed or optional; radius and period
+# must be positive
 _TRAJECTORY_SCALARS = {
-    "circle": ("radius", "speed"),
-    "figure-eight": ("amp_x", "amp_y", "period"),
+    "circle": ("radius", "speed", "height", "phase"),
+    "figure-eight": ("amp_x", "amp_y", "period", "height"),
+    "line": ("yaw",),
 }
+# the optional coordinate lists it reads, with their lengths
+_TRAJECTORY_VECTORS = {"circle": {"center": 2}, "line": {"start": 3, "velocity": 3}}
 _FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
 
 
@@ -118,11 +122,21 @@ class Scenario:
         if missing:
             raise ValueError(f"a {kind} trajectory needs {', '.join(map(repr, missing))}")
         for key in _TRAJECTORY_SCALARS.get(kind, ()):
-            value = self.trajectory[key]
+            value = self.trajectory.get(key, 0.0)
             if not _finite_real(value):
                 raise ValueError(f"trajectory {key} must be a finite number, got {value!r}")
             if key in ("radius", "period") and not value > 0:
                 raise ValueError(f"trajectory {key} must be positive, got {value!r}")
+        for key, size in _TRAJECTORY_VECTORS.get(kind, {}).items():
+            value = self.trajectory.get(key, [0.0] * size)
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == size
+                and all(map(_finite_real, value))
+            ):
+                raise ValueError(
+                    f"trajectory {key} must be {size} finite numbers, got {value!r}"
+                )
         pairs = self.blackouts
         for b in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
             pair = isinstance(b, (list, tuple)) and len(b) == 2

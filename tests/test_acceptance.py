@@ -15,17 +15,15 @@ import numpy as np
 from nightrider.association import (
     NO_MATCH_FLOOR,
     ScoreParams,
-    angle_gradients,
     associate,
     hungarian,
-    projection_jacobian,
     score_matrix,
 )
 from nightrider.camera import (
     CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
-    camera_H,
+    bearing_jacobians,
     camera_point,
     project,
 )
@@ -48,6 +46,7 @@ from nightrider.sim import (
     default_scenario,
     ring_scenario,
 )
+from test_association import angle_gradients, left_fd, projection_jacobian
 
 G = np.array([0.0, 0.0, -9.81])
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
@@ -128,10 +127,10 @@ def test_01_jacobian_suite():
     while checked < 30:
         st = _rand_state(rng)
         C = st.pose.pos + st.pose.rot @ np.array([20.0, 0.0, 4.0]) + rng.normal(size=3) * 2
-        out = camera_H(st, C, EXT, INTR)
-        if out is None:
+        front, _, h, H, _, _ = bearing_jacobians([C], st, EXT)
+        if not front[0]:
             continue
-        H, h = out
+        H, h = H[0], h[0]
         H_fd = np.zeros((2, 9))
         eps = 1e-4
         for k in range(9):
@@ -147,7 +146,10 @@ def test_01_jacobian_suite():
         checked += 1
         configs += 1
 
-    # projected-center sensitivity (the reprojection covariance core)
+    # projected-center sensitivity (the reprojection covariance core) and
+    # angular-residual gradients (the angle variance core), both against a
+    # left perturbation se23_exp(-xi) X of the estimate, as the camera
+    # Jacobian above
     worst_J = 0.0
     checked = 0
     while checked < 30:
@@ -156,23 +158,11 @@ def test_01_jacobian_suite():
         J = projection_jacobian(st, C, EXT, INTR)
         if J is None or project(C, st.pose, EXT, INTR) is None:
             continue
-        J_fd = np.zeros((2, 6))
-        h = 1e-6
-        pose = st.pose
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            plus = ExtendedPose(pose.rot @ so3_exp(e), pose.vel, pose.pos)
-            minus = ExtendedPose(pose.rot @ so3_exp(-e), pose.vel, pose.pos)
-            J_fd[:, k] = (project(C, plus, EXT, INTR) - project(C, minus, EXT, INTR)) / (2 * h)
-            plus = ExtendedPose(pose.rot, pose.vel, pose.pos + e)
-            minus = ExtendedPose(pose.rot, pose.vel, pose.pos - e)
-            J_fd[:, 3 + k] = (project(C, plus, EXT, INTR) - project(C, minus, EXT, INTR)) / (2 * h)
-        worst_J = max(worst_J, _max_rel(J_fd - J, J))
+        J_fd = left_fd(lambda pose_: project(C, pose_, EXT, INTR), st.pose, 1e-6)
+        worst_J = max(worst_J, _max_rel(J_fd - J[:, :9], J[:, :9]))
         checked += 1
         configs += 1
 
-    # angular-residual gradients (the angle variance core)
     worst_g = 0.0
     checked = 0
     while checked < 30:
@@ -186,7 +176,7 @@ def test_01_jacobian_suite():
         out = angle_gradients(st, pix, C, EXT, INTR)
         if out is None:
             continue
-        _, d_pixel, grad6 = out
+        _, d_pixel, grad = out
 
         def cos_of(pose_, pix_):
             return angle_gradients(FilterState(pose_), pix_, C, EXT, INTR)[0]
@@ -197,20 +187,11 @@ def test_01_jacobian_suite():
             e = np.zeros(2)
             e[k] = h
             fd_pix[k] = (cos_of(pose, pix + e) - cos_of(pose, pix - e)) / (2 * h)
-        fd6 = np.zeros(6)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            p_plus = ExtendedPose(pose.rot @ so3_exp(e), pose.vel, pose.pos)
-            p_minus = ExtendedPose(pose.rot @ so3_exp(-e), pose.vel, pose.pos)
-            fd6[k] = (cos_of(p_plus, pix) - cos_of(p_minus, pix)) / (2 * h)
-            q_plus = ExtendedPose(pose.rot, pose.vel, pose.pos + e)
-            q_minus = ExtendedPose(pose.rot, pose.vel, pose.pos - e)
-            fd6[3 + k] = (cos_of(q_plus, pix) - cos_of(q_minus, pix)) / (2 * h)
+        fd = left_fd(lambda pose_: cos_of(pose_, pix), pose, h)
         worst_g = max(
             worst_g,
             _max_rel(fd_pix - d_pixel[:2], d_pixel, floor=1e-6),
-            _max_rel(fd6 - grad6, grad6, floor=1e-8),
+            _max_rel(fd - grad[:9], grad[:9], floor=1e-8),
         )
         checked += 1
         configs += 1

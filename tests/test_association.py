@@ -8,15 +8,20 @@ from nightrider.association import (
     SIGMA_FLOOR,
     MatchSet,
     ScoreParams,
-    angle_gradients,
     associate,
     hungarian,
-    projection_jacobian,
     score_matrix,
 )
-from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
+from nightrider.camera import (
+    CamExtrinsics,
+    CameraIntrinsics,
+    DetectionBox,
+    back_project,
+    bearing_jacobians,
+    project,
+)
 from nightrider.inekf import FilterState
-from nightrider.lie import ExtendedPose, se23_exp, so3_exp
+from nightrider.lie import ExtendedPose, se23_exp
 from nightrider.mapping import StreetlightCluster
 
 
@@ -38,23 +43,49 @@ def _cluster(cid, center):
 
 
 # ------------------------------------------- scalar reference scorers
-# One pair at a time, from the exposed Jacobians; score_matrix must equal
+# One pair at a time, from per-pair Jacobians against the filter's
+# right-invariant error (the coordinates of P); score_matrix must equal
 # pair_score entry by entry.
 
-_POSE_IDX = np.r_[0:3, 6:9]  # rotation and position blocks of the 15-state
+
+def projection_jacobian(state, center_w, ext, intr):
+    """2x15 sensitivity of the projected center to the invariant error,
+    diag(fx, fy) H.  None behind the camera."""
+    front, _, _, H, _, _ = bearing_jacobians([center_w], state, ext)
+    if not front[0]:
+        return None
+    return np.diag([intr.fx, intr.fy]) @ H[0]
 
 
-def _pose_cov(P):
-    return P[np.ix_(_POSE_IDX, _POSE_IDX)]
+def angle_gradients(state, detection_pixel, center_w, ext, intr):
+    """cos(theta) between back-projected and predicted rays plus gradients.
+
+    Returns (cos_theta, d_cos/d_pixel_homog (3,), d_cos/d_xi (15,)) or
+    None behind the camera; xi is the invariant error, as in
+    projection_jacobian.
+    """
+    front, c, _, _, _, Dc = bearing_jacobians([center_w], state, ext)
+    if not front[0]:
+        return None
+    ray = back_project(detection_pixel, intr)
+    n_ray = np.linalg.norm(ray)
+    n_c = np.linalg.norm(c[0])
+    u = ray / n_ray
+    w = c[0] / n_c
+    cos_theta = float(u @ w)
+
+    d_pixel = ((w - u * cos_theta) / n_ray) @ intr.K_inv
+    grad = ((u - w * cos_theta) / n_c) @ Dc[0]
+    return cos_theta, d_pixel, grad
 
 
 def sigma_proj(state, P, center_w, ext, intr, alpha):
-    """Reprojection covariance: alpha I plus pose uncertainty pushed
+    """Reprojection covariance: alpha I plus the filter's covariance pushed
     through the projection Jacobian.  None when behind the camera."""
     J = projection_jacobian(state, center_w, ext, intr)
     if J is None:
         return None
-    return alpha * np.eye(2) + J @ _pose_cov(P) @ J.T
+    return alpha * np.eye(2) + J @ P @ J.T
 
 
 def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
@@ -62,9 +93,9 @@ def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
     out = angle_gradients(state, detection_pixel, center_w, ext, intr)
     if out is None:
         return None
-    _, d_pixel, grad6 = out
+    _, d_pixel, grad = out
     pix_var = alpha * (d_pixel[0] ** 2 + d_pixel[1] ** 2)
-    pose_var = grad6 @ _pose_cov(P) @ grad6
+    pose_var = grad @ P @ grad
     return max(pix_var + pose_var, SIGMA_FLOOR)
 
 
@@ -102,6 +133,19 @@ def test_sigma_proj_zero_cov_is_alpha_identity():
     np.testing.assert_allclose(S, 4.0 * np.eye(2), atol=1e-12)
 
 
+def left_fd(f, pose, h):
+    """Central differences of f(se23_exp(-xi) pose) in xi, negated, as
+    columns; the model is f(truth) - f(est) = -J xi with the truth at
+    se23_exp(-xi) est."""
+    cols = []
+    for k in range(9):
+        e = np.zeros(9)
+        e[k] = h
+        plus, minus = f(se23_exp(-e).compose(pose)), f(se23_exp(e).compose(pose))
+        cols.append(-(plus - minus) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
 def test_projection_jacobian_matches_finite_differences():
     rng = np.random.default_rng(50)
     h = 1e-6
@@ -114,20 +158,10 @@ def test_projection_jacobian_matches_finite_differences():
         J = projection_jacobian(st, C, EXT, INTR)
         if J is None:
             continue
-        J_fd = np.zeros((2, 6))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            # rotation: body-frame (right) perturbation
-            plus = FilterState(ExtendedPose(pose.rot @ so3_exp(e), pose.vel, pose.pos))
-            minus = FilterState(ExtendedPose(pose.rot @ so3_exp(-e), pose.vel, pose.pos))
-            J_fd[:, k] = (project(C, plus.pose, EXT, INTR) - project(C, minus.pose, EXT, INTR)) / (2 * h)
-            # position: additive
-            plus = FilterState(ExtendedPose(pose.rot, pose.vel, pose.pos + e))
-            minus = FilterState(ExtendedPose(pose.rot, pose.vel, pose.pos - e))
-            J_fd[:, 3 + k] = (project(C, plus.pose, EXT, INTR) - project(C, minus.pose, EXT, INTR)) / (2 * h)
+        J_fd = left_fd(lambda pose_: project(C, pose_, EXT, INTR), pose, h)
         scale = max(np.abs(J).max(), 1.0)
-        assert np.abs(J_fd - J).max() / scale < 1e-5
+        assert np.abs(J_fd - J[:, :9]).max() / scale < 1e-5
+        assert not J[:, 9:].any()  # biases do not move the projection
 
 
 def test_sigma_proj_shrinks_with_range():
@@ -178,7 +212,7 @@ def test_angle_gradients_match_finite_differences():
         if out is None:
             continue
         checked += 1
-        _, d_pixel, grad6 = out
+        _, d_pixel, grad = out
 
         def cos_of(pose_, pix_):
             o = angle_gradients(FilterState(pose_), pix_, C, EXT, INTR)
@@ -194,18 +228,10 @@ def test_angle_gradients_match_finite_differences():
             np.abs(d_pixel).max(), 1e-6
         ) + 1e-10
 
-        fd6 = np.zeros(6)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            p_plus = ExtendedPose(pose.rot @ so3_exp(e), pose.vel, pose.pos)
-            p_minus = ExtendedPose(pose.rot @ so3_exp(-e), pose.vel, pose.pos)
-            fd6[k] = (cos_of(p_plus, pix) - cos_of(p_minus, pix)) / (2 * h)
-            q_plus = ExtendedPose(pose.rot, pose.vel, pose.pos + e)
-            q_minus = ExtendedPose(pose.rot, pose.vel, pose.pos - e)
-            fd6[3 + k] = (cos_of(q_plus, pix) - cos_of(q_minus, pix)) / (2 * h)
-        scale = max(np.abs(grad6).max(), 1e-8)
-        assert np.abs(fd6 - grad6).max() / scale < 1e-4
+        fd = left_fd(lambda pose_: cos_of(pose_, pix), pose, h)
+        scale = max(np.abs(grad).max(), 1e-8)
+        assert np.abs(fd - grad[:9]).max() / scale < 1e-4
+        assert not grad[9:].any()
 
 
 # -------------------------------------------------------------- pair_score

@@ -1,13 +1,16 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nightrider.association import MatchSet
+from nightrider.association import MatchSet, ScoreParams, score_matrix
 from nightrider.camera import (
+    Z_MIN,
     CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
     apply_camera_update,
     back_project,
-    camera_H,
+    bearing_jacobians,
     camera_point,
     pixel_noise_cov,
     project,
@@ -68,23 +71,22 @@ def test_back_project_matches_camera_ray():
         np.testing.assert_allclose(ray, c / c[2], atol=1e-10)
 
 
-def test_camera_H_is_a_two_row_bearing():
+def test_bearing_jacobians_give_a_two_row_bearing():
     rng = np.random.default_rng(91)
     for _ in range(20):
         pose = ExtendedPose(so3_exp(rng.normal(size=3)), pos=rng.normal(size=3))
         C = pose.pos + pose.rot @ np.array([12.0, 1.0, 3.0])
-        out = camera_H(FilterState(pose), C, EXT, INTR)
-        if out is None:
+        front, c, h, H, _, _ = bearing_jacobians([C], FilterState(pose), EXT)
+        if not front[0]:
             continue
-        H, h = out
-        assert H.shape == (2, 15) and h.shape == (2,)
+        assert H.shape == (1, 2, 15) and h.shape == (1, 2)
         c = camera_point(C, pose, EXT)
-        assert h.tobytes() == (c[:2] / c[2]).tobytes()
-        assert np.abs(H[:, 3:6]).max() == 0.0  # bearings carry no velocity info
-        assert np.abs(H[:, 9:15]).max() == 0.0
+        assert h[0].tobytes() == (c[:2] / c[2]).tobytes()
+        assert np.abs(H[0, :, 3:6]).max() == 0.0  # bearings carry no velocity info
+        assert np.abs(H[0, :, 9:15]).max() == 0.0
 
 
-def test_camera_H_matches_error_model():
+def test_bearing_jacobians_match_error_model():
     # z = y - h(est) must equal -H xi to first order, with the truth at
     # exp(-xi) * est and y the noiseless normalized observation
     rng = np.random.default_rng(92)
@@ -94,23 +96,83 @@ def test_camera_H_matches_error_model():
         pose = se23_exp(
             np.concatenate([rng.normal(size=3) * 0.4, rng.normal(size=6) * 3.0])
         )
-        st = FilterState(pose)
+        st_ = FilterState(pose)
         C = pose.pos + pose.rot @ np.array([20.0, 0.0, 4.0]) + rng.normal(size=3) * 2
-        out = camera_H(st, C, EXT, INTR)
-        if out is None:
+        front, _, h, H, _, _ = bearing_jacobians([C], st_, EXT)
+        if not front[0]:
             continue
         checked += 1
-        H, h = out
         xi = rng.normal(size=9)
         xi /= np.linalg.norm(xi)
 
         def innovation(scale):
             true_pose = se23_exp(-scale * xi).compose(pose)
             c = camera_point(C, true_pose, EXT)
-            return c[:2] / c[2] - h
+            return c[:2] / c[2] - h[0]
 
         z = (innovation(eps) - innovation(-eps)) / 2.0
-        np.testing.assert_allclose(z, -eps * H[:, 0:9] @ xi, rtol=1e-5, atol=1e-12)
+        np.testing.assert_allclose(z, -eps * H[0, :, 0:9] @ xi, rtol=1e-5, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12))
+def test_bearing_jacobians_on_far_states(seed, m):
+    """Batched rows equal single calls, rows behind the camera are zero, H
+    matches central differences under se23_exp(-xi) X, and score_matrix's
+    pixel covariance Sp is alpha I + F H P H' F with F = diag(fx, fy) to
+    1e-12 relative, on states up to 100 m out and rotated 1 to pi
+    radians."""
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=3)
+    rot = so3_exp(axis / np.linalg.norm(axis) * rng.uniform(1.0, np.pi))
+    pos = rng.normal(size=3)
+    pos *= rng.uniform(0.0, 100.0) / np.linalg.norm(pos)
+    pose = ExtendedPose(rot, rng.normal(size=3) * 5.0, pos)
+    state = FilterState(pose)
+    # centers around the body, some behind the camera
+    centers = pos + rng.uniform(-40.0, 40.0, size=(m, 3)) @ rot.T
+    front, c, h, H, dh_dc, Dc = bearing_jacobians(centers, state, EXT)
+
+    assert H.shape == (m, 2, 15) and Dc.shape == (m, 3, 15)
+    np.testing.assert_array_equal(front, c[:, 2] >= Z_MIN)
+    for k in range(m):
+        one = bearing_jacobians(centers[k], state, EXT)
+        for whole, single in zip((front, c, h, H, dh_dc, Dc), one):
+            assert whole[k].tobytes() == single[0].tobytes()
+    assert not h[~front].any() and not H[~front].any() and not Dc[~front].any()
+
+    eps = 1e-6
+    for k in np.flatnonzero(c[:, 2] > 1.0):
+        H_fd = np.zeros((2, 9))
+        for i in range(9):
+            e = np.zeros(9)
+            e[i] = eps
+            b = [camera_point(centers[k], se23_exp(-s * e).compose(pose), EXT) for s in (1, -1)]
+            H_fd[:, i] = -(b[0][:2] / b[0][2] - b[1][:2] / b[1][2]) / (2.0 * eps)
+        scale = np.abs(H[k]).max()
+        assert np.abs(H_fd - H[k, :, :9]).max() <= 1e-5 * scale
+        assert not H[k, :, 9:].any()
+
+    # score_matrix with the projection density alone and each detection on
+    # its cluster's projection, one detection per in-front cluster
+    params = ScoreParams(weight=1.0, alpha=4.0, max_range=np.inf)
+    B = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-3, -1)
+    P = B @ B.T
+    seen = np.flatnonzero(front)
+    if not len(seen):
+        return
+    clusters = [StreetlightCluster(int(k), centers[k]) for k in seen]
+    F = np.diag([INTR.fx, INTR.fy])
+    pix = h[seen] @ F + [INTR.cx, INTR.cy]
+    offsets = rng.normal(size=(len(seen), 2)) * 3.0
+    dets = [DetectionBox(p + d, np.array([8.0, 8.0])) for p, d in zip(pix, offsets)]
+    S = np.diagonal(score_matrix(dets, clusters, state, P, params, EXT, INTR))
+    Sp = params.alpha * np.eye(2) + F @ H[seen] @ P @ H[seen].transpose(0, 2, 1) @ F
+    quad = np.einsum("ni,nij,nj->n", offsets, np.linalg.inv(Sp), offsets)
+    expect = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(Sp)))
+    # the density's determinant and quadratic form amplify a relative
+    # error in Sp by up to cond(Sp)
+    assert (np.abs(S - expect) <= 1e-12 * np.linalg.cond(Sp) * expect).all()
 
 
 def test_pixel_noise_cov_values():

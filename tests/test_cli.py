@@ -223,6 +223,26 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         ('{"image_width": 0.5}', "image_width"),
         ('{"image_height": 19}', "image_height"),
         ('{"name": 5}', "name"),
+        (
+            '{"trajectory": {"kind": "circle", "radius": 20, "speed": 5, "height": [1]}}',
+            "height",
+        ),
+        ('{"trajectory": {"kind": "line", "velocity": [2, 0, 0], "yaw": [1]}}', "yaw"),
+        (
+            '{"trajectory": {"kind": "circle", "radius": 20, "speed": 5, "phase": "x"}}',
+            "phase",
+        ),
+        (
+            '{"trajectory": {"kind": "circle", "radius": 20, "speed": 5, "center": [0, NaN]}}',
+            "center",
+        ),
+        ('{"trajectory": {"kind": "line", "velocity": [2, 0, 0], "start": [0, 0]}}', "start"),
+        ('{"trajectory": {"kind": "line", "velocity": [2, true, 0]}}', "velocity"),
+        (
+            '{"trajectory": {"kind": "figure-eight", "amp_x": 25, "amp_y": 12, "period": 40, '
+            '"height": "1"}}',
+            "height",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -243,6 +263,13 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         "fractional-width",
         "narrow-height",
         "numeric-name",
+        "list-height",
+        "list-yaw",
+        "string-phase",
+        "nan-center",
+        "short-start",
+        "bool-velocity",
+        "string-figure-eight-height",
     ],
 )
 def test_malformed_scenario_exits_1(tmp_path, capsys, document, named):

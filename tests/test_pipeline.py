@@ -21,6 +21,7 @@ from nightrider.sim import (
     corridor_scenario,
     default_scenario,
     generate_truth,
+    ring_scenario,
     simulate_imu,
 )
 
@@ -184,6 +185,15 @@ def test_blackout_recovery_event():
     t = res.times
     dark_peak = res.trans_errors[(t > 20.0) & (t < 35.0)].max()
     assert dark_peak > res.trans_errors[(t < 15.0)].max()
+
+
+def test_ring_without_extension_stays_under_the_ate_bar():
+    # association alone must hold the ring: its densities read P in the
+    # filter's invariant coordinates, so far from the origin they are not
+    # inflated into the no-match column and the run is never declared lost
+    res = run_pipeline(ring_scenario(), config=PipelineConfig(use_extension=False))
+    assert res.metrics()["ate_trans"] < 0.005 * res.path_length
+    assert not [e for e in res.events if e[1] == "recovery_failed"]
 
 
 def test_degeneration_flag_changes_corridor():

@@ -11,7 +11,7 @@ from nightrider.camera import (
     CameraIntrinsics,
     DetectionBox,
     apply_camera_update,
-    camera_H,
+    bearing_jacobians,
     pixel_noise_cov,
     project,
 )
@@ -573,11 +573,7 @@ def oracle_corrections(combos, lin, G, noise):
 def _pair_blocks(lin, clusters, state):
     """G[a, b] = H_a P H_b' as an (m, m, 2, 2) array, from lin's H P."""
     m = len(clusters)
-    H = np.zeros((m, 2, 15))
-    for j, c in enumerate(clusters):
-        out = camera_H(state, c.center, EXT, INTR)
-        if out is not None:
-            H[j] = out[0]
+    H = bearing_jacobians([c.center for c in clusters], state, EXT)[3]
     G = lin.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
     return G.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
 
