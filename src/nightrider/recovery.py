@@ -3,10 +3,11 @@
 After a stretch with no accepted streetlight matches the filter is
 declared lost.  Recovery enumerates every one-to-one mapping between the
 current detections and nearby map clusters (each detection may also map
-to nothing), applies the camera update for each candidate mapping, and
-scores the result: reprojection residuals, planar position change, yaw
-change, and a flat penalty per unmatched detection.  The cheapest
-combination wins if it is cheap enough and matches more than two lights.
+to nothing), evaluates the camera update for each candidate mapping,
+and scores the result: reprojection residuals, planar position change,
+yaw change, and a flat penalty per unmatched detection.  The cheapest
+combination wins if it is cheap enough and matches at least MIN_LIGHTS
+lights; apply_camera_update then applies the winner's update alone.
 
 Every candidate update starts from the same state and covariance, so
 they share one linearization: the invariant EKF's Jacobians depend on
@@ -33,13 +34,6 @@ a rounding margin at each end, every candidate passes invariant_update's
 rule, and one eigvalsh per attempt stands in for one per candidate.
 Otherwise every candidate's S is checked by the rule, in one batched
 eigvalsh per block.
-
-Batched arithmetic rounds differently from a single update.  So the few
-combinations that score within a relative SCORE_TOL of the best batched
-score are evaluated again by apply_camera_update and score_candidate, in
-enumeration order.  Those serial scores pick the winner and decide
-whether it is accepted, and the returned state and covariance are the
-winner's serial update.
 """
 
 from __future__ import annotations
@@ -58,18 +52,12 @@ from .camera import (
     bearing_jacobians,
     pinhole,
     pixel_noise_cov,
-    project,
 )
 from .inekf import UpdateRejected
 from .lie import so3_exp_jacobian_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
 MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
-# Batched and serial scores of one combination agree to rounding (5e-12
-# relative at worst over the benchmark's 57,243 candidates); every
-# combination within SCORE_TOL * (1 + lowest) of the lowest batched score
-# is re-scored serially.
-SCORE_TOL = 1e-9
 # eigvalsh errs by about 2m eps lambda_max in each eigenvalue of the 2m x
 # 2m S_all (eps = 2.2e-16), and a candidate's own S, computed by
 # invariant_update, differs from S_all's submatrix by rounding of the same
@@ -123,40 +111,6 @@ def assignment_array(n, m):
         parent, choice = np.nonzero(free)
         rows = np.column_stack([rows[parent], (choice - 1).astype(dtype)])
     return rows
-
-
-def _yaw(rot):
-    return math.atan2(rot[1, 0], rot[0, 0])
-
-
-def score_candidate(state_before, state_after, matches, clusters_by_id, ext, intr, params):
-    """Punishment score of one candidate mapping after its update.
-
-    Mean pixel reprojection residual of the matched pairs (0 when none),
-    plus weighted planar translation, weighted yaw change, and the
-    per-NONE penalty.  None when a matched cluster reprojects behind the
-    camera, which disqualifies the combination.
-    """
-    residuals = []
-    for det, cid in matches.positive_pairs():
-        pix = project(clusters_by_id[cid].center, state_after.pose, ext, intr)
-        if pix is None:
-            return None
-        residuals.append(np.linalg.norm(np.asarray(det.center) - pix))
-    mean_resid = float(np.mean(residuals)) if residuals else 0.0
-
-    dt_xy = float(
-        np.linalg.norm((state_after.pose.pos - state_before.pose.pos)[:2])
-    )
-    d_rot = state_before.pose.rot.T @ state_after.pose.rot
-    d_yaw = abs(_yaw(d_rot))
-    n_neg = len(matches.cluster_ids) - matches.positive_count()
-    return (
-        mean_resid
-        + params.gamma_pos * dt_xy
-        + params.gamma_yaw * d_yaw
-        + params.gamma_neg * n_neg
-    )
 
 
 class _SharedLinearization:
@@ -229,10 +183,12 @@ def _corrections(combos, lin):
 
 
 def _block_scores(combos, lin, state, params, ext, intr):
-    """score_candidate of each combination in a (B, n) block, up to rounding.
+    """Punishment score of each combination in a (B, n) block.
 
-    inf where the update is rejected or a matched cluster reprojects
-    behind the camera after it.
+    Mean pixel reprojection residual of the matched pairs after the
+    combination's update (0 when none), plus weighted planar translation,
+    weighted yaw change, and the per-NONE penalty.  inf where the update
+    is rejected or a matched cluster reprojects behind the camera after it.
     """
     delta = _corrections(combos, lin)
     rejected = np.isnan(delta[:, 0])
@@ -301,20 +257,16 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     most signal), then the farthest candidate clusters are dropped until
     the count fits.
 
-    Each combination is scored as its own camera update would score it
-    (apply_camera_update, then score_candidate), but in blocks of
+    Each combination is scored after its own camera update, in blocks of
     CANDIDATE_BLOCK that share one linearization (see the module
     docstring).  A combination whose update is numerically rejected, or
     that leaves a matched cluster behind the camera, is skipped.  The
-    combinations within SCORE_TOL * (1 + lowest) of the lowest batched
-    score are then evaluated one at a time by apply_camera_update and
-    score_candidate, in enumeration order.  The lowest serial score
-    wins, the earliest on a tie, as in a serial loop over every
-    combination.  The winner is accepted when its serial score is under
-    th_score and it matches at least MIN_LIGHTS lights; the returned
-    state and covariance are its serial update's.  With fewer than
-    MIN_LIGHTS detections or clusters left after the shrink no map can
-    be accepted, so nothing is searched.
+    lowest score wins, the earliest in enumeration order on a tie.  The
+    winner is accepted when its score is under th_score and it matches at
+    least MIN_LIGHTS lights; the returned state and covariance are then
+    those of one apply_camera_update for it, and None if that update is
+    rejected.  With fewer than MIN_LIGHTS detections or clusters left
+    after the shrink no map can be accepted, so nothing is searched.
     """
     detections, clusters = _shrink(detections, clusters, state, params)
     n, m = len(detections), len(clusters)
@@ -322,41 +274,22 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
         return None
 
     lin = _SharedLinearization(detections, clusters, state, P, ext, intr, pixel_sigma)
-    lowest = np.inf
-    shortlist = []  # (batched score, combination), in enumeration order
+    best, winner = np.inf, None
     combos = assignment_array(n, m)
     for start in range(0, len(combos), CANDIDATE_BLOCK):
         block = combos[start : start + CANDIDATE_BLOCK].astype(np.intp)
         scores = _block_scores(block, lin, state, params, ext, intr)
-        lowest = min(lowest, scores.min())
-        cut = lowest + SCORE_TOL * (1.0 + lowest)
-        near = np.isfinite(scores) & (scores <= cut)
-        shortlist = [(s, c) for s, c in shortlist if s <= cut]
-        shortlist += [(scores[i], tuple(block[i])) for i in np.flatnonzero(near)]
+        i = int(np.argmin(scores))  # the first of equal lowest scores
+        if scores[i] < best:
+            best, winner = scores[i], block[i]
 
-    clusters_by_id = {c.id: c for c in clusters}
-    best = None
-    for _, combo in shortlist:
-        ids = [clusters[j].id if j >= 0 else None for j in combo]
-        ms = MatchSet(list(detections), ids, [0.0] * n)
-        if ms.positive_count():
-            try:
-                st, Pc = apply_camera_update(
-                    state, P, ms, clusters_by_id, ext, intr, pixel_sigma
-                )
-            except UpdateRejected:
-                continue
-        else:
-            st, Pc = state, P
-        score = score_candidate(state, st, ms, clusters_by_id, ext, intr, params)
-        if score is None:
-            continue
-        if best is None or score < best[0]:
-            best = (score, st, Pc, ms)
-
-    if best is None:
+    if best >= params.th_score or (winner >= 0).sum() < MIN_LIGHTS:
         return None
-    score, st, Pc, ms = best
-    if score < params.th_score and ms.positive_count() >= MIN_LIGHTS:
-        return st, Pc.copy(), ms
-    return None
+    ids = [clusters[j].id if j >= 0 else None for j in winner]
+    ms = MatchSet(list(detections), ids, [0.0] * n)
+    clusters_by_id = {c.id: c for c in clusters}
+    try:
+        st, Pc = apply_camera_update(state, P, ms, clusters_by_id, ext, intr, pixel_sigma)
+    except UpdateRejected:
+        return None
+    return st, Pc.copy(), ms

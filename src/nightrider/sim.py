@@ -46,6 +46,18 @@ _TRAJECTORY_SCALARS = {
 # the optional coordinate lists it reads, with their lengths
 _TRAJECTORY_VECTORS = {"circle": {"center": 2}, "line": {"start": 3, "velocity": 3}}
 _FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
+# the scenario numbers that must be > 0, and those that must be >= 0
+_POSITIVE = ("imu_rate", "odom_rate", "cam_rate", "duration", "fx", "fy", "lamp_size", "bloom")
+_NON_NEGATIVE = (
+    "gyro_sigma",
+    "accel_sigma",
+    "gyro_bias_sigma",
+    "accel_bias_sigma",
+    "odom_sigma",
+    "pixel_sigma",
+    "false_positives",
+    "detector_min_box",
+)
 
 
 def _finite_real(value):
@@ -53,6 +65,14 @@ def _finite_real(value):
         not isinstance(value, bool)
         and isinstance(value, numbers.Real)
         and math.isfinite(value)
+    )
+
+
+def _finite_vector(value, size):
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == size
+        and all(map(_finite_real, value))
     )
 
 
@@ -102,9 +122,17 @@ class Scenario:
             scalar = f.type in ("float", "int") and f.name != "seed"
             if scalar and not _finite_real(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        for name in ("imu_rate", "odom_rate", "cam_rate", "duration"):
+        for name in _POSITIVE:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in _NON_NEGATIVE:
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if not 0 <= self.dropout <= 1:
+            raise ValueError(f"dropout must be in [0, 1], got {self.dropout!r}")
+        for name in ("gyro_bias0", "accel_bias0"):
+            if not _finite_vector(getattr(self, name), 3):
+                raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         try:
@@ -129,11 +157,7 @@ class Scenario:
                 raise ValueError(f"trajectory {key} must be positive, got {value!r}")
         for key, size in _TRAJECTORY_VECTORS.get(kind, {}).items():
             value = self.trajectory.get(key, [0.0] * size)
-            if not (
-                isinstance(value, (list, tuple))
-                and len(value) == size
-                and all(map(_finite_real, value))
-            ):
+            if not _finite_vector(value, size):
                 raise ValueError(
                     f"trajectory {key} must be {size} finite numbers, got {value!r}"
                 )

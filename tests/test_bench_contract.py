@@ -1,9 +1,11 @@
 """The benchmark observes the program only through benchmarks/hooks.py.
 
-Its wrappers are swapped in by module and function name, and read the
-MatchSet from the third positional argument of apply_camera_update.  A
-refactor that renames, inlines or re-binds one of those functions breaks
-the benchmark without breaking any other test; this one catches that.
+Its wrappers are swapped in by module and function name, read the
+MatchSet from the third positional argument of apply_camera_update, and
+read the recovery budget from the fifth positional argument of
+attempt_recovery.  A refactor that renames, inlines or re-binds one of
+those functions breaks the benchmark without breaking any other test;
+this one catches that.
 """
 
 import importlib.util
@@ -88,6 +90,10 @@ def test_run_record_holds_frames_matches_and_recovery(observed):
     assert len(rec.recoveries) == kinds["recovered"] + kinds["recovery_failed"] > 0
     frame_dets = {id(f.detections) for f in rec.frames}
     assert all(id(args[0]) in frame_dets for args, _, _ in rec.recoveries)
+    # workloads.recovery_candidates reads the budget from the fifth argument
+    for args, _, _ in rec.recoveries:
+        assert isinstance(args[4].max_detections, int)
+        assert isinstance(args[4].max_combinations, int)
     # apply_camera_update's third argument carried the matched pairs
     assert len(rec.update_pairs) > 0 and sum(rec.update_pairs) > 0
 

@@ -243,6 +243,15 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
             '"height": "1"}}',
             "height",
         ),
+        ('{"fx": 0}', "fx"),
+        ('{"false_positives": -1}', "false_positives"),
+        ('{"dropout": 2}', "dropout"),
+        ('{"pixel_sigma": -1}', "pixel_sigma"),
+        ('{"lamp_size": -1}', "lamp_size"),
+        ('{"gyro_bias0": [1]}', "gyro_bias0"),
+        ('{"odom_sigma": -1}', "odom_sigma"),
+        ('{"bloom": -1}', "bloom"),
+        ('{"accel_sigma": -1}', "accel_sigma"),
     ],
     ids=[
         "unknown-key",
@@ -270,6 +279,15 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         "short-start",
         "bool-velocity",
         "string-figure-eight-height",
+        "zero-fx",
+        "negative-false-positives",
+        "dropout-over-one",
+        "negative-pixel-sigma",
+        "negative-lamp-size",
+        "short-gyro-bias",
+        "negative-odom-sigma",
+        "negative-bloom",
+        "negative-accel-sigma",
     ],
 )
 def test_malformed_scenario_exits_1(tmp_path, capsys, document, named):

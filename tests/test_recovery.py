@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,7 +26,6 @@ from nightrider.recovery import (
     attempt_recovery,
     combination_count,
     is_lost,
-    score_candidate,
 )
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
@@ -236,6 +237,68 @@ def test_recovery_empty_inputs():
     P = _loose_cov()
     assert attempt_recovery([], clusters, state, P, RecoveryParams(), EXT, INTR) is None
     assert attempt_recovery(dets, [], state, P, RecoveryParams(), EXT, INTR) is None
+
+
+def test_recovery_applies_one_update_for_the_winner(monkeypatch):
+    truth, clusters, dets = _planted_scene()
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2].cluster_ids)
+        return apply_camera_update(*args)
+
+    monkeypatch.setattr(recovery, "apply_camera_update", counting)
+    out = attempt_recovery(
+        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), EXT, INTR
+    )
+    assert out is not None
+    assert calls == [[0, 1, 2, 3]]
+
+
+def test_recovery_returns_none_when_the_winners_update_is_rejected(monkeypatch):
+    truth, clusters, dets = _planted_scene()
+    state, P, params = _offset_state(truth), _loose_cov(), RecoveryParams()
+    assert attempt_recovery(dets, clusters, state, P, params, EXT, INTR) is not None
+
+    def rejecting(*args):
+        raise UpdateRejected("planted")
+
+    monkeypatch.setattr(recovery, "apply_camera_update", rejecting)
+    assert attempt_recovery(dets, clusters, state, P, params, EXT, INTR) is None
+
+
+def _yaw(rot):
+    return math.atan2(rot[1, 0], rot[0, 0])
+
+
+def score_candidate(state_before, state_after, matches, clusters_by_id, ext, intr, params):
+    """Reference oracle: punishment score of one candidate after its update.
+
+    Mean pixel reprojection residual of the matched pairs (0 when none),
+    plus weighted planar translation, weighted yaw change, and the
+    per-NONE penalty.  None when a matched cluster reprojects behind the
+    camera, which disqualifies the combination.
+    """
+    residuals = []
+    for det, cid in matches.positive_pairs():
+        pix = project(clusters_by_id[cid].center, state_after.pose, ext, intr)
+        if pix is None:
+            return None
+        residuals.append(np.linalg.norm(np.asarray(det.center) - pix))
+    mean_resid = float(np.mean(residuals)) if residuals else 0.0
+
+    dt_xy = float(
+        np.linalg.norm((state_after.pose.pos - state_before.pose.pos)[:2])
+    )
+    d_rot = state_before.pose.rot.T @ state_after.pose.rot
+    d_yaw = abs(_yaw(d_rot))
+    n_neg = len(matches.cluster_ids) - matches.positive_count()
+    return (
+        mean_resid
+        + params.gamma_pos * dt_xy
+        + params.gamma_yaw * d_yaw
+        + params.gamma_neg * n_neg
+    )
 
 
 def serial_attempt_recovery(

@@ -63,6 +63,9 @@ def runs():
     yield "blackout seed=0 start=10 length=30", blackout_scenario(
         0, start=10, length=30
     ), None
+    # the one digested run whose recovery searches and fails: 18 failed
+    # attempts before the first that recovers
+    yield "blackout seed=0 start=10 length=20", blackout_scenario(0, start=10), None
 
 
 def files_digest(argv):
