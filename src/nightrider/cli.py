@@ -69,7 +69,7 @@ def _load_scenario(name_or_path, seed):
             f"({', '.join(sorted(BUILTIN_SCENARIOS))}) nor a file"
         )
     if seed is not None:
-        sc.seed = seed
+        sc = Scenario.from_dict({**sc.to_dict(), "seed": seed})  # checks the seed
     return sc
 
 
@@ -175,7 +175,7 @@ def cmd_localize(args):
 
     if args.runs > 1:
         config.perturb_init = True
-        mc = monte_carlo(sc, args.runs, config=config)
+        mc = monte_carlo(sc, args.runs, config=config, smap=smap)
         report = {
             "scenario": sc.name,
             "runs": args.runs,

@@ -189,6 +189,15 @@ def load_map(path):
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{path}: malformed cluster entry ({exc})") from exc
+    seen = set()
+    for c in clusters:
+        if c.center.shape != (3,) or not np.isfinite(c.center).all():
+            raise MapFormatError(f"{path}: cluster {c.id} center must be 3 finite numbers")
+        if not np.isfinite(c.points).all():
+            raise MapFormatError(f"{path}: cluster {c.id} points must be finite")
+        if c.id in seen:
+            raise MapFormatError(f"{path}: cluster id {c.id} repeats")
+        seen.add(c.id)
     return StreetlightMap(doc.get("map_id", ""), doc.get("frame", "world"), clusters)
 
 

@@ -396,11 +396,12 @@ class MonteCarloResult:
         return float(self.mean_nees.mean())
 
 
-def monte_carlo(scenario, runs, config=None):
+def monte_carlo(scenario, runs, config=None, smap=None):
     """Repeated runs over re-seeded copies of the scenario.
 
     Initial states are drawn from the filter's initial covariance so the
-    NEES is meaningful from the first frame.
+    NEES is meaningful from the first frame.  Every run localizes against
+    smap, or against make_map of the scenario when smap is None.
     """
     if config is None:
         config = PipelineConfig(perturb_init=True)
@@ -409,7 +410,7 @@ def monte_carlo(scenario, runs, config=None):
     finals = []
     for i in range(runs):
         sc = Scenario.from_dict({**base, "seed": int(base["seed"]) + i})
-        result = run_pipeline(sc, config=config)
+        result = run_pipeline(sc, smap=smap, config=config)
         mean_nees.append(float(result.nees.mean()))
         finals.append(float(result.trans_errors[-1]))
     return MonteCarloResult(np.array(mean_nees), np.array(finals))

@@ -24,56 +24,108 @@ import numpy as np
 import scipy.interpolate
 
 from .camera import CamExtrinsics, CameraIntrinsics, DetectionBox, pinhole
-from .inekf import GRAVITY, ImuSample
+from .inekf import GRAVITY, MAX_DT, ImuSample
 from .lie import ExtendedPose, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
 from .odometry import OdomSample
 
 
-# keys each trajectory kind cannot do without
-_TRAJECTORY_KEYS = {
-    "circle": ("radius", "speed"),
-    "figure-eight": ("amp_x", "amp_y", "period"),
-    "waypoints": ("times", "points"),
-}
-# the numbers _truth_arrays reads, needed or optional; radius and period
-# must be positive
-_TRAJECTORY_SCALARS = {
-    "circle": ("radius", "speed", "height", "phase"),
-    "figure-eight": ("amp_x", "amp_y", "period", "height"),
-    "line": ("yaw",),
-}
-# the optional coordinate lists it reads, with their lengths
-_TRAJECTORY_VECTORS = {"circle": {"center": 2}, "line": {"start": 3, "velocity": 3}}
 _FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
-# the scenario numbers that must be > 0, and those that must be >= 0
-_POSITIVE = ("imu_rate", "odom_rate", "cam_rate", "duration", "fx", "fy", "lamp_size", "bloom")
-_NON_NEGATIVE = (
-    "gyro_sigma",
-    "accel_sigma",
-    "gyro_bias_sigma",
-    "accel_bias_sigma",
-    "odom_sigma",
-    "pixel_sigma",
-    "false_positives",
-    "detector_min_box",
+# Bounds that keep a run in memory and time (ring has 20,000 IMU samples, 1,000
+# frames and 0.5 false positives, drawn one by one, per frame), frame_boxes'
+# mask within 64 MiB, and the squares and quotients of scenario numbers finite.
+MAX_SAMPLES = {"imu_rate": 10**6, "cam_rate": 10**5}  # of duration * rate
+MAX_FP = 100  # expected false positives per frame
+MAX_IMAGE_SIDE = 8192  # px
+MAX_ABS, MIN_SCALE = 1e9, 1e-9  # any number's size; a positive field's least value
+
+
+def _real(v):
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and abs(v) <= MAX_ABS
+
+
+def _integer(v):
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
+def _list_of(ok, size=None):
+    """A check for a list (of size entries, if given) whose entries all pass ok."""
+    return lambda v: isinstance(v, (list, tuple)) and size in (None, len(v)) and all(map(ok, v))
+
+
+def _number(low=-MAX_ABS, high=MAX_ABS, kind=_real, noun="a number"):
+    """A rule, (check, what a value that passes it is), for a number in [low, high]."""
+    return (lambda v: kind(v) and low <= v <= high), f"{noun} in [{low:g}, {high:g}]"
+
+
+_NUM, _GT_0, _GE_0 = _number(), _number(MIN_SCALE), _number(0)
+_IN = f"in [{-MAX_ABS:g}, {MAX_ABS:g}]"
+_XY = (_list_of(_real, 2), f"2 numbers {_IN}")
+_XYZ = (_list_of(_real, 3), f"3 numbers {_IN}")
+_POINTS = (_list_of(_list_of(_real, 3)), f"a list of [x, y, z] points, each number {_IN}")
+_TIMES = (
+    lambda v: _list_of(_real)(v) and len(v) >= 2 and all(a < b for a, b in zip(v, v[1:])),
+    f"2 or more increasing numbers {_IN}",
 )
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_SIDE = _number(2 * _FP_INSET, MAX_IMAGE_SIDE, _integer, "an integer")
+
+# trajectory kind -> ({required key: rule}, {optional key: rule}); _truth_arrays
+# reads these keys
+_TRAJECTORIES = {
+    "circle": ({"radius": _GT_0, "speed": _NUM}, {"center": _XY, "height": _NUM, "phase": _NUM}),
+    "figure-eight": ({"amp_x": _NUM, "amp_y": _NUM, "period": _GT_0}, {"height": _NUM}),
+    "line": ({}, {"start": _XYZ, "velocity": _XYZ, "yaw": _NUM}),
+    "waypoints": ({"times": _TIMES, "points": _POINTS}, {"closed": _BOOL}),
+}
+
+# Scenario field -> rule
+_FIELDS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "trajectory": (
+        lambda v: isinstance(v, dict) and v.get("kind") in tuple(_TRAJECTORIES),
+        "an object whose kind is one of " + ", ".join(map(repr, _TRAJECTORIES)),
+    ),
+    "duration": _GT_0,
+    "imu_rate": _number(1 / MAX_DT),  # propagate refuses steps longer than MAX_DT
+    "odom_rate": _GT_0,
+    "cam_rate": _GT_0,
+    "seed": _number(0, math.inf, _integer, "an integer"),
+    "lamps": _POINTS,
+    "lamp_size": _GT_0,
+    "bloom": _GT_0,
+    "gyro_sigma": _GE_0,
+    "accel_sigma": _GE_0,
+    "gyro_bias_sigma": _GE_0,
+    "accel_bias_sigma": _GE_0,
+    "bias_mode": (lambda v: v in ("random-walk", "constant"), "'random-walk' or 'constant'"),
+    "gyro_bias0": _XYZ,
+    "accel_bias0": _XYZ,
+    "odom_sigma": _GE_0,
+    "pixel_sigma": _GE_0,
+    "dropout": _number(0, 1),
+    "false_positives": _number(0, MAX_FP),
+    "detector_min_box": _GE_0,
+    "blackouts": (
+        _list_of(lambda b: _list_of(_real, 2)(b) and b[0] < b[1]),
+        f"a list of [t0, t1] pairs with t0 < t1, each {_IN}",
+    ),
+    "fx": _GT_0,
+    "fy": _GT_0,
+    "cx": _NUM,
+    "cy": _NUM,
+    "image_width": _SIDE,
+    "image_height": _SIDE,
+}
 
 
-def _finite_real(value):
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, numbers.Real)
-        and math.isfinite(value)
-    )
-
-
-def _finite_vector(value, size):
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == size
-        and all(map(_finite_real, value))
-    )
+def _check(doc, rules, prefix="", required=()):
+    """Raise a ValueError naming the first key that is missing or breaks its rule."""
+    for key, (check, text) in rules.items():
+        if key not in doc and key in required:
+            raise ValueError(f"{prefix}{key} is required; it must be {text}")
+        if key in doc and not check(doc[key]):
+            raise ValueError(f"{prefix}{key} must be {text}, got {doc[key]!r}")
 
 
 @dataclass
@@ -117,69 +169,25 @@ class Scenario:
     image_height: int = 720
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            scalar = f.type in ("float", "int") and f.name != "seed"
-            if scalar and not _finite_real(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        for name in _POSITIVE:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in _NON_NEGATIVE:
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if not 0 <= self.dropout <= 1:
-            raise ValueError(f"dropout must be in [0, 1], got {self.dropout!r}")
-        for name in ("gyro_bias0", "accel_bias0"):
-            if not _finite_vector(getattr(self, name), 3):
-                raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            lamps = np.asarray(self.lamps, dtype=float)
-        except (TypeError, ValueError):
-            lamps = None
-        if lamps is None or (
-            lamps.size and (lamps.shape[1:] != (3,) or not np.isfinite(lamps).all())
-        ):
-            raise ValueError("lamps must be a list of finite [x, y, z] points")
-        if not isinstance(self.trajectory, dict):
-            raise ValueError(f"trajectory must be an object, got {self.trajectory!r}")
-        kind = self.trajectory.get("kind")
-        missing = [k for k in _TRAJECTORY_KEYS.get(kind, ()) if k not in self.trajectory]
-        if missing:
-            raise ValueError(f"a {kind} trajectory needs {', '.join(map(repr, missing))}")
-        for key in _TRAJECTORY_SCALARS.get(kind, ()):
-            value = self.trajectory.get(key, 0.0)
-            if not _finite_real(value):
-                raise ValueError(f"trajectory {key} must be a finite number, got {value!r}")
-            if key in ("radius", "period") and not value > 0:
-                raise ValueError(f"trajectory {key} must be positive, got {value!r}")
-        for key, size in _TRAJECTORY_VECTORS.get(kind, {}).items():
-            value = self.trajectory.get(key, [0.0] * size)
-            if not _finite_vector(value, size):
-                raise ValueError(
-                    f"trajectory {key} must be {size} finite numbers, got {value!r}"
-                )
-        pairs = self.blackouts
-        for b in pairs if isinstance(pairs, (list, tuple)) else [pairs]:
-            pair = isinstance(b, (list, tuple)) and len(b) == 2
-            if not (pair and all(map(_finite_real, b)) and b[0] < b[1]):
-                raise ValueError(f"blackouts must be [t0, t1] pairs, t0 < t1, got {b!r}")
+        _check(vars(self), _FIELDS)
+        spec = self.trajectory
+        required, optional = _TRAJECTORIES[spec["kind"]]
+        unknown = sorted(map(repr, set(spec) - {"kind", *required, *optional}))
+        if unknown:
+            raise ValueError(f"unknown trajectory keys: {', '.join(unknown)}")
+        _check(spec, {**required, **optional}, "trajectory ", required)
+        if spec["kind"] == "waypoints" and len(spec["points"]) != len(spec["times"]):
+            raise ValueError("trajectory points must hold one point per entry of times")
+        p = spec.get("points")  # CubicSpline's periodic end condition, with its tolerance
+        if spec.get("closed") and not np.allclose(p[0], p[-1], rtol=1e-15, atol=1e-15):
+            raise ValueError("closed trajectory points must end where they start")
+        for name, most in MAX_SAMPLES.items():
+            if self.duration * getattr(self, name) > most:
+                raise ValueError(f"duration * {name} must be at most {most} samples")
         for name in ("odom_rate", "cam_rate"):
             ratio = self.imu_rate / getattr(self, name)
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError(f"imu_rate must be an integer multiple of {name}")
-        if self.bias_mode not in ("random-walk", "constant"):
-            raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
-        if not isinstance(self.name, str):
-            raise ValueError(f"name must be a string, got {self.name!r}")
-        for name in ("image_width", "image_height"):
-            size = getattr(self, name)
-            if not isinstance(size, numbers.Integral):  # bools fail above
-                raise ValueError(f"{name} must be an integer, got {size!r}")
-            if size < 2 * _FP_INSET:
-                raise ValueError(f"{name} must be at least {2 * _FP_INSET:g} px, got {size}")
 
     def intrinsics(self):
         return CameraIntrinsics(
@@ -339,7 +347,7 @@ def _truth_arrays(spec, t):
         speed_xy = math.hypot(v[0], v[1])
         yaw0 = spec.get("yaw", math.atan2(v[1], v[0]) if speed_xy > 0 else 0.0)
         return pos, vel, acc, np.full(n, float(yaw0)), np.zeros(n)
-    elif kind == "waypoints":
+    else:  # waypoints
         times = np.asarray(spec["times"], dtype=float)
         points = np.asarray(spec["points"], dtype=float)
         bc = "periodic" if spec.get("closed", False) else "natural"
@@ -347,8 +355,6 @@ def _truth_arrays(spec, t):
         pos = spline(t)
         vel = spline(t, 1)
         acc = spline(t, 2)
-    else:
-        raise ValueError(f"unknown trajectory kind {kind!r}")
 
     speed2 = vel[:, 0] ** 2 + vel[:, 1] ** 2
     if speed2.min() < 0.05**2:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nightrider.cli import main
-from nightrider.mapping import load_map
-from nightrider.sim import Scenario, default_scenario, simulate_streams
+from nightrider.mapping import load_map, save_map
+from nightrider.sim import Scenario, default_scenario, make_map, simulate_streams
 
 
 @pytest.fixture()
@@ -121,6 +121,13 @@ def test_env_seed_fallback(tmp_path, short_scenario, monkeypatch):
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
 
+def test_negative_seed_flag_or_env_exits_1(tmp_path, capsys, monkeypatch):
+    assert main(["localize", "default", "--seed", "-1", "--out", str(tmp_path)]) == 1
+    monkeypatch.setenv("NIGHTRIDER_SEED", "-1")
+    assert main(["localize", "default", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("error: seed must be") == 2
+
+
 def test_localize_ablation_flags_gate_the_pipeline(tmp_path, short_scenario):
     outs = {}
     for name, flags in [
@@ -141,6 +148,19 @@ def test_localize_monte_carlo_mode(tmp_path, short_scenario):
     assert main(["localize", short_scenario, "--out", str(out), "--runs", "2"]) == 0
     report = json.loads((out / "monte_carlo.json").read_text())
     assert report["runs"] == 2 and len(report["mean_nees"]) == 2
+
+
+def test_localize_monte_carlo_mode_uses_the_map(tmp_path, short_scenario):
+    def report(*extra):
+        out = tmp_path / f"mc{len(extra)}"
+        assert main(["localize", short_scenario, "--out", str(out), "--runs", "2", *extra]) == 0
+        return (out / "monte_carlo.json").read_text()
+
+    shifted = make_map(Scenario.load(short_scenario))
+    for c in shifted.clusters:
+        c.center = c.center + [30.0, 0.0, 0.0]
+    save_map(shifted, tmp_path / "shifted.json")
+    assert report("--map", str(tmp_path / "shifted.json")) != report()
 
 
 def test_localize_write_frames(tmp_path, short_scenario):
@@ -199,6 +219,12 @@ def test_evaluate_missing_file_exits_1(tmp_path, capsys):
 _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
 
 
+def _waypoints(times="[0, 20, 40]", points="[[0, 0, 0], [50, 10, 0], [100, 0, 0]]", closed=None):
+    """A waypoints trajectory document with one key replaced."""
+    extra = "" if closed is None else f', "closed": {closed}'
+    return f'{{"kind": "waypoints", "times": {times}, "points": {points}{extra}}}'
+
+
 @pytest.mark.parametrize(
     "document, named",
     [
@@ -252,6 +278,29 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         ('{"odom_sigma": -1}', "odom_sigma"),
         ('{"bloom": -1}', "bloom"),
         ('{"accel_sigma": -1}', "accel_sigma"),
+        ('{"trajectory": %s}' % _waypoints(points="[[0, 0], [50, 0]]"), "points"),
+        ('{"trajectory": %s}' % _waypoints(times="[40, 0]"), "times"),
+        ('{"trajectory": %s}' % _waypoints(times='["0", "40"]'), "times"),
+        ('{"trajectory": %s}' % _waypoints(closed='"yes"'), "closed"),
+        ('{"trajectory": %s}' % _waypoints(times="[0, 40]"), "points"),
+        ('{"trajectory": %s}' % _waypoints(closed="true"), "closed"),
+        ('{"trajectory": {"kind": "circle", "radius": 20, "speed": 5, "hieght": 3}}', "hieght"),
+        ('{"trajectory": {"kind": "spiral"}}', "trajectory"),
+        ('{"imu_rate": 5, "odom_rate": 5, "cam_rate": 5}', "imu_rate"),
+        ('{"cam_rate": 1e12}', "cam_rate"),
+        ('{"seed": -1}', "seed"),
+        ('{"lamps": [["1", "2", "3"]]}', "lamps"),
+        ('{"lamps": [[true, 0, 4]]}', "lamps"),
+        ('{"false_positives": 1e12}', "false_positives"),
+        ('{"duration": 1e9}', "duration"),
+        ('{"duration": 5000, "imu_rate": 100, "odom_rate": 100, "cam_rate": 100}', "cam_rate"),
+        ('{"image_width": 1000000000000}', "image_width"),
+        (
+            '{"trajectory": {"kind": "figure-eight", "amp_x": 25, "amp_y": 12, "period": 1e-262}}',
+            "period",
+        ),
+        ('{"gyro_sigma": 1e300}', "gyro_sigma"),
+        ('{"trajectory": {"kind": "circle", "radius": 20, "speed": 1e300}}', "speed"),
     ],
     ids=[
         "unknown-key",
@@ -288,6 +337,26 @@ _LAMPS_IN_VIEW = '"lamps": [[20, 20, 4], [20, 0, 4], [0, 20, 4], [30, 10, 4]]'
         "negative-odom-sigma",
         "negative-bloom",
         "negative-accel-sigma",
+        "planar-waypoints",
+        "unsorted-waypoint-times",
+        "string-waypoint-times",
+        "string-closed",
+        "waypoint-count-mismatch",
+        "closed-loop-open",
+        "unknown-trajectory-key",
+        "unknown-trajectory-kind",
+        "imu-rate-below-max-dt",
+        "camera-faster-than-imu",
+        "negative-seed",
+        "string-lamp",
+        "bool-lamp",
+        "huge-false-positives",
+        "huge-duration",
+        "huge-frame-count",
+        "huge-image-width",
+        "tiny-period",
+        "huge-gyro-sigma",
+        "huge-speed",
     ],
 )
 def test_malformed_scenario_exits_1(tmp_path, capsys, document, named):

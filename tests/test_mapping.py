@@ -161,6 +161,21 @@ def test_load_map_rejects_garbage(tmp_path):
     noversion.write_text(json.dumps({"clusters": []}))
     with pytest.raises(MapFormatError):
         load_map(noversion)
+    good = {"id": 1, "center": [0.0, 0.0, 4.0], "points": [[0.0, 0.0, 4.0]]}
+    for name, bad_cluster in [
+        ("short", {**good, "center": [0.0, 4.0]}),
+        ("nan", {**good, "center": [0.0, float("nan"), 4.0]}),
+        ("inf-point", {**good, "points": [[0.0, float("inf"), 4.0]]}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        clusters = [good, {**bad_cluster, "id": 7}]
+        path.write_text(json.dumps({"schema_version": 1, "clusters": clusters}))
+        with pytest.raises(MapFormatError, match=f"{name}.json: cluster 7 "):
+            load_map(path)
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"schema_version": 1, "clusters": [good, good]}))
+    with pytest.raises(MapFormatError, match="twice.json: cluster id 1 repeats"):
+        load_map(twice)
 
 
 def test_load_xyz(tmp_path):

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightrider.camera import CamExtrinsics, DetectionBox, camera_point, pinhole
 from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate
 from nightrider.lie import ExtendedPose, so3_exp, so3_log
+from nightrider.pipeline import run_pipeline
 from nightrider.sim import (
     Scenario,
     Trajectory,
@@ -618,3 +621,73 @@ def test_scenario_roundtrip_and_validation(tmp_path):
         Scenario(duration=-1.0)
     with pytest.raises(ValueError):
         Scenario(bias_mode="drifty")
+
+
+# Values that break some scenario key, beside a few that fit some keys.
+_HOSTILE = [
+    math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5,
+    1e12, 10**12, 1e-12, 1e300, -1e300, 1e-300,
+    True, False, "x", "1", None, {}, [], [1], [1, 2, 3, 4],
+    [[1, 2, 3]], [[0, 1]], [[0, 1e12]], [["1", "2", "3"]], [[True, 0, 4]],
+]
+_VALUES = st.one_of(
+    st.sampled_from(_HOSTILE),
+    st.floats(-5, 5),
+    st.integers(-10, 5000),
+    st.lists(st.floats(-5, 5), min_size=2, max_size=3),
+)
+_DURATIONS = st.sampled_from(_HOSTILE) | st.floats(-5, 2)
+# each trajectory kind with a 2 s course and the keys it reads
+_TRAJECTORY_BASES = [
+    (
+        {"kind": "figure-eight", "amp_x": 25.0, "amp_y": 12.0, "period": 40.0},
+        ["amp_x", "amp_y", "period", "height"],
+    ),
+    (
+        {"kind": "circle", "radius": 20.0, "speed": 5.0},
+        ["radius", "speed", "center", "height", "phase"],
+    ),
+    (
+        {"kind": "line", "start": [-20.0, 0.0, 0.0], "velocity": [5.0, 0.0, 0.0]},
+        ["start", "velocity", "yaw"],
+    ),
+    (
+        {"kind": "waypoints", "times": [0, 1, 2], "points": [[0, 0, 0], [3, 1, 0], [6, 0, 0]]},
+        ["times", "points", "closed"],
+    ),
+]
+_TRAJECTORY_KEYS = sorted({"kind"} | {k for _, keys in _TRAJECTORY_BASES for k in keys})
+
+
+@st.composite
+def _scenario_documents(draw):
+    """The default scene cut to 2 s, with up to two top-level values and two
+    trajectory values replaced; trajectory keys mostly belong to the kind."""
+    doc = {**default_scenario().to_dict(), "duration": 2.0}
+    base, own = draw(st.sampled_from(_TRAJECTORY_BASES))
+    doc["trajectory"] = dict(base)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        # the run stays at most 2 s long: duration takes no longer valid value
+        doc[key] = draw(_DURATIONS if key == "duration" else _VALUES)
+    if isinstance(doc["trajectory"], dict):
+        keys = st.sampled_from(own) | st.sampled_from(_TRAJECTORY_KEYS)
+        doc["trajectory"].update(draw(st.dictionaries(keys, _VALUES, max_size=2)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_scenario_documents())
+def test_scenario_documents_are_rejected_or_run_to_finite_metrics(doc):
+    """Any document of known keys is refused by Scenario.from_dict, or its
+    2 s run ends with finite metrics or a ValueError: never another
+    exception, a hang or a NaN."""
+    try:
+        sc = Scenario.from_dict(doc)
+    except ValueError:
+        return
+    try:
+        metrics = run_pipeline(sc).metrics()
+    except ValueError:
+        return
+    numbers = [v for v in metrics.values() if not isinstance(v, str)]
+    assert np.isfinite(numbers).all(), metrics

@@ -30,6 +30,7 @@ from checks import result_digest  # noqa: E402
 from nightrider import cli  # noqa: E402
 from nightrider.pipeline import PipelineConfig, monte_carlo, run_pipeline  # noqa: E402
 from nightrider.sim import (  # noqa: E402
+    Scenario,
     blackout_scenario,
     corridor_scenario,
     default_scenario,
@@ -66,6 +67,16 @@ def runs():
     # the one digested run whose recovery searches and fails: 18 failed
     # attempts before the first that recovers
     yield "blackout seed=0 start=10 length=20", blackout_scenario(0, start=10), None
+    # the one trajectory kind no built-in uses: a closed spline loop
+    # through the default lamp grid, built through the scenario checks
+    loop = {
+        "kind": "waypoints",
+        "times": [0, 10, 20, 30, 40],
+        "points": [[-20, 0, 0], [0, -10, 0], [20, 0, 0], [0, 10, 0], [-20, 0, 0]],
+        "closed": True,
+    }
+    doc = {**default_scenario(0).to_dict(), "name": "waypoints", "trajectory": loop}
+    yield "waypoints closed", Scenario.from_dict(doc), None
 
 
 def files_digest(argv):
