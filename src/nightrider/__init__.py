@@ -15,7 +15,7 @@ from .inekf import (
     NoiseConfig,
     UpdateRejected,
     invariant_update,
-    propagate,
+    propagate_window,
 )
 from .lie import ExtendedPose, se23_exp, se23_log
 from .mapping import (
@@ -56,7 +56,7 @@ __all__ = [
     "NoiseConfig",
     "UpdateRejected",
     "invariant_update",
-    "propagate",
+    "propagate_window",
     "ExtendedPose",
     "se23_exp",
     "se23_log",

@@ -5,6 +5,13 @@ The filter estimate is an ExtendedPose plus gyro/accelerometer biases.  The
 where xi is the right-invariant pose error (see lie.right_invariant_error)
 and zeta = estimated bias - true bias.
 
+Propagation runs over windows of IMU samples, the stretches between two
+updates (propagate_window).  Within a window the biases are constant, so
+the attitude increments, velocity and position sums, transitions and
+noise terms are computed for all samples at once; only the attitude chain
+and the covariance recursion (propagate, one call per sample) are serial.
+The result equals one-sample steps bit for bit.
+
 Measurements enter through the linear model  z = -H [xi; zeta] + n  with
 n ~ N(0, N).  Updates retract multiplicatively on the left of the pose and
 additively on the biases.
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lie import ExtendedPose, se23_exp, skew, so3_exp
+from .lie import ExtendedPose, matvec_many, se23_exp, skew, skew_many, so3_exp_many
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -59,8 +66,9 @@ class NoiseConfig:
 
     gyro/accel are white-noise densities; the bias entries are random-walk
     densities.  gravity is the world-frame gravity vector.  The config is
-    frozen because propagate reads two derived matrices every step, built
-    once here: the 15x15 block-diagonal noise matrix and skew(gravity).
+    frozen because propagate_window reads two derived matrices every
+    window, built once here: the 15x15 block-diagonal noise matrix and
+    skew(gravity).
     """
 
     gyro_cov: np.ndarray
@@ -108,22 +116,23 @@ def symmetrize(P):
 _EYE3 = np.eye(3)
 _EYE15 = np.eye(15)
 _EYE3.flags.writeable = _EYE15.flags.writeable = False
+# IMU samples per batched pass: bounds the (n, 15, 15) stacks of a long window
+MAX_WINDOW = 256
 
 
-def _pose_columns(pose):
-    """[R; skew(v) R; skew(p) R] (9x3), the first block column of Ad_X."""
-    R = pose.rot
-    return np.concatenate([R, skew(pose.vel) @ R, skew(pose.pos) @ R])
+def _error_dynamics(rot, vel, pos, g_skew):
+    """A (n, 15, 15) at n poses, and their pose columns (n, 9, 3).
 
-
-def _error_dynamics(cols, g_skew):
-    """A (15x15) from the pose columns [R; skew(v) R; skew(p) R] and skew(g)."""
-    A = np.zeros((15, 15))
-    A[0:9, 9:12] = -cols
-    A[3:6, 0:3] = g_skew
-    A[3:6, 12:15] = -cols[0:3]
-    A[6:9, 3:6] = _EYE3
-    return A
+    The pose columns [R; skew(v) R; skew(p) R] are the first block column
+    of Ad_X; the bias rows of A are zero.
+    """
+    cols = np.concatenate([rot, skew_many(vel) @ rot, skew_many(pos) @ rot], axis=1)
+    A = np.zeros((len(rot), 15, 15))
+    A[:, 0:9, 9:12] = -cols
+    A[:, 3:6, 0:3] = g_skew
+    A[:, 3:6, 12:15] = -cols[:, 0:3]
+    A[:, 6:9, 3:6] = _EYE3
+    return A, cols
 
 
 def build_error_dynamics(state, gravity=None):
@@ -133,41 +142,71 @@ def build_error_dynamics(state, gravity=None):
     and the pose rows couple to the biases through the current estimate.
     """
     g = GRAVITY if gravity is None else gravity
-    return _error_dynamics(_pose_columns(state.pose), skew(g))
+    pose = state.pose
+    A, _ = _error_dynamics(pose.rot[None], pose.vel[None], pose.pos[None], skew(g))
+    return A[0]
 
 
-def propagate(state, P, imu, dt, noise):
-    """One strapdown step: mean propagation plus covariance Riccati update.
+def propagate(P, Phi, Qdt):
+    """One covariance step of propagation: P' = sym(Phi (P + Q dt) Phi')."""
+    return symmetrize(Phi @ (P + Qdt) @ Phi.T)
 
-    The mean integrates bias-corrected IMU rates over dt.  The covariance
-    uses the closed-form transition Phi = I + A dt + (A dt)^2/2 + (A dt)^3/6,
-    which is exactly expm(A dt) because the error dynamics are nilpotent
-    (A^4 = 0; Hartley et al., IJRR 2020).
-    The noise maps through the adjoint of the current estimate,
-    Q = Ad Q_n Ad', and P' = sym(Phi (P + Q dt) Phi').
-    Returns a new (state, P).
+
+def propagate_window(state, P, imu, dt, noise):
+    """Strapdown propagation over a window of IMU samples, dt apart.
+
+    Each sample integrates the bias-corrected rates over dt; the biases
+    stay constant within the window.  The covariance uses the closed-form
+    transition Phi = I + A dt + (A dt)^2/2 + (A dt)^3/6, which is exactly
+    expm(A dt) because the error dynamics are nilpotent (A^4 = 0; Hartley
+    et al., IJRR 2020).  The noise maps through the adjoint of the
+    current estimate, Q = Ad Q_n Ad', and each sample's covariance step
+    is propagate(P, Phi, Q dt).
+
+    Only the attitude chain and the covariance recursion run per sample;
+    the rest is computed for the whole window at once, by the same
+    operations in the same order as one sample at a time, so the result
+    equals that of len(imu) single-sample windows bit for bit.  Returns
+    the new (state, P).
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > MAX_DT:
         raise ValueError(f"dt {dt} exceeds sanity bound {MAX_DT}")
-    gyro = np.asarray(imu.gyro, dtype=float)
-    accel = np.asarray(imu.accel, dtype=float)
-    if not all(map(math.isfinite, gyro.tolist() + accel.tolist())):
-        raise ValueError("non-finite IMU sample")
+    gyro = np.array([s.gyro for s in imu], dtype=float).reshape(len(imu), 3)
+    accel = np.array([s.accel for s in imu], dtype=float).reshape(len(imu), 3)
+    bad = ~(np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"non-finite IMU sample {k} of the window (t = {imu[k].t})")
+    for a in range(0, len(gyro), MAX_WINDOW):
+        b = a + MAX_WINDOW
+        state, P = _propagate_batch(state, P, gyro[a:b], accel[a:b], dt, noise)
+    return state, P
 
+
+def _propagate_batch(state, P, gyro, accel, dt, noise):
+    """propagate_window on (n, 3) arrays of checked gyro and accel rows."""
+    n = len(gyro)
     pose = state.pose
-    R, v, p = pose.rot, pose.vel, pose.pos
+    # the attitude chain: R_k+1 = R_k exp(omega_k dt)
+    rot = [pose.rot]
+    for E in so3_exp_many((gyro - state.bias_gyro) * dt):
+        rot.append(rot[-1] @ E)
+    rot = np.stack(rot)
+    acc_w = matvec_many(rot[:-1], accel - state.bias_accel) + noise.gravity
 
-    omega = gyro - state.bias_gyro
-    acc_w = R @ (accel - state.bias_accel) + noise.gravity
+    # velocity and position are running sums, added left to right:
+    # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2
+    vel = np.add.accumulate(np.concatenate([pose.vel[None], acc_w * dt]))
+    steps = np.empty((2 * n + 1, 3))
+    steps[0] = pose.pos
+    steps[1::2] = vel[:-1] * dt
+    steps[2::2] = 0.5 * acc_w * dt * dt
+    pos = np.add.accumulate(steps)[0::2]
 
-    R_new = R @ so3_exp(omega * dt)
-    v_new = v + acc_w * dt
-    p_new = p + v * dt + 0.5 * acc_w * dt * dt
-
-    cols = _pose_columns(pose)
-    M = _error_dynamics(cols, noise.gravity_skew) * dt
+    A, cols = _error_dynamics(rot[:-1], vel[:-1], pos[:-1], noise.gravity_skew)
+    M = A * dt
     Phi = _EYE15 + M
     M2 = M @ M
     M2 /= 2.0
@@ -177,20 +216,23 @@ def propagate(state, P, imu, dt, noise):
     Phi += M3
 
     # noise enters through the adjoint of the current estimate
-    Ad = _EYE15.copy()
-    Ad[0:9, 0:3] = cols
-    Ad[3:6, 3:6] = R
-    Ad[6:9, 6:9] = R
-    Q = Ad @ noise.matrix @ Ad.T
-    P_new = Phi @ (P + Q * dt) @ Phi.T
+    Ad = np.broadcast_to(_EYE15, (n, 15, 15)).copy()
+    Ad[:, 0:9, 0:3] = cols
+    Ad[:, 3:6, 3:6] = rot[:-1]
+    Ad[:, 6:9, 6:9] = rot[:-1]
+    Qdt = Ad @ noise.matrix @ np.swapaxes(Ad, 1, 2) * dt
 
+    t = state.t
+    for k in range(n):
+        P = propagate(P, Phi[k], Qdt[k])
+        t = t + dt
     new_state = FilterState(
-        ExtendedPose(R_new, v_new, p_new),
+        ExtendedPose(rot[-1], vel[-1], pos[-1]),
         state.bias_gyro.copy(),
         state.bias_accel.copy(),
-        state.t + dt,
+        t,
     )
-    return new_state, symmetrize(P_new)
+    return new_state, P
 
 
 def invariant_update(state, P, H, z, N, max_var=math.inf):

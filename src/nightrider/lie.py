@@ -156,15 +156,16 @@ def dot_many(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def so3_exp_jacobian_many(phis):
-    """so3_exp and so3_left_jacobian of every row of an (n, 3) array.
+def so3_exp_many(phis, jacobian=False):
+    """so3_exp of every row of an (n, 3) array, as an (n, 3, 3) stack.
 
-    Returns two (n, 3, 3) stacks, by the same formulas and small-angle
-    switch as the scalar functions evaluated as array operations; rows
-    agree with them to rounding.
+    The same operations as so3_exp evaluated as array operations, so each
+    row equals so3_exp of that vector bit for bit.  With jacobian=True
+    also returns the stack of so3_left_jacobian, by its formulas and
+    small-angle switch, which agrees with it to rounding.
     """
     phis = np.asarray(phis, dtype=float)
-    theta2 = np.einsum("ni,ni->n", phis, phis)
+    theta2 = dot_many(phis, phis)
     S = skew_many(phis)
     S2 = S @ S
     small = theta2 < SMALL_ANGLE**2
@@ -174,10 +175,11 @@ def so3_exp_jacobian_many(phis):
     half_sin = np.sin(theta / 2.0)
     a = np.where(small, 1.0, sin / theta)
     b = np.where(small, 0.5, 2.0 * half_sin * half_sin / t2)
-    c = np.where(small, 1.0 / 6.0, (theta - sin) / (t2 * theta))
     exp = _EYE3 + a[:, None, None] * S + b[:, None, None] * S2
-    jac = _EYE3 + b[:, None, None] * S + c[:, None, None] * S2
-    return exp, jac
+    if not jacobian:
+        return exp
+    c = np.where(small, 1.0 / 6.0, (theta - sin) / (t2 * theta))
+    return exp, _EYE3 + b[:, None, None] * S + c[:, None, None] * S2
 
 
 def so3_left_jacobian_inv(phi):

@@ -27,7 +27,7 @@ from .extension import (
     update_degeneracy,
     within_range,
 )
-from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate
+from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate_window
 from .lie import ExtendedPose, dot_many, right_invariant_error_many, se23_exp
 from .odometry import OdomExtrinsics, apply_odom_update, transform_odom
 from .recovery import RecoveryParams, attempt_recovery, is_lost
@@ -248,15 +248,24 @@ def run_pipeline(scenario, smap=None, config=None):
             )
         return n
 
-    for k, s in enumerate(imu):
-        state, P = propagate(state, P, s, dt, noise)
-        kk = k + 1
+    # propagate in windows that end at each odometer or camera sample and
+    # at the end of the stream; kk counts the IMU samples propagated
+    n_imu = len(imu)
+    ends = [
+        k for k in range(1, n_imu + 1)
+        if k % step_odom == 0 or k % step_cam == 0 or k == n_imu
+    ]
+    kk = 0
+    for end in ends:
+        state, P = propagate_window(state, P, imu[kk:end], dt, noise)
+        kk = end
 
         if config.use_odom and kk % step_odom == 0 and oi < len(odom):
             sample = odom[oi]
             oi += 1
             v_b, cov_b = transform_odom(
-                sample, odom_ext, s.gyro, state.bias_gyro, gyro_cov, P[9:12, 9:12]
+                sample, odom_ext, imu[kk - 1].gyro, state.bias_gyro, gyro_cov,
+                P[9:12, 9:12],
             )
             try:
                 state, P = apply_odom_update(state, P, v_b, cov_b)

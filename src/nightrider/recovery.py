@@ -54,7 +54,7 @@ from .camera import (
     pixel_noise_cov,
 )
 from .inekf import UpdateRejected
-from .lie import so3_exp_jacobian_many
+from .lie import so3_exp_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
 MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
@@ -194,7 +194,7 @@ def _block_scores(combos, lin, state, params, ext, intr):
     rejected = np.isnan(delta[:, 0])
     delta[rejected] = 0.0
     R, p = state.pose.rot, state.pose.pos
-    E, J = so3_exp_jacobian_many(delta[:, 0:3])
+    E, J = so3_exp_many(delta[:, 0:3], jacobian=True)
     rot = E @ R
     pos = E @ p + (J @ delta[:, 6:9, None])[..., 0]
 

@@ -38,6 +38,12 @@ MAX_SAMPLES = {"imu_rate": 10**6, "cam_rate": 10**5}  # of duration * rate
 MAX_FP = 100  # expected false positives per frame
 MAX_IMAGE_SIDE = 8192  # px
 MAX_ABS, MIN_SCALE = 1e9, 1e-9  # any number's size; a positive field's least value
+# Below these measurement-noise floors an update trusts a pixel or a wheel
+# speed so far that the covariance loses rank.  On the built-in scenarios
+# cond(P) passes 1e15 at pixel_sigma 1e-6 px or odom_sigma 1e-9 m/s, and a
+# pixel_sigma of 1e-7 px ends in a singular solve; at the floors cond(P) stays
+# below 6e12 over every frame.
+MIN_PIXEL_SIGMA, MIN_ODOM_SIGMA = 1e-3, 1e-6  # px, m/s
 
 
 def _real(v):
@@ -101,8 +107,8 @@ _FIELDS = {
     "bias_mode": (lambda v: v in ("random-walk", "constant"), "'random-walk' or 'constant'"),
     "gyro_bias0": _XYZ,
     "accel_bias0": _XYZ,
-    "odom_sigma": _GE_0,
-    "pixel_sigma": _GE_0,
+    "odom_sigma": _number(MIN_ODOM_SIGMA),
+    "pixel_sigma": _number(MIN_PIXEL_SIGMA),
     "dropout": _number(0, 1),
     "false_positives": _number(0, MAX_FP),
     "detector_min_box": _GE_0,

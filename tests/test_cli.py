@@ -276,6 +276,9 @@ def _waypoints(times="[0, 20, 40]", points="[[0, 0, 0], [50, 10, 0], [100, 0, 0]
         ('{"lamp_size": -1}', "lamp_size"),
         ('{"gyro_bias0": [1]}', "gyro_bias0"),
         ('{"odom_sigma": -1}', "odom_sigma"),
+        ('{"odom_sigma": 0}', "odom_sigma"),
+        ('{"pixel_sigma": 0}', "pixel_sigma"),
+        ('{"pixel_sigma": 1e-9}', "pixel_sigma"),
         ('{"bloom": -1}', "bloom"),
         ('{"accel_sigma": -1}', "accel_sigma"),
         ('{"trajectory": %s}' % _waypoints(points="[[0, 0], [50, 0]]"), "points"),
@@ -335,6 +338,9 @@ def _waypoints(times="[0, 20, 40]", points="[[0, 0, 0], [50, 10, 0], [100, 0, 0]
         "negative-lamp-size",
         "short-gyro-bias",
         "negative-odom-sigma",
+        "zero-odom-sigma",
+        "zero-pixel-sigma",
+        "tiny-pixel-sigma",
         "negative-bloom",
         "negative-accel-sigma",
         "planar-waypoints",

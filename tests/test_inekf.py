@@ -9,13 +9,14 @@ from scipy.spatial.transform import Rotation
 
 from nightrider.camera import MAX_BEARING_VAR
 from nightrider.inekf import (
+    MAX_WINDOW,
     FilterState,
     ImuSample,
     NoiseConfig,
     UpdateRejected,
     build_error_dynamics,
     invariant_update,
-    propagate,
+    propagate_window,
 )
 from nightrider.lie import ExtendedPose, adjoint_se23, se23_exp, skew, so3_exp
 
@@ -64,7 +65,7 @@ def _flow_error_derivative(state, imu, err, h):
     Truth is placed at exp(-xi) * estimate with bias (estimate - zeta); both
     are stepped by +-h with their own bias corrections (Euler velocity /
     exact attitude increments, matching the strapdown model), and the
-    invariant error is re-extracted.  Independent of propagate().
+    invariant error is re-extracted.  Independent of propagate_window().
     """
     xi, zeta = err[0:9], err[9:15]
 
@@ -115,7 +116,7 @@ def test_error_dynamics_matches_finite_differences():
 def expm_taylor(A, max_terms=20, tol=0.0):
     """Matrix exponential by truncated Taylor series with early exit.
 
-    A general-purpose reference for propagate's closed-form transition,
+    A general-purpose reference for propagate_window's closed-form transition,
     which sums the four nonzero terms of this series (A^4 = 0).
     """
     out = np.eye(A.shape[0])
@@ -146,7 +147,7 @@ def test_propagate_stationary_hover():
     noise = _default_noise()
     imu = ImuSample(0.0, np.zeros(3), -G)  # accelerometer reads +9.81 up
     for _ in range(100):
-        st, P = propagate(st, P, imu, 0.005, noise)
+        st, P = propagate_window(st, P, [imu], 0.005, noise)
     np.testing.assert_allclose(st.pose.rot, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(st.pose.vel, 0.0, atol=1e-12)
     np.testing.assert_allclose(st.pose.pos, 0.0, atol=1e-12)
@@ -158,7 +159,7 @@ def test_propagate_constant_velocity():
     P = np.eye(15) * 1e-4
     imu = ImuSample(0.0, np.zeros(3), -G)
     for _ in range(200):
-        st, P = propagate(st, P, imu, 0.005, _default_noise())
+        st, P = propagate_window(st, P, [imu], 0.005, _default_noise())
     np.testing.assert_allclose(st.pose.pos, [1.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -184,7 +185,8 @@ def test_propagate_circle_oracle():
         _, vk1, _ = truth((k + 1) * dt)
         gyro = np.array([0.0, 0.0, w])
         accel = Rk.T @ ((vk1 - vk) / dt - G)
-        st, P = propagate(st, P, ImuSample(k * dt, gyro, accel), dt, noise)
+        imu = ImuSample(k * dt, gyro, accel)
+        st, P = propagate_window(st, P, [imu], dt, noise)
     _, _, p_end = truth(n * dt)
     assert np.linalg.norm(st.pose.pos - p_end) < 1e-3
 
@@ -196,7 +198,7 @@ def test_propagate_covariance_grows_and_stays_psd():
     imu = ImuSample(0.0, rng.normal(size=3) * 0.1, -G)
     tr0 = np.trace(P)
     for _ in range(100):
-        st, P = propagate(st, P, imu, 0.005, _default_noise())
+        st, P = propagate_window(st, P, [imu], 0.005, _default_noise())
     assert np.trace(P) > tr0
     assert np.linalg.eigvalsh(P).min() > -1e-12
     np.testing.assert_allclose(P, P.T)
@@ -207,7 +209,7 @@ def test_propagate_first_order_close_to_exact():
     st = _random_state(rng)
     P = np.eye(15) * 1e-4
     imu = ImuSample(0.0, rng.normal(size=3) * 0.1, rng.normal(size=3))
-    sa, Pa = propagate(st, P, imu, 0.005, _default_noise())
+    sa, Pa = propagate_window(st, P, [imu], 0.005, _default_noise())
     pose_b, Pb = _reference_propagate(
         st, P, imu, 0.005, _default_noise(), first_order=True
     )
@@ -261,7 +263,7 @@ def test_propagate_equals_expm_reference_exactly():
         imu = ImuSample(0.0, gyro, rng.normal(size=3) * 2.0 - G)
         dt = [0.005, 0.01, 0.1][trial % 3]
         ref_pose, ref_P = _reference_propagate(st, P, imu, dt, noise)
-        out, P_out = propagate(st, P, imu, dt, noise)
+        out, P_out = propagate_window(st, P, [imu], dt, noise)
         np.testing.assert_array_equal(out.pose.rot, ref_pose.rot)
         np.testing.assert_array_equal(out.pose.vel, ref_pose.vel)
         np.testing.assert_array_equal(out.pose.pos, ref_pose.pos)
@@ -276,13 +278,133 @@ def test_propagate_rejects_bad_input():
     P = np.eye(15)
     noise = _default_noise()
     with pytest.raises(ValueError):
-        propagate(st, P, ImuSample(0, np.zeros(3), np.zeros(3)), 0.0, noise)
+        propagate_window(st, P, [ImuSample(0, np.zeros(3), np.zeros(3))], 0.0, noise)
     with pytest.raises(ValueError):
-        propagate(st, P, ImuSample(0, np.zeros(3), np.zeros(3)), 0.2, noise)
+        propagate_window(st, P, [ImuSample(0, np.zeros(3), np.zeros(3))], 0.2, noise)
     with pytest.raises(ValueError):
-        propagate(
-            st, P, ImuSample(0, np.array([np.nan, 0, 0]), np.zeros(3)), 0.005, noise
+        propagate_window(
+            st, P, [ImuSample(0, np.array([np.nan, 0, 0]), np.zeros(3))], 0.005, noise
         )
+
+
+def test_window_error_names_the_bad_sample():
+    noise = _default_noise()
+    imu = [ImuSample(0.005 * k, np.zeros(3), -G) for k in range(20)]
+    imu[7] = ImuSample(0.035, np.zeros(3), np.array([0.0, np.nan, 9.81]))
+    with pytest.raises(ValueError, match=r"sample 7 of the window \(t = 0\.035\)"):
+        propagate_window(FilterState(), np.eye(15), imu, 0.005, noise)
+
+
+# ---------------------------------------------------- serial propagation oracle
+
+
+def serial_propagate(state, P, imu, dt, noise):
+    """One strapdown step, the single-sample propagation that
+    propagate_window batches, kept here as its bit-for-bit oracle."""
+    gyro = np.asarray(imu.gyro, dtype=float)
+    accel = np.asarray(imu.accel, dtype=float)
+    pose = state.pose
+    R, v, p = pose.rot, pose.vel, pose.pos
+
+    omega = gyro - state.bias_gyro
+    acc_w = R @ (accel - state.bias_accel) + noise.gravity
+
+    R_new = R @ so3_exp(omega * dt)
+    v_new = v + acc_w * dt
+    p_new = p + v * dt + 0.5 * acc_w * dt * dt
+
+    cols = np.concatenate([R, skew(v) @ R, skew(p) @ R])
+    A = np.zeros((15, 15))
+    A[0:9, 9:12] = -cols
+    A[3:6, 0:3] = noise.gravity_skew
+    A[3:6, 12:15] = -cols[0:3]
+    A[6:9, 3:6] = np.eye(3)
+    M = A * dt
+    Phi = np.eye(15) + M
+    M2 = M @ M
+    M2 /= 2.0
+    Phi += M2
+    M3 = M2 @ M
+    M3 /= 3.0
+    Phi += M3
+
+    Ad = np.eye(15)
+    Ad[0:9, 0:3] = cols
+    Ad[3:6, 3:6] = R
+    Ad[6:9, 6:9] = R
+    Q = Ad @ noise.matrix @ Ad.T
+    P_new = Phi @ (P + Q * dt) @ Phi.T
+
+    new_state = FilterState(
+        ExtendedPose(R_new, v_new, p_new),
+        state.bias_gyro.copy(),
+        state.bias_accel.copy(),
+        state.t + dt,
+    )
+    return new_state, (P_new + P_new.T) / 2.0
+
+
+def _assert_same_bits(out, P_out, ref, P_ref):
+    for a, b in [
+        (out.pose.rot, ref.pose.rot),
+        (out.pose.vel, ref.pose.vel),
+        (out.pose.pos, ref.pose.pos),
+        (out.bias_gyro, ref.bias_gyro),
+        (out.bias_accel, ref.bias_accel),
+        (P_out, P_ref),
+    ]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert type(out.t) is type(ref.t) and out.t == ref.t
+
+
+def _random_window(rng, state, n, rates):
+    """n IMU samples; "zero" and "tiny" rates put omega dt below
+    lie.SMALL_ANGLE, so so3_exp takes its small-angle branch."""
+    imu = []
+    for k in range(n):
+        kind = rng.choice(["zero", "tiny", "turn"]) if rates == "mixed" else rates
+        gyro = state.bias_gyro.copy()
+        if kind == "tiny":
+            gyro += rng.normal(size=3) * 1e-9
+        elif kind == "turn":
+            gyro += rng.normal(size=3) * 0.5
+        imu.append(ImuSample(state.t + 0.005 * k, gyro, rng.normal(size=3) * 2.0 - G))
+    return imu
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dt=st.sampled_from([0.005, 0.01, 0.1]),
+    rates=st.sampled_from(["zero", "tiny", "turn", "mixed"]),
+)
+def test_window_equals_serial_steps_bit_for_bit(seed, n, dt, rates):
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, t=float(rng.uniform(0.0, 100.0)))
+    L = rng.normal(size=(15, 15))
+    P = L @ L.T * 10.0 ** rng.uniform(-6, 0)
+    noise = NoiseConfig.from_sigmas(*rng.uniform(1e-4, 0.1, size=4))
+    imu = _random_window(rng, state, n, rates)
+
+    ref, P_ref = state, P
+    for s in imu:
+        ref, P_ref = serial_propagate(ref, P_ref, s, dt, noise)
+    out, P_out = propagate_window(state, P, imu, dt, noise)
+    _assert_same_bits(out, P_out, ref, P_ref)
+
+
+def test_long_window_runs_in_batches_bit_for_bit():
+    rng = np.random.default_rng(41)
+    state = _random_state(rng)
+    P = np.eye(15) * 1e-3
+    noise = _default_noise()
+    imu = _random_window(rng, state, 2 * MAX_WINDOW + 3, "mixed")
+    ref, P_ref = state, P
+    for s in imu:
+        ref, P_ref = serial_propagate(ref, P_ref, s, 0.005, noise)
+    out, P_out = propagate_window(state, P, imu, 0.005, noise)
+    _assert_same_bits(out, P_out, ref, P_ref)
 
 
 # ------------------------------------------------------------------ updates
@@ -415,7 +537,7 @@ def test_many_cycles_covariance_stays_psd():
     cycles = 20_000
     for k in range(cycles):
         imu = ImuSample(k * 0.005, rng.normal(size=3) * 0.02, -G)
-        st, P = propagate(st, P, imu, 0.005, noise)
+        st, P = propagate_window(st, P, [imu], 0.005, noise)
         if k % 20 == 0:
             st, P = invariant_update(st, P, H, rng.normal(size=3) * 0.05, N)
     assert np.linalg.eigvalsh(P).min() > -1e-10

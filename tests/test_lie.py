@@ -13,7 +13,7 @@ from nightrider.lie import (
     se23_vee,
     skew,
     so3_exp,
-    so3_exp_jacobian_many,
+    so3_exp_many,
     so3_left_jacobian,
     so3_left_jacobian_inv,
     so3_log,
@@ -121,9 +121,10 @@ def test_so3_exp_jacobian_many_matches_scalar_functions():
         for _ in range(10):
             axis = rng.normal(size=3)
             phis.append(axis / np.linalg.norm(axis) * ang)
-    E, J = so3_exp_jacobian_many(np.array(phis))
+    E, J = so3_exp_many(np.array(phis), jacobian=True)
+    assert E.tobytes() == so3_exp_many(np.array(phis)).tobytes()
     for phi, e, j in zip(phis, E, J):
-        np.testing.assert_allclose(e, so3_exp(phi), rtol=0, atol=1e-15)
+        assert e.tobytes() == so3_exp(phi).tobytes()
         np.testing.assert_allclose(j, so3_left_jacobian(phi), rtol=0, atol=1e-15)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nightrider.inekf import FilterState, NoiseConfig, propagate
+from nightrider.inekf import FilterState, NoiseConfig, propagate_window
 from nightrider.lie import ExtendedPose, right_invariant_error, so3_exp
 from nightrider.pipeline import (
     EstimateLog,
@@ -116,7 +116,7 @@ def test_dead_reckoning_equals_manual_propagation():
     step = int(round(sc.imu_rate / sc.cam_rate))
     manual = [state.pose.pos.copy()]
     for k, s in enumerate(imu):
-        state, P = propagate(state, P, s, dt, noise)
+        state, P = propagate_window(state, P, [s], dt, noise)
         if (k + 1) % step == 0:
             manual.append(state.pose.pos.copy())
 

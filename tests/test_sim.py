@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nightrider.camera import CamExtrinsics, DetectionBox, camera_point, pinhole
-from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate
+from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate_window
 from nightrider.lie import ExtendedPose, so3_exp, so3_log
 from nightrider.pipeline import run_pipeline
 from nightrider.sim import (
@@ -188,7 +188,7 @@ def test_noise_free_imu_integrates_back_to_truth():
     noise = NoiseConfig.from_sigmas()
     dt = 1.0 / sc.imu_rate
     for s in imu:
-        state, P = propagate(state, P, s, dt, noise)
+        state, P = propagate_window(state, P, [s], dt, noise)
     final = truth[-1].pose
     assert np.linalg.norm(state.pose.pos - final.pos) < 1e-4
     assert np.linalg.norm(state.pose.rot - final.rot) < 1e-6

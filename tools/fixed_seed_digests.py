@@ -77,6 +77,10 @@ def runs():
     }
     doc = {**default_scenario(0).to_dict(), "name": "waypoints", "trajectory": loop}
     yield "waypoints closed", Scenario.from_dict(doc), None
+    # every built-in runs odometer and camera at 10 Hz; at 20 Hz the
+    # odometer ends a propagation window between two camera frames
+    doc = {**default_scenario(0).to_dict(), "odom_rate": 20.0}
+    yield "default seed=0 odom_rate=20", Scenario.from_dict(doc), None
 
 
 def files_digest(argv):
