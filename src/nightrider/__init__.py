@@ -7,8 +7,8 @@ boxes, corridor degeneration handling, tracking recovery after detector
 blackouts, a DBSCAN map builder, and a deterministic simulation harness.
 """
 
-from .association import MatchSet, ScoreParams, associate
-from .camera import CamExtrinsics, CameraIntrinsics, DetectionBox
+from .association import MatchSet, associate
+from .camera import CameraIntrinsics, DetectionBox
 from .inekf import (
     FilterState,
     ImuSample,
@@ -46,9 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MatchSet",
-    "ScoreParams",
     "associate",
-    "CamExtrinsics",
     "CameraIntrinsics",
     "DetectionBox",
     "FilterState",

@@ -8,7 +8,10 @@ filter is strict and an uncertain one is tolerant.  score_matrix computes
 every pair at once.  It pushes P through camera.bearing_jacobians' dc/dxi,
 the filter's own invariant-error Jacobian, into one 3x3 camera-point
 covariance per cluster, Sc = Dc P Dc'; the pixel density reads it through
-diag(fx, fy) dh/dc and the angle density through d cos / dc.
+diag(fx, fy) dh/dc and the angle density through d cos / dc.  The blend
+weight (WEIGHT), the base pixel variance (ALPHA) and the cut-off range
+(MAX_RANGE) are module constants; the pipeline's recovery reads MAX_RANGE
+too.
 
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
@@ -27,13 +30,9 @@ from .camera import back_project, bearing_jacobians
 
 NO_MATCH_FLOOR = 1e-12
 SIGMA_FLOOR = 1e-12
-
-
-@dataclass
-class ScoreParams:
-    weight: float = 0.5  # blend between reprojection and angle densities
-    alpha: float = 4.0  # base pixel variance (px^2)
-    max_range: float = 50.0  # ignore clusters farther than this (m)
+WEIGHT = 0.5  # blend between reprojection and angle densities
+ALPHA = 4.0  # base pixel variance (px^2)
+MAX_RANGE = 50.0  # clusters farther than this (m) score 0
 
 
 @dataclass
@@ -56,18 +55,20 @@ class MatchSet:
         return [cid for cid in self.cluster_ids if cid is not None]
 
 
-def score_matrix(detections, clusters, state, P, params, ext, intr):
+def score_matrix(detections, clusters, state, P, intr):
     """Blended pair scores, one row per detection, one column per cluster.
 
-    Pairs beyond max_range or behind the camera score exactly 0.
+    Each score is WEIGHT times the pixel density plus 1 - WEIGHT times the
+    angle density.  Pairs beyond MAX_RANGE or behind the camera score
+    exactly 0.
     """
     n, m = len(detections), len(clusters)
     if n == 0 or m == 0:
         return np.zeros((n, m))
     Cw = np.stack([c.center for c in clusters])
-    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state, ext)
+    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state)
     rng = np.linalg.norm(Cw - state.pose.pos, axis=1)
-    valid = front & (rng <= params.max_range)
+    valid = front & (rng <= MAX_RANGE)
     f = np.array([intr.fx, intr.fy])
     pix = f * h + [intr.cx, intr.cy]
 
@@ -76,7 +77,7 @@ def score_matrix(detections, clusters, state, P, params, ext, intr):
 
     # pixel Jacobians against the camera point, diag(fx, fy) dh/dc
     Jpi = f[:, None] * dh_dc
-    Sp = params.alpha * np.eye(2) + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
+    Sp = ALPHA * np.eye(2) + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
     det2 = Sp[:, 0, 0] * Sp[:, 1, 1] - Sp[:, 0, 1] * Sp[:, 1, 0]
 
     dets_px = np.stack([np.asarray(d.center, dtype=float) for d in detections])
@@ -98,7 +99,7 @@ def score_matrix(detections, clusters, state, P, params, ext, intr):
 
     mpw = (w[None, :, :] - u[:, None, :] * cos[:, :, None]) / n_ray[:, None, None]
     d_pixel = np.einsum("nmk,kl->nml", mpw, intr.K_inv)
-    pix_var = params.alpha * (d_pixel[..., 0] ** 2 + d_pixel[..., 1] ** 2)
+    pix_var = ALPHA * (d_pixel[..., 0] ** 2 + d_pixel[..., 1] ** 2)
 
     # d cos / dc, pushed through the camera-point covariance
     mcu = (u[:, None, :] - w[None, :, :] * cos[:, :, None]) / n_c[None, :, None]
@@ -107,13 +108,13 @@ def score_matrix(detections, clusters, state, P, params, ext, intr):
     r_ang = 1.0 - cos
     s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
 
-    S = params.weight * s_proj + (1.0 - params.weight) * s_ang
+    S = WEIGHT * s_proj + (1.0 - WEIGHT) * s_ang
     S[:, ~valid] = 0.0
     return S
 
 
-def hungarian(score, maximize=True):
-    """Optimal one-to-one assignment of rows to columns.
+def hungarian(score):
+    """Optimal one-to-one assignment of rows to columns, by largest total.
 
     Requires at least as many columns as rows; returns the column index
     chosen for each row.  Solved by scipy's linear_sum_assignment
@@ -123,10 +124,10 @@ def hungarian(score, maximize=True):
     n, m = S.shape
     if n > m:
         raise ValueError(f"assignment needs cols >= rows, got {n}x{m}")
-    return linear_sum_assignment(S, maximize=maximize)[1].tolist()
+    return linear_sum_assignment(S, maximize=True)[1].tolist()
 
 
-def associate(detections, clusters, state, P, params, ext, intr):
+def associate(detections, clusters, state, P, intr):
     """Assign detections to clusters (or to no-match) by total score.
 
     The score matrix gains one no-match column per detection carrying
@@ -136,12 +137,12 @@ def associate(detections, clusters, state, P, params, ext, intr):
     n, m = len(detections), len(clusters)
     if n == 0:
         return MatchSet([], [], [])
-    S = score_matrix(detections, clusters, state, P, params, ext, intr)
+    S = score_matrix(detections, clusters, state, P, intr)
     no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
     full = np.concatenate(
         [S, np.repeat(no_match[:, None], n, axis=1)], axis=1
     )
-    cols = hungarian(full, maximize=True)
+    cols = hungarian(full)
     ids = []
     scores = []
     for i, j in enumerate(cols):

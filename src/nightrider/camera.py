@@ -1,11 +1,12 @@
 """Pinhole camera geometry and bearing updates against mapped streetlights.
 
-Frames: the body-to-camera extrinsics map body coordinates into the camera
-frame (x_c = rot @ x_b + trans); the camera looks along its +z axis.  A
-world point C with estimated pose (R, p) sits at
+Frames: the camera sits at the body origin, rotated by CAMERA_MOUNT
+(x_c = CAMERA_MOUNT @ x_b), and looks along its +z axis, which is the
+body's forward x axis.  The simulator and the filter share this one
+mount.  A world point C with estimated pose (R, p) sits at
 
-    Psi = R' (C - p)            (body frame)
-    C_c = rot @ Psi + trans     (camera frame)
+    Psi = R' (C - p)              (body frame)
+    C_c = CAMERA_MOUNT @ Psi      (camera frame)
 
 and the filter observes its bearing, the normalized image point
 h = C_c[:2] / C_c[2], whose pixel image is (fx h_x + cx, fy h_y + cy).
@@ -22,7 +23,7 @@ linearization all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,10 @@ Z_MIN = 0.01
 # predicted ray, wider than the image (1.28 units either side at 1280 px
 # and fx = 500).  x / z linearized at the estimate is not trusted so far.
 MAX_BEARING_VAR = 1.0
+# Body-to-camera rotation: camera x right (body -y), y down (body -z), z
+# forward (body x).
+CAMERA_MOUNT = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+CAMERA_MOUNT.flags.writeable = False
 
 
 @dataclass
@@ -65,27 +70,16 @@ class CameraIntrinsics:
     def contains(self, pixel, margin=0.0):
         """Whether pixel (u, v) lies in the image shrunk by margin.
 
-        An (n, 2) array gives one answer per row; NaN pixels lie outside.
+        An (..., 2) array gives one answer per pixel; NaN pixels lie outside.
         """
-        u, v = np.asarray(pixel, dtype=float).T
+        pixel = np.asarray(pixel, dtype=float)
+        u, v = pixel[..., 0], pixel[..., 1]
         return (
             (margin <= u)
             & (u <= self.width - 1 - margin)
             & (margin <= v)
             & (v <= self.height - 1 - margin)
         )
-
-
-@dataclass
-class CamExtrinsics:
-    """Body-to-camera transform: x_c = rot @ x_b + trans."""
-
-    rot: np.ndarray = field(
-        default_factory=lambda: np.array(
-            [[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]
-        )
-    )
-    trans: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 @dataclass
@@ -97,10 +91,10 @@ class DetectionBox:
     source: str = "detector"
 
 
-def camera_point(point_w, pose, ext):
+def camera_point(point_w, pose):
     """World point expressed in the camera frame; an (n, 3) array maps row-wise."""
     d = np.asarray(point_w, dtype=float) - pose.pos
-    return (ext.rot @ (pose.rot.T @ d[..., None]))[..., 0] + ext.trans
+    return (CAMERA_MOUNT @ (pose.rot.T @ d[..., None]))[..., 0]
 
 
 def pinhole(c, intr):
@@ -113,21 +107,12 @@ def pinhole(c, intr):
     ).T
 
 
-def project(point_w, pose, ext, intr):
-    """Pixel projection of a world point, or None when behind the camera."""
-    c = camera_point(point_w, pose, ext)
-    if c[2] < Z_MIN:
-        return None
-    return pinhole(c, intr)
-
-
-def project_many(points_w, pose, ext, intr):
+def project_many(points_w, pose, intr):
     """Pixel projections of an (n, 3) array of world points, as (n, 2).
 
-    Row k equals project(points_w[k], ...) bit for bit; rows behind the
-    camera, where project returns None, are NaN.
+    Rows less than Z_MIN in front of the camera are NaN.
     """
-    c = camera_point(np.reshape(points_w, (-1, 3)), pose, ext)
+    c = camera_point(np.reshape(points_w, (-1, 3)), pose)
     front = c[:, 2] >= Z_MIN
     pix = np.full((len(c), 2), np.nan)
     pix[front] = pinhole(c[front], intr)
@@ -140,7 +125,7 @@ def back_project(pixel, intr):
     return np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
 
 
-def bearing_jacobians(centers_w, state, ext):
+def bearing_jacobians(centers_w, state):
     """Predicted bearings of world points and their invariant-error Jacobians.
 
     For an (m, 3) array of centers (one center gives m = 1) returns
@@ -149,13 +134,13 @@ def bearing_jacobians(centers_w, state, ext):
     bearing c[:2] / c[2], and H (m, 2, 15) its Jacobian, with the model
     z = y - h = -H [xi; zeta] + n (Barrau & Bonnabel, IEEE TAC 2017).
     H = dh_dc @ Dc factors through the camera point: dh_dc (m, 2, 3) is
-    d(c[:2] / c[2]) / dc, and Dc = dc / dxi = ext.rot R' [skew(C), 0, -I,
-    0, 0] (m, 3, 15) depends on the estimate only.  Rows behind the
+    d(c[:2] / c[2]) / dc, and Dc = dc / dxi = CAMERA_MOUNT R' [skew(C), 0,
+    -I, 0, 0] (m, 3, 15) depends on the estimate only.  Rows behind the
     camera hold zeros in h, H and Dc.
     """
     C = np.reshape(np.asarray(centers_w, dtype=float), (-1, 3))
     pose = state.pose
-    c = camera_point(C, pose, ext)
+    c = camera_point(C, pose)
     front = c[:, 2] >= Z_MIN
     z = np.where(front, c[:, 2], 1.0)
     h = np.where(front[:, None], c[:, :2] / z[:, None], 0.0)
@@ -164,7 +149,7 @@ def bearing_jacobians(centers_w, state, ext):
     dh_dc[:, 0, 0] = dh_dc[:, 1, 1] = 1.0 / z
     dh_dc[:, :, 2] = -c[:, :2] / (z * z)[:, None]
 
-    A = ext.rot @ pose.rot.T
+    A = CAMERA_MOUNT @ pose.rot.T
     Dc = np.zeros((len(C), 3, 15))
     Dc[:, :, 0:3] = A @ skew_many(C)
     Dc[:, :, 6:9] = -A
@@ -178,7 +163,7 @@ def pixel_noise_cov(intr, pixel_sigma):
     return np.diag([(pixel_sigma / intr.fx) ** 2, (pixel_sigma / intr.fy) ** 2])
 
 
-def apply_camera_update(state, P, matches, clusters_by_id, ext, intr, pixel_sigma):
+def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
     """Stacked bearing update for all positive matches in a MatchSet.
 
     matches pairs detection boxes with cluster ids; each matched pair
@@ -189,7 +174,7 @@ def apply_camera_update(state, P, matches, clusters_by_id, ext, intr, pixel_sigm
     """
     pairs = list(matches.positive_pairs())
     front, _, h, H, _, _ = bearing_jacobians(
-        [clusters_by_id[cid].center for _, cid in pairs], state, ext
+        [clusters_by_id[cid].center for _, cid in pairs], state
     )
     if not front.any():
         return state, P

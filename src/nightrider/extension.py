@@ -25,6 +25,13 @@ from .association import MatchSet
 from .camera import project_many
 from .lie import dot_many
 
+# Degeneracy: matched centers are kept for HORIZON seconds, and a center
+# counts as off the corridor line at TH_LINE metres from it.
+HORIZON = 10.0
+TH_LINE = 1.5
+# Width and height (px) of the window each off-line cluster searches.
+RECT_W, RECT_H = 30.0, 300.0
+
 
 def boxes_containing(boxes, pixels, pad_w=0.0, pad_h=0.0):
     """(pixels, boxes) bool: pixel i lies in box j grown by pad_w x pad_h.
@@ -66,7 +73,7 @@ def _greedy(triples, boxes, key):
     return MatchSet(dets, ids, scores)
 
 
-def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
+def extend_matches(boxes, unmatched_clusters, state, intr, max_range=80.0):
     """Match unmatched clusters to segmentation boxes by projected points.
 
     A cluster within max_range is a candidate for every box containing
@@ -88,7 +95,7 @@ def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
         sizes.append(len(points))
     sizes = np.array(sizes)
     starts = np.cumsum(sizes + 1) - (sizes + 1)
-    pix = project_many(np.concatenate(rows), pose, ext, intr)
+    pix = project_many(np.concatenate(rows), pose, intr)
     inside = boxes_containing(boxes, pix)
     center_in = inside[starts]
     # per-block sums count the center row too
@@ -106,14 +113,12 @@ def extend_matches(boxes, unmatched_clusters, state, ext, intr, max_range=80.0):
 class DegenState:
     """Sliding-window record of matched streetlight centers.
 
-    Tracks whether the recently observed streetlights lie on a single
-    x-y line.  While they do, yaw/x/y stay observable but z, roll and
-    pitch drift; the flag gates the corrective matching that runs when
-    an off-line streetlight finally shows up.
+    Tracks whether the streetlights observed in the last HORIZON seconds
+    lie on a single x-y line.  While they do, yaw/x/y stay observable but
+    z, roll and pitch drift; the flag gates the corrective matching that
+    runs when an off-line streetlight finally shows up.
     """
 
-    horizon: float = 10.0
-    th_line: float = 1.5
     degenerate: bool = False
     just_ended: bool = False
     window: list = field(default_factory=list)  # (t, cluster_id, center)
@@ -146,8 +151,8 @@ def update_degeneracy(degen, matched, t):
     """Advance the degeneracy state with this frame's positive matches.
 
     matched: iterable of (cluster_id, world center).  Entry requires at
-    least two distinct clusters in the window, all within th_line of a
-    fitted line.  Exit requires a newly matched center at least th_line
+    least two distinct clusters in the window, all within TH_LINE of a
+    fitted line.  Exit requires a newly matched center at least TH_LINE
     off the line fitted before this call; just_ended marks that frame.
     """
     degen.just_ended = False
@@ -155,13 +160,13 @@ def update_degeneracy(degen, matched, t):
 
     if degen.degenerate and degen.line is not None:
         for _, _, center in new_entries:
-            if _perp_distance(center, degen.line) >= degen.th_line:
+            if _perp_distance(center, degen.line) >= TH_LINE:
                 degen.degenerate = False
                 degen.just_ended = True
                 break
 
     degen.window.extend(new_entries)
-    cutoff = t - degen.horizon
+    cutoff = t - HORIZON
     degen.window = [e for e in degen.window if e[0] >= cutoff]
 
     centers = _unique_centers(degen.window)
@@ -170,7 +175,7 @@ def update_degeneracy(degen, matched, t):
         max_perp = max(_perp_distance(c, line) for c in centers)
         if degen.just_ended:
             degen.line = None  # stale once off-line evidence arrived
-        elif max_perp < degen.th_line:
+        elif max_perp < TH_LINE:
             degen.degenerate = True
             degen.line = line
         elif degen.degenerate:
@@ -181,25 +186,25 @@ def update_degeneracy(degen, matched, t):
 
 
 def offline_candidates(clusters, degen):
-    """Clusters lying at least th_line off the tracked corridor line."""
+    """Clusters lying at least TH_LINE off the tracked corridor line."""
     if degen.line is None:
         return list(clusters)
     return [
-        c for c in clusters if _perp_distance(c.center, degen.line) >= degen.th_line
+        c for c in clusters if _perp_distance(c.center, degen.line) >= TH_LINE
     ]
 
 
-def degeneration_match(boxes, new_clusters, state, ext, intr, rect_w=30.0, rect_h=300.0):
+def degeneration_match(boxes, new_clusters, state, intr):
     """Rectangle-gated matching for the first off-line streetlights.
 
     Accumulated z/roll/pitch drift shifts projections mostly vertically,
-    so each cluster searches a tall rect_w x rect_h window around its
+    so each cluster searches a tall RECT_W x RECT_H window around its
     projected center; among intersecting boxes the nearest center wins,
     greedily by ascending distance.
     """
     centers = np.reshape([c.center for c in new_clusters], (-1, 3))
-    pix = project_many(centers, state.pose, ext, intr)
-    ci, bi = np.nonzero(boxes_containing(boxes, pix, rect_w, rect_h))
+    pix = project_many(centers, state.pose, intr)
+    ci, bi = np.nonzero(boxes_containing(boxes, pix, RECT_W, RECT_H))
     d = np.reshape([boxes[b].center for b in bi], (-1, 2)) - pix[ci]
     dist = np.sqrt(dot_many(d, d))
     triples = [

@@ -27,6 +27,8 @@ import numpy as np
 from .lie import ExtendedPose, matvec_many, se23_exp, skew, skew_many, so3_exp_many
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+_GRAVITY_SKEW = skew(GRAVITY)
+GRAVITY.flags.writeable = _GRAVITY_SKEW.flags.writeable = False
 
 MAX_DT = 0.1
 
@@ -65,20 +67,17 @@ class NoiseConfig:
     """Continuous-time noise densities (all 3x3 covariance blocks).
 
     gyro/accel are white-noise densities; the bias entries are random-walk
-    densities.  gravity is the world-frame gravity vector.  The config is
-    frozen because propagate_window reads two derived matrices every
-    window, built once here: the 15x15 block-diagonal noise matrix and
-    skew(gravity).
+    densities.  Gravity is GRAVITY, the same for every run.  The config
+    is frozen because propagate_window reads the 15x15 block-diagonal
+    noise matrix every window, built once here.
     """
 
     gyro_cov: np.ndarray
     accel_cov: np.ndarray
     gyro_bias_cov: np.ndarray
     accel_bias_cov: np.ndarray
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
     # derived in __post_init__
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    gravity_skew: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.zeros((15, 15))
@@ -88,7 +87,6 @@ class NoiseConfig:
         Q[9:12, 9:12] = self.gyro_bias_cov
         Q[12:15, 12:15] = self.accel_bias_cov
         object.__setattr__(self, "matrix", Q)
-        object.__setattr__(self, "gravity_skew", skew(self.gravity))
 
     @classmethod
     def from_sigmas(
@@ -97,15 +95,12 @@ class NoiseConfig:
         accel_sigma=0.05,
         gyro_bias_sigma=1e-4,
         accel_bias_sigma=1e-3,
-        gravity=None,
     ):
-        g = GRAVITY.copy() if gravity is None else np.asarray(gravity, dtype=float)
         return cls(
             gyro_cov=np.eye(3) * gyro_sigma**2,
             accel_cov=np.eye(3) * accel_sigma**2,
             gyro_bias_cov=np.eye(3) * gyro_bias_sigma**2,
             accel_bias_cov=np.eye(3) * accel_bias_sigma**2,
-            gravity=g,
         )
 
 
@@ -120,7 +115,7 @@ _EYE3.flags.writeable = _EYE15.flags.writeable = False
 MAX_WINDOW = 256
 
 
-def _error_dynamics(rot, vel, pos, g_skew):
+def _error_dynamics(rot, vel, pos):
     """A (n, 15, 15) at n poses, and their pose columns (n, 9, 3).
 
     The pose columns [R; skew(v) R; skew(p) R] are the first block column
@@ -129,22 +124,10 @@ def _error_dynamics(rot, vel, pos, g_skew):
     cols = np.concatenate([rot, skew_many(vel) @ rot, skew_many(pos) @ rot], axis=1)
     A = np.zeros((len(rot), 15, 15))
     A[:, 0:9, 9:12] = -cols
-    A[:, 3:6, 0:3] = g_skew
+    A[:, 3:6, 0:3] = _GRAVITY_SKEW
     A[:, 3:6, 12:15] = -cols[:, 0:3]
     A[:, 6:9, 3:6] = _EYE3
     return A, cols
-
-
-def build_error_dynamics(state, gravity=None):
-    """Continuous-time error-state Jacobian A (15x15).
-
-    d/dt [xi; zeta] = A [xi; zeta] + (noise terms); the bias rows are zero
-    and the pose rows couple to the biases through the current estimate.
-    """
-    g = GRAVITY if gravity is None else gravity
-    pose = state.pose
-    A, _ = _error_dynamics(pose.rot[None], pose.vel[None], pose.pos[None], skew(g))
-    return A[0]
 
 
 def propagate(P, Phi, Qdt):
@@ -194,7 +177,7 @@ def _propagate_batch(state, P, gyro, accel, dt, noise):
     for E in so3_exp_many((gyro - state.bias_gyro) * dt):
         rot.append(rot[-1] @ E)
     rot = np.stack(rot)
-    acc_w = matvec_many(rot[:-1], accel - state.bias_accel) + noise.gravity
+    acc_w = matvec_many(rot[:-1], accel - state.bias_accel) + GRAVITY
 
     # velocity and position are running sums, added left to right:
     # v_k+1 = v_k + a_k dt and p_k+1 = (p_k + v_k dt) + a_k dt^2 / 2
@@ -205,7 +188,7 @@ def _propagate_batch(state, P, gyro, accel, dt, noise):
     steps[2::2] = 0.5 * acc_w * dt * dt
     pos = np.add.accumulate(steps)[0::2]
 
-    A, cols = _error_dynamics(rot[:-1], vel[:-1], pos[:-1], noise.gravity_skew)
+    A, cols = _error_dynamics(rot[:-1], vel[:-1], pos[:-1])
     M = A * dt
     Phi = _EYE15 + M
     M2 = M @ M
@@ -242,7 +225,8 @@ def invariant_update(state, P, H, z, N, max_var=math.inf):
     left multiplication with se23_exp and adds to the biases.  Covariance
     uses the Joseph form.  Raises UpdateRejected unless z and the
     innovation covariance S = H P H' + N are finite and S's eigenvalues,
-    both ends from one eigvalsh, lie in (0, max_var].
+    both ends from one eigvalsh, lie in (0, max_var], and S is nonsingular
+    to np.linalg.solve.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -256,7 +240,11 @@ def invariant_update(state, P, H, z, N, max_var=math.inf):
     if not (lam[0] > 0.0 and lam[-1] <= max_var):
         raise UpdateRejected(f"eigenvalues of S in [{lam[0]:.3e}, {lam[-1]:.3e}]")
 
-    K = np.linalg.solve(S, H @ P).T
+    try:
+        K = np.linalg.solve(S, H @ P).T
+    except np.linalg.LinAlgError as exc:
+        # S can pass the eigenvalue test and still be singular to LU
+        raise UpdateRejected(f"innovation covariance is singular ({exc})") from exc
     delta = K @ z
 
     pose_new = se23_exp(delta[0:9]).compose(state.pose)

@@ -17,6 +17,10 @@ from pathlib import Path
 import numpy as np
 
 SCHEMA_VERSION = 1
+# knn_outlier_filter drops points whose KNN_K-th neighbor lies more than
+# KNN_STD_MULT standard deviations beyond the mean such distance.
+KNN_K = 8
+KNN_STD_MULT = 2.0
 
 
 class MapFormatError(ValueError):
@@ -105,10 +109,10 @@ def dbscan(points, eps, min_pts):
     return labels
 
 
-def knn_outlier_filter(points, k=8, std_mult=2.0):
-    """Drop points whose k-th neighbor distance is unusually large."""
+def knn_outlier_filter(points):
+    """Drop points whose KNN_K-th neighbor distance is unusually large."""
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
+    n, k = len(pts), KNN_K
     if n <= k:
         return pts
     kth = np.empty(n)
@@ -118,7 +122,7 @@ def knn_outlier_filter(points, k=8, std_mult=2.0):
         kth[done : done + len(d2)] = np.partition(d2, k, axis=1)[:, k]
         done += len(d2)
     kth = np.sqrt(kth)
-    keep = kth <= kth.mean() + std_mult * kth.std()
+    keep = kth <= kth.mean() + KNN_STD_MULT * kth.std()
     return pts[keep]
 
 

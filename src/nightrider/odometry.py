@@ -1,54 +1,28 @@
 """Wheel-odometer velocity updates.
 
-The odometer reports a 3-vector velocity in its own frame.  It is carried
-into the body frame with the mounting extrinsics, picking up a lever-arm
-term from the angular rate; the measurement covariance is mapped the same
-way and inflated by the gyro noise and gyro-bias uncertainty that the
-lever arm injects.
+The odometer reports a 3-vector velocity in the body frame: the simulator
+mounts it at the body origin, aligned with the body axes, and no scenario
+or map field moves it.  The update fuses that velocity with the
+measurement covariance odom_sigma^2 I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .inekf import invariant_update
-from .lie import skew
 
 
 @dataclass
 class OdomSample:
     t: float
-    velocity: np.ndarray  # odometer-frame velocity
-
-
-@dataclass
-class OdomExtrinsics:
-    """Odometer-to-body mounting: x_b = rot @ x_o + trans."""
-
-    rot: np.ndarray = field(default_factory=lambda: np.eye(3))
-    trans: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    cov: np.ndarray = field(default_factory=lambda: np.eye(3) * 0.05**2)
-
-
-def transform_odom(sample, ext, gyro, bias_gyro, gyro_cov, gyro_bias_cov):
-    """Map an odometer sample into the body frame.
-
-    v_b = R_ob v_o + [t_ob]_x (gyro - bias) and
-    Sigma_b = R_ob Sigma_o R_ob' + [t_ob]_x (Sigma_gyro + Sigma_bias) [t_ob]_x'.
-    Returns (velocity_b, cov_b).
-    """
-    T = skew(ext.trans)
-    v_b = ext.rot @ np.asarray(sample.velocity, dtype=float) + T @ (
-        np.asarray(gyro, dtype=float) - bias_gyro
-    )
-    cov_b = ext.rot @ ext.cov @ ext.rot.T + T @ (gyro_cov + gyro_bias_cov) @ T.T
-    return v_b, cov_b
+    velocity: np.ndarray  # body-frame velocity
 
 
 def apply_odom_update(state, P, velocity_b, cov_b):
-    """Fuse a body-frame velocity measurement.
+    """Fuse a body-frame velocity measurement with covariance cov_b.
 
     The innovation R_hat (v_b - R_hat' v_hat) equals -xi_v up to noise, so
     H selects the velocity block and the noise covariance is rotated into

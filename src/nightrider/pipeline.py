@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .association import MatchSet, ScoreParams, associate
+from .association import MAX_RANGE, MatchSet, associate
 from .camera import apply_camera_update, camera_point, project_many
 from .extension import (
     DegenState,
@@ -29,10 +29,9 @@ from .extension import (
 )
 from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate_window
 from .lie import ExtendedPose, dot_many, right_invariant_error_many, se23_exp
-from .odometry import OdomExtrinsics, apply_odom_update, transform_odom
+from .odometry import apply_odom_update
 from .recovery import RecoveryParams, attempt_recovery, is_lost
 from .sim import (
-    CAMERA_MOUNT,
     Scenario,
     compute_ate,
     make_map,
@@ -40,8 +39,7 @@ from .sim import (
     simulate_streams,
 )
 
-# the association and recovery layers run with their own defaults
-_SCORE = ScoreParams()
+# recovery runs with RecoveryParams' defaults, which the benchmark reads
 _RECOVERY = RecoveryParams()
 # Extended and degeneration matches measure segmentation-box centers,
 # which quantize to whole pixels and carry bloom asymmetry; their pixel
@@ -59,7 +57,7 @@ INIT_SIGMAS = (0.02, 0.05, 0.2, 1e-3, 5e-3)
 class PipelineConfig:
     """Stage switches, the extension range (m), and whether to perturb
     the initial state; every other setting is a named constant here or
-    the default of the layer that uses it."""
+    in the layer that uses it."""
 
     use_odom: bool = True
     use_vision: bool = True
@@ -172,10 +170,10 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
 
 def _recovery_candidates(smap, pose, intr):
     """Clusters the camera could plausibly see from the current estimate."""
-    near = within_range(smap.clusters, pose.pos, _SCORE.max_range)
+    near = within_range(smap.clusters, pose.pos, MAX_RANGE)
     centers = np.reshape([c.center for c in near], (-1, 3))
-    depth = camera_point(centers, pose, CAMERA_MOUNT)[:, 2]
-    pix = project_many(centers, pose, CAMERA_MOUNT, intr)
+    depth = camera_point(centers, pose)[:, 2]
+    pix = project_many(centers, pose, intr)
     seen = (depth >= 1.0) & intr.contains(pix, margin=-50.0)
     return [c for c, keep in zip(near, seen) if keep]
 
@@ -201,10 +199,9 @@ def run_pipeline(scenario, smap=None, config=None):
         scenario.gyro_bias_sigma,
         scenario.accel_bias_sigma,
     )
-    # the simulated odometer sits at the body origin (sim.simulate_odom)
-    odom_ext = OdomExtrinsics(cov=np.eye(3) * scenario.odom_sigma**2)
+    # the simulated odometer measures body-frame velocity (sim.simulate_odom)
+    odom_cov = np.eye(3) * scenario.odom_sigma**2
     dt = 1.0 / scenario.imu_rate
-    gyro_cov = np.eye(3) * scenario.gyro_sigma**2 / dt
 
     P = initial_covariance()
     pose0 = truth[0].pose.copy()
@@ -237,9 +234,7 @@ def run_pipeline(scenario, smap=None, config=None):
         n = ms.positive_count()
         if n:
             try:
-                state, P = apply_camera_update(
-                    state, P, ms, lookup, CAMERA_MOUNT, intr, sigma
-                )
+                state, P = apply_camera_update(state, P, ms, lookup, intr, sigma)
             except UpdateRejected:
                 events.append((frame.t, "update_rejected", kind))
                 return 0
@@ -263,12 +258,8 @@ def run_pipeline(scenario, smap=None, config=None):
         if config.use_odom and kk % step_odom == 0 and oi < len(odom):
             sample = odom[oi]
             oi += 1
-            v_b, cov_b = transform_odom(
-                sample, odom_ext, imu[kk - 1].gyro, state.bias_gyro, gyro_cov,
-                P[9:12, 9:12],
-            )
             try:
-                state, P = apply_odom_update(state, P, v_b, cov_b)
+                state, P = apply_odom_update(state, P, sample.velocity, odom_cov)
             except UpdateRejected:
                 events.append((state.t, "update_rejected", "odom"))
 
@@ -289,7 +280,6 @@ def run_pipeline(scenario, smap=None, config=None):
                     state,
                     P,
                     _RECOVERY,
-                    CAMERA_MOUNT,
                     intr,
                     scenario.pixel_sigma,
                 )
@@ -304,15 +294,7 @@ def run_pipeline(scenario, smap=None, config=None):
                     events.append((frame.t, "recovery_failed", len(frame.detections)))
             elif not lost:
                 if frame.detections:
-                    ms = associate(
-                        frame.detections,
-                        smap.clusters,
-                        state,
-                        P,
-                        _SCORE,
-                        CAMERA_MOUNT,
-                        intr,
-                    )
+                    ms = associate(frame.detections, smap.clusters, state, P, intr)
                     ms = MatchSet(
                         ms.detections,
                         [
@@ -327,10 +309,7 @@ def run_pipeline(scenario, smap=None, config=None):
                 run_degen = config.use_degeneration and degen.degenerate
                 if config.use_extension or run_degen:
                     taken = project_many(
-                        [lookup[cid].center for cid in matched_ids],
-                        state.pose,
-                        CAMERA_MOUNT,
-                        intr,
+                        [lookup[cid].center for cid in matched_ids], state.pose, intr
                     )
                     hit = boxes_containing(frame.boxes, taken).any(axis=0)
                     free = [b for b, h in zip(frame.boxes, hit) if not h]
@@ -342,12 +321,7 @@ def run_pipeline(scenario, smap=None, config=None):
                         c for c in smap.clusters if c.id not in matched_ids
                     ]
                     ems = extend_matches(
-                        free,
-                        unmatched,
-                        state,
-                        CAMERA_MOUNT,
-                        intr,
-                        config.extension_range,
+                        free, unmatched, state, intr, config.extension_range
                     )
                     n_ext = camera_stage(ems, box_sigma, "extension")
                     if n_ext:
@@ -359,7 +333,7 @@ def run_pipeline(scenario, smap=None, config=None):
                     unmatched = [c for c in smap.clusters if c.id not in matched_ids]
                     near = within_range(unmatched, state.pose.pos, config.extension_range)
                     cands = offline_candidates(near, degen)
-                    dms = degeneration_match(free, cands, state, CAMERA_MOUNT, intr)
+                    dms = degeneration_match(free, cands, state, intr)
                     n_deg = camera_stage(dms, box_sigma, "degeneration")
 
         if config.use_degeneration:

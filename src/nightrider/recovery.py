@@ -45,6 +45,7 @@ import numpy as np
 
 from .association import MatchSet
 from .camera import (
+    CAMERA_MOUNT,
     MAX_BEARING_VAR,
     Z_MIN,
     apply_camera_update,
@@ -123,10 +124,10 @@ class _SharedLinearization:
     observed bearing.
     """
 
-    def __init__(self, detections, clusters, state, P, ext, intr, pixel_sigma):
+    def __init__(self, detections, clusters, state, P, intr, pixel_sigma):
         m = len(clusters)
         self.centers = np.array([c.center for c in clusters], dtype=float)
-        self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state, ext)
+        self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state)
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
         S += np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), m))
@@ -182,7 +183,7 @@ def _corrections(combos, lin):
     return delta
 
 
-def _block_scores(combos, lin, state, params, ext, intr):
+def _block_scores(combos, lin, state, params, intr):
     """Punishment score of each combination in a (B, n) block.
 
     Mean pixel reprojection residual of the matched pairs after the
@@ -200,7 +201,7 @@ def _block_scores(combos, lin, state, params, ext, intr):
 
     matched = combos >= 0
     d = lin.centers[np.where(matched, combos, 0)] - pos[:, None, :]
-    c = np.einsum("bij,bki->bkj", rot, d) @ ext.rot.T + ext.trans
+    c = np.einsum("bij,bki->bkj", rot, d) @ CAMERA_MOUNT.T
     seen = matched & (c[..., 2] >= Z_MIN)
     behind = (matched & ~seen).any(axis=1)
     resid = np.zeros(combos.shape)
@@ -248,7 +249,7 @@ def _shrink(detections, clusters, state, params):
     return detections, clusters
 
 
-def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_sigma=2.0):
+def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma=2.0):
     """Try to relocalize; returns (state, P, MatchSet) or None.
 
     Inputs are never mutated.  When the raw combination count exceeds the
@@ -273,12 +274,12 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     if min(n, m) < MIN_LIGHTS:  # no map could be accepted
         return None
 
-    lin = _SharedLinearization(detections, clusters, state, P, ext, intr, pixel_sigma)
+    lin = _SharedLinearization(detections, clusters, state, P, intr, pixel_sigma)
     best, winner = np.inf, None
     combos = assignment_array(n, m)
     for start in range(0, len(combos), CANDIDATE_BLOCK):
         block = combos[start : start + CANDIDATE_BLOCK].astype(np.intp)
-        scores = _block_scores(block, lin, state, params, ext, intr)
+        scores = _block_scores(block, lin, state, params, intr)
         i = int(np.argmin(scores))  # the first of equal lowest scores
         if scores[i] < best:
             best, winner = scores[i], block[i]
@@ -289,7 +290,7 @@ def attempt_recovery(detections, clusters, state, P, params, ext, intr, pixel_si
     ms = MatchSet(list(detections), ids, [0.0] * n)
     clusters_by_id = {c.id: c for c in clusters}
     try:
-        st, Pc = apply_camera_update(state, P, ms, clusters_by_id, ext, intr, pixel_sigma)
+        st, Pc = apply_camera_update(state, P, ms, clusters_by_id, intr, pixel_sigma)
     except UpdateRejected:
         return None
     return st, Pc.copy(), ms

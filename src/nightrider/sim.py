@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy.interpolate
 
-from .camera import CamExtrinsics, CameraIntrinsics, DetectionBox, pinhole
+from .camera import CAMERA_MOUNT, CameraIntrinsics, DetectionBox, pinhole
 from .inekf import GRAVITY, MAX_DT, ImuSample
 from .lie import ExtendedPose, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
@@ -31,6 +31,10 @@ from .odometry import OdomSample
 
 
 _FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
+MIN_BOX_AREA = 4  # px: smaller segmented blobs are dropped
+ATE_MAX_DT = 0.005  # s: compute_ate pairs only stamps this close
+# the planted lateral accelerometer bias of corridor_scenario (m/s^2)
+CORRIDOR_LATERAL_BIAS = 0.5
 # Bounds that keep a run in memory and time (ring has 20,000 IMU samples, 1,000
 # frames and 0.5 false positives, drawn one by one, per frame), frame_boxes'
 # mask within 64 MiB, and the squares and quotients of scenario numbers finite.
@@ -231,30 +235,6 @@ class TrajectorySample:
     accel_world: np.ndarray
 
 
-def _row_field(name):
-    def get(self):
-        return getattr(self._traj, name)[self._k]
-
-    def put(self, value):
-        getattr(self._traj, name)[self._k] = value
-
-    return property(get, put)
-
-
-class _RowPose(ExtendedPose):
-    """Row k of a Trajectory as an ExtendedPose.
-
-    Reading rot, vel or pos reads the row; assigning one writes it, so
-    editing a sample's pose edits the trajectory.
-    """
-
-    rot, vel, pos = _row_field("rot"), _row_field("vel"), _row_field("pos")
-
-    def __init__(self, traj, k):
-        self._traj = traj
-        self._k = k
-
-
 class Trajectory(Sequence):
     """Ground truth on a time grid, held as arrays.
 
@@ -285,7 +265,10 @@ class Trajectory(Sequence):
             )
         k = range(len(self))[k]  # bounds check; a negative k counts from the end
         return TrajectorySample(
-            self.t[k], _RowPose(self, k), self.body_rate[k], self.accel_world[k]
+            self.t[k],
+            ExtendedPose(self.rot[k], self.vel[k], self.pos[k]),
+            self.body_rate[k],
+            self.accel_world[k],
         )
 
     def poses(self):
@@ -417,15 +400,14 @@ def simulate_imu(truth, scenario, rng):
 
 
 def simulate_odom(truth, scenario, rng):
-    """Body-frame velocity samples on the odometer grid (identity mount)."""
+    """Body-frame velocity samples on the odometer grid.
+
+    The odometer sits at the body origin, aligned with the body axes.
+    """
     idx = _grid_indices(scenario, scenario.odom_rate)
     noise = rng.normal(size=(len(idx), 3)) * scenario.odom_sigma
     vel_b = (np.swapaxes(truth.rot[idx], 1, 2) @ truth.vel[idx][:, :, None])[:, :, 0]
     return [OdomSample(t, v) for t, v in zip(truth.t[idx], vel_b + noise)]
-
-
-# The simulated camera's body-to-camera mount; the filter uses the same one.
-CAMERA_MOUNT = CamExtrinsics()
 
 
 def _grid_indices(scenario, rate):
@@ -442,7 +424,7 @@ def _camera_points(rot, pos, points):
     """
     d = points[None, :, :] - pos[:, None, :]
     rot_t = np.swapaxes(rot, 1, 2)[:, None]
-    return (CAMERA_MOUNT.rot @ (rot_t @ d[..., None]))[..., 0] + CAMERA_MOUNT.trans
+    return (CAMERA_MOUNT @ (rot_t @ d[..., None]))[..., 0]
 
 
 def simulate_detections(truth, scenario, smap, rng):
@@ -469,14 +451,10 @@ def simulate_detections(truth, scenario, smap, rng):
     )
     pix = np.zeros(front.shape + (2,))
     pix[front] = pinhole(cp, intr)
-    margin = 2.0
     visible = (
         front
         & (extents.min(axis=-1) >= scenario.detector_min_box)
-        & (margin <= pix[..., 0])
-        & (pix[..., 0] <= intr.width - 1 - margin)
-        & (margin <= pix[..., 1])
-        & (pix[..., 1] <= intr.height - 1 - margin)
+        & intr.contains(pix, margin=2.0)
     )
     ids = [c.id for c in smap.clusters]
     frames = []
@@ -570,11 +548,11 @@ def _blob_rects(rot, pos, smap, scenario, intr):
     return [rects[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _segment_rects(rects, min_area):
+def _segment_rects(rects):
     """Segmentation boxes of one frame's blob rectangles.
 
     Groups 8-connected rectangles and reports each group's bounding box
-    when its painted pixel count reaches min_area, sorted by center row,
+    when its painted pixel count reaches MIN_BOX_AREA, sorted by center row,
     then column.
     """
     n = len(rects)
@@ -612,7 +590,7 @@ def _segment_rects(rects, min_area):
             for r in members:
                 mask[r[2] - v0 : r[3] - v0, r[0] - u0 : r[1] - u0] = True
             area = int(mask.sum())
-        if area < min_area:
+        if area < MIN_BOX_AREA:
             continue
         boxes.append(
             DetectionBox(
@@ -625,23 +603,19 @@ def _segment_rects(rects, min_area):
     return boxes
 
 
-def frame_boxes(poses, smap, scenario, min_area=4):
+def frame_boxes(poses, smap, scenario):
     """Segmentation boxes of the rendered frames, without the images.
 
-    poses is one ExtendedPose, which gives one list of boxes, or a
-    Trajectory, which gives one list per sample; the camera geometry of
-    all its poses is computed in one pass.
-    Blob rectangles are grouped by 8-connectivity, and each group gives
+    poses is a Trajectory; each sample gives one list of boxes, and the
+    camera geometry of all its poses is computed in one pass.  Blob
+    rectangles are grouped by 8-connectivity, and each group gives
     its bounding box and painted pixel count.  That equals segmenting
     the rendered image for any threshold below the blob intensity; the
     renderer (render_intensity_image in tests/test_sim.py) and the
     segmenter (segment_boxes in tests/test_extension.py) are the oracle.
     """
-    one = isinstance(poses, ExtendedPose)
-    rot, pos = (poses.rot[None], poses.pos[None]) if one else (poses.rot, poses.pos)
-    rects = _blob_rects(rot, pos, smap, scenario, scenario.intrinsics())
-    boxes = [_segment_rects(r, min_area) for r in rects]
-    return boxes[0] if one else boxes
+    rects = _blob_rects(poses.rot, poses.pos, smap, scenario, scenario.intrinsics())
+    return [_segment_rects(r) for r in rects]
 
 
 _LAMP_OFFSETS = np.array(
@@ -674,11 +648,11 @@ def make_map(scenario):
     return StreetlightMap(map_id=scenario.name, clusters=clusters)
 
 
-def compute_ate(est_times, est_poses, truth_times, truth_poses, max_dt=0.005):
+def compute_ate(est_times, est_poses, truth_times, truth_poses):
     """(translation RMSE m, rotation RMSE deg) over nearest-time pairs.
 
     Both trajectories share the world frame, so no alignment is applied.
-    Raises ValueError when no timestamps pair up within max_dt.
+    Raises ValueError when no timestamps pair up within ATE_MAX_DT.
     """
     est_times = np.asarray(est_times, dtype=float)
     truth_times = np.asarray(truth_times, dtype=float)
@@ -691,7 +665,7 @@ def compute_ate(est_times, est_poses, truth_times, truth_poses, max_dt=0.005):
         truth_times[idx] - est_times
     )
     nearest = np.where(use_left, left, idx)
-    ok = np.abs(truth_times[nearest] - est_times) <= max_dt + 1e-12
+    ok = np.abs(truth_times[nearest] - est_times) <= ATE_MAX_DT + 1e-12
     if not ok.any():
         raise ValueError("no overlapping timestamps within tolerance")
 
@@ -742,19 +716,19 @@ def ring_scenario(seed=0):
     )
 
 
-def corridor_scenario(seed=1, offline_lamp=True, lateral_bias=0.5):
-    """Straight corridor of collinear lamps, then one off-line lamp.
+def corridor_scenario(seed=1):
+    """Straight corridor of ten collinear lamps, then one off-line lamp.
 
     Collinear lights cannot pin a rotation about their common line, and
     neither gravity leveling nor the odometer helps: a roll about the
     line pairs with a lateral accelerometer-bias shift of g times the
     angle, and the velocity is parallel to the line.  The scenario
-    plants a constant lateral accelerometer bias that the filter does
-    not know at start; the estimate settles into a tilted equilibrium
-    roughly lateral_bias / g radians around the line (a z offset of a
-    few decimetres here) while every on-line projection stays
-    consistent.  The off-line lamp breaks the symmetry once it comes
-    into range.
+    plants a constant lateral accelerometer bias, CORRIDOR_LATERAL_BIAS,
+    that the filter does not know at start; the estimate settles into a
+    tilted equilibrium roughly CORRIDOR_LATERAL_BIAS / g radians around
+    the line (a z offset of a few decimetres here) while every on-line
+    projection stays consistent.  The off-line lamp at (110, -12) m
+    breaks the symmetry once it comes into range.
 
     The filter still models the bias as a walk, so its covariance
     grows honestly along the blind direction.  The other noise knobs
@@ -762,9 +736,7 @@ def corridor_scenario(seed=1, offline_lamp=True, lateral_bias=0.5):
     source and the comparison between runs with and without
     degeneration handling is not washed out.
     """
-    lamps = [[8.0 + 10.0 * i, 6.0, 4.0] for i in range(10)]
-    if offline_lamp:
-        lamps.append([110.0, -12.0, 4.0])
+    lamps = [[8.0 + 10.0 * i, 6.0, 4.0] for i in range(10)] + [[110.0, -12.0, 4.0]]
     return Scenario(
         name="corridor",
         trajectory={"kind": "line", "start": [0.0, 0.0, 0.0], "velocity": [2.0, 0.0, 0.0]},
@@ -776,7 +748,7 @@ def corridor_scenario(seed=1, offline_lamp=True, lateral_bias=0.5):
         gyro_bias_sigma=2e-5,
         accel_bias_sigma=0.1,
         bias_mode="constant",
-        accel_bias0=[0.0, lateral_bias, 0.0],
+        accel_bias0=[0.0, CORRIDOR_LATERAL_BIAS, 0.0],
         pixel_sigma=0.3,
         dropout=0.0,
         false_positives=0.0,

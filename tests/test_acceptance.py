@@ -14,21 +14,18 @@ import numpy as np
 
 from nightrider.association import (
     NO_MATCH_FLOOR,
-    ScoreParams,
     associate,
     hungarian,
     score_matrix,
 )
 from nightrider.camera import (
-    CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
     bearing_jacobians,
     camera_point,
-    project,
 )
 from nightrider.cli import main as cli_main
-from nightrider.inekf import FilterState, ImuSample, build_error_dynamics
+from nightrider.inekf import FilterState, ImuSample
 from nightrider.lie import (
     ExtendedPose,
     adjoint_se23,
@@ -47,10 +44,11 @@ from nightrider.sim import (
     ring_scenario,
 )
 from test_association import angle_gradients, left_fd, projection_jacobian
+from test_extension import project
+from test_inekf import build_error_dynamics
 
 G = np.array([0.0, 0.0, -9.81])
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
-EXT = CamExtrinsics()
 
 
 def _report(num, name, ok, detail):
@@ -127,7 +125,7 @@ def test_01_jacobian_suite():
     while checked < 30:
         st = _rand_state(rng)
         C = st.pose.pos + st.pose.rot @ np.array([20.0, 0.0, 4.0]) + rng.normal(size=3) * 2
-        front, _, h, H, _, _ = bearing_jacobians([C], st, EXT)
+        front, _, h, H, _, _ = bearing_jacobians([C], st)
         if not front[0]:
             continue
         H, h = H[0], h[0]
@@ -139,7 +137,7 @@ def test_01_jacobian_suite():
             zs = []
             for s in (eps, -eps):
                 true = se23_exp(-(s / eps) * e).compose(st.pose)
-                c = camera_point(C, true, EXT)
+                c = camera_point(C, true)
                 zs.append(c[:2] / c[2] - h)
             H_fd[:, k] = -(zs[0] - zs[1]) / (2.0 * eps)
         worst_H = max(worst_H, _max_rel(H_fd - H[:, 0:9], H[:, 0:9]))
@@ -155,10 +153,10 @@ def test_01_jacobian_suite():
     while checked < 30:
         st = _rand_state(rng)
         C = st.pose.pos + st.pose.rot @ np.array([18.0, 0.0, 4.0]) + rng.normal(size=3)
-        J = projection_jacobian(st, C, EXT, INTR)
-        if J is None or project(C, st.pose, EXT, INTR) is None:
+        J = projection_jacobian(st, C, INTR)
+        if J is None or project(C, st.pose, INTR) is None:
             continue
-        J_fd = left_fd(lambda pose_: project(C, pose_, EXT, INTR), st.pose, 1e-6)
+        J_fd = left_fd(lambda pose_: project(C, pose_, INTR), st.pose, 1e-6)
         worst_J = max(worst_J, _max_rel(J_fd - J[:, :9], J[:, :9]))
         checked += 1
         configs += 1
@@ -169,17 +167,17 @@ def test_01_jacobian_suite():
         st = _rand_state(rng)
         pose = st.pose
         C = pose.pos + pose.rot @ np.array([18.0, 0.0, 4.0]) + rng.normal(size=3)
-        pix_true = project(C, pose, EXT, INTR)
+        pix_true = project(C, pose, INTR)
         if pix_true is None:
             continue
         pix = pix_true + rng.normal(size=2) * 30.0
-        out = angle_gradients(st, pix, C, EXT, INTR)
+        out = angle_gradients(st, pix, C, INTR)
         if out is None:
             continue
         _, d_pixel, grad = out
 
         def cos_of(pose_, pix_):
-            return angle_gradients(FilterState(pose_), pix_, C, EXT, INTR)[0]
+            return angle_gradients(FilterState(pose_), pix_, C, INTR)[0]
 
         h = 1e-6
         fd_pix = np.zeros(2)
@@ -297,7 +295,7 @@ def _random_instance(rng):
     dets = []
     for _ in range(n):
         if m and rng.random() < 0.6:
-            pix = project(clusters[int(rng.integers(m))].center, st.pose, EXT, INTR)
+            pix = project(clusters[int(rng.integers(m))].center, st.pose, INTR)
         else:
             pix = None
         if pix is None:
@@ -318,18 +316,17 @@ class _Cluster:
 def test_03_assignment_oracle_and_timing():
     rng = np.random.default_rng(300)
     t0 = time.perf_counter()
-    params = ScoreParams()
 
     worst = 0.0
     nontrivial = 0
     for _ in range(1000):
         dets, clusters, st, P = _random_instance(rng)
-        ms = associate(dets, clusters, st, P, params, EXT, INTR)
+        ms = associate(dets, clusters, st, P, INTR)
         realized = float(sum(ms.scores))
         if len(dets) == 0:
             assert ms.cluster_ids == [] and realized == 0.0
             continue
-        S = score_matrix(dets, clusters, st, P, params, EXT, INTR)
+        S = score_matrix(dets, clusters, st, P, INTR)
         no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
         best = _best_assignment_value(S, no_match)
         worst = max(worst, abs(realized - best) / max(1.0, abs(best)))
@@ -341,7 +338,7 @@ def test_03_assignment_oracle_and_timing():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(n, 7))
         M = rng.normal(size=(n, m))
-        cols = hungarian(M, maximize=True)
+        cols = hungarian(M)
         got = sum(M[i, c] for i, c in enumerate(cols))
         best = max(
             sum(M[i, p[i]] for i in range(n))
@@ -361,7 +358,7 @@ def test_03_assignment_oracle_and_timing():
     ]
     dets = [
         DetectionBox(
-            np.asarray(project(clusters[i].center, st.pose, EXT, INTR))
+            np.asarray(project(clusters[i].center, st.pose, INTR))
             + rng.normal(size=2) * 5.0,
             np.array([12.0, 12.0]),
         )
@@ -370,7 +367,7 @@ def test_03_assignment_oracle_and_timing():
     samples = []
     for _ in range(51):
         t1 = time.perf_counter()
-        associate(dets, clusters, st, P, params, EXT, INTR)
+        associate(dets, clusters, st, P, INTR)
         samples.append(time.perf_counter() - t1)
     median_ms = float(np.median(samples) * 1e3)
 

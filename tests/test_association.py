@@ -4,29 +4,27 @@ import math
 import numpy as np
 import scipy.optimize
 
+from nightrider import association
 from nightrider.association import (
     SIGMA_FLOOR,
     MatchSet,
-    ScoreParams,
     associate,
     hungarian,
     score_matrix,
 )
 from nightrider.camera import (
-    CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
     back_project,
     bearing_jacobians,
-    project,
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, se23_exp
 from nightrider.mapping import StreetlightCluster
+from test_extension import project
 
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
-EXT = CamExtrinsics()
 
 
 def _state_looking_down_x(rng=None, pos=(0.0, 0.0, 1.0)):
@@ -48,23 +46,23 @@ def _cluster(cid, center):
 # pair_score entry by entry.
 
 
-def projection_jacobian(state, center_w, ext, intr):
+def projection_jacobian(state, center_w, intr):
     """2x15 sensitivity of the projected center to the invariant error,
     diag(fx, fy) H.  None behind the camera."""
-    front, _, _, H, _, _ = bearing_jacobians([center_w], state, ext)
+    front, _, _, H, _, _ = bearing_jacobians([center_w], state)
     if not front[0]:
         return None
     return np.diag([intr.fx, intr.fy]) @ H[0]
 
 
-def angle_gradients(state, detection_pixel, center_w, ext, intr):
+def angle_gradients(state, detection_pixel, center_w, intr):
     """cos(theta) between back-projected and predicted rays plus gradients.
 
     Returns (cos_theta, d_cos/d_pixel_homog (3,), d_cos/d_xi (15,)) or
     None behind the camera; xi is the invariant error, as in
     projection_jacobian.
     """
-    front, c, _, _, _, Dc = bearing_jacobians([center_w], state, ext)
+    front, c, _, _, _, Dc = bearing_jacobians([center_w], state)
     if not front[0]:
         return None
     ray = back_project(detection_pixel, intr)
@@ -79,18 +77,18 @@ def angle_gradients(state, detection_pixel, center_w, ext, intr):
     return cos_theta, d_pixel, grad
 
 
-def sigma_proj(state, P, center_w, ext, intr, alpha):
+def sigma_proj(state, P, center_w, intr, alpha):
     """Reprojection covariance: alpha I plus the filter's covariance pushed
     through the projection Jacobian.  None when behind the camera."""
-    J = projection_jacobian(state, center_w, ext, intr)
+    J = projection_jacobian(state, center_w, intr)
     if J is None:
         return None
     return alpha * np.eye(2) + J @ P @ J.T
 
 
-def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
+def sigma_ang(state, P, detection_pixel, center_w, intr, alpha):
     """Variance of the angular residual 1 - cos(theta), floored."""
-    out = angle_gradients(state, detection_pixel, center_w, ext, intr)
+    out = angle_gradients(state, detection_pixel, center_w, intr)
     if out is None:
         return None
     _, d_pixel, grad = out
@@ -99,16 +97,18 @@ def sigma_ang(state, P, detection_pixel, center_w, ext, intr, alpha):
     return max(pix_var + pose_var, SIGMA_FLOOR)
 
 
-def pair_score(detection, cluster, state, P, params, ext, intr):
-    """Blended density score; exactly 0 for gated-out pairs."""
+def pair_score(detection, cluster, state, P, intr):
+    """Blended density score; exactly 0 for gated-out pairs.  Reads the
+    association module's WEIGHT, ALPHA and MAX_RANGE when called."""
+    weight, alpha = association.WEIGHT, association.ALPHA
     C = cluster.center
-    if np.linalg.norm(C - state.pose.pos) > params.max_range:
+    if np.linalg.norm(C - state.pose.pos) > association.MAX_RANGE:
         return 0.0
-    pix = project(C, state.pose, ext, intr)
+    pix = project(C, state.pose, intr)
     if pix is None:
         return 0.0
 
-    Sp = sigma_proj(state, P, C, ext, intr, params.alpha)
+    Sp = sigma_proj(state, P, C, intr, alpha)
     r = np.asarray(detection.center, dtype=float) - pix
     det2 = Sp[0, 0] * Sp[1, 1] - Sp[0, 1] * Sp[1, 0]
     quad = (
@@ -116,12 +116,12 @@ def pair_score(detection, cluster, state, P, params, ext, intr):
     ) / det2
     s_proj = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det2))
 
-    cos_theta, _, _ = angle_gradients(state, detection.center, C, ext, intr)
-    var = sigma_ang(state, P, detection.center, C, ext, intr, params.alpha)
+    cos_theta, _, _ = angle_gradients(state, detection.center, C, intr)
+    var = sigma_ang(state, P, detection.center, C, intr, alpha)
     r_ang = 1.0 - cos_theta
     s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
 
-    return float(params.weight * s_proj + (1.0 - params.weight) * s_ang)
+    return float(weight * s_proj + (1.0 - weight) * s_ang)
 
 
 # ------------------------------------------------------------- sigma_proj
@@ -129,7 +129,7 @@ def pair_score(detection, cluster, state, P, params, ext, intr):
 
 def test_sigma_proj_zero_cov_is_alpha_identity():
     st = _state_looking_down_x()
-    S = sigma_proj(st, np.zeros((15, 15)), [20.0, 1.0, 5.0], EXT, INTR, alpha=4.0)
+    S = sigma_proj(st, np.zeros((15, 15)), [20.0, 1.0, 5.0], INTR, alpha=4.0)
     np.testing.assert_allclose(S, 4.0 * np.eye(2), atol=1e-12)
 
 
@@ -155,10 +155,10 @@ def test_projection_jacobian_matches_finite_differences():
         )
         st = FilterState(pose)
         C = pose.pos + pose.rot @ np.array([15.0, 0.0, 3.0]) + rng.normal(size=3)
-        J = projection_jacobian(st, C, EXT, INTR)
+        J = projection_jacobian(st, C, INTR)
         if J is None:
             continue
-        J_fd = left_fd(lambda pose_: project(C, pose_, EXT, INTR), pose, h)
+        J_fd = left_fd(lambda pose_: project(C, pose_, INTR), pose, h)
         scale = max(np.abs(J).max(), 1.0)
         assert np.abs(J_fd - J[:, :9]).max() / scale < 1e-5
         assert not J[:, 9:].any()  # biases do not move the projection
@@ -169,8 +169,8 @@ def test_sigma_proj_shrinks_with_range():
     st = _state_looking_down_x()
     P = np.zeros((15, 15))
     P[6:9, 6:9] = np.eye(3) * 0.04
-    near = sigma_proj(st, P, [20.0, 0.0, 4.0], EXT, INTR, alpha=0.0)
-    far = sigma_proj(st, P, [40.0, 0.0, 7.0], EXT, INTR, alpha=0.0)
+    near = sigma_proj(st, P, [20.0, 0.0, 4.0], INTR, alpha=0.0)
+    far = sigma_proj(st, P, [40.0, 0.0, 7.0], INTR, alpha=0.0)
     ratio = np.trace(far) / np.trace(near)
     assert 0.15 < ratio < 0.4
 
@@ -181,16 +181,16 @@ def test_sigma_proj_shrinks_with_range():
 def test_sigma_ang_floors_for_aligned_ray_and_zero_cov():
     st = _state_looking_down_x()
     C = np.array([25.0, 2.0, 6.0])
-    pix = project(C, st.pose, EXT, INTR)
-    var = sigma_ang(st, np.zeros((15, 15)), pix, C, EXT, INTR, alpha=4.0)
+    pix = project(C, st.pose, INTR)
+    var = sigma_ang(st, np.zeros((15, 15)), pix, C, INTR, alpha=4.0)
     assert var == 1e-12  # gradient of cos vanishes at the optimum
 
 
 def test_sigma_ang_positive_off_axis():
     st = _state_looking_down_x()
     C = np.array([25.0, 2.0, 6.0])
-    pix = project(C, st.pose, EXT, INTR) + np.array([40.0, -25.0])
-    var = sigma_ang(st, np.eye(15) * 1e-4, pix, C, EXT, INTR, alpha=4.0)
+    pix = project(C, st.pose, INTR) + np.array([40.0, -25.0])
+    var = sigma_ang(st, np.eye(15) * 1e-4, pix, C, INTR, alpha=4.0)
     assert var > 1e-10
 
 
@@ -204,18 +204,18 @@ def test_angle_gradients_match_finite_differences():
         )
         st = FilterState(pose)
         C = pose.pos + pose.rot @ np.array([18.0, 0.0, 4.0]) + rng.normal(size=3)
-        pix_true = project(C, pose, EXT, INTR)
+        pix_true = project(C, pose, INTR)
         if pix_true is None:
             continue
         pix = pix_true + rng.normal(size=2) * 30.0
-        out = angle_gradients(st, pix, C, EXT, INTR)
+        out = angle_gradients(st, pix, C, INTR)
         if out is None:
             continue
         checked += 1
         _, d_pixel, grad = out
 
         def cos_of(pose_, pix_):
-            o = angle_gradients(FilterState(pose_), pix_, C, EXT, INTR)
+            o = angle_gradients(FilterState(pose_), pix_, C, INTR)
             return o[0]
 
         fd_pix = np.zeros(3)
@@ -240,22 +240,20 @@ def test_angle_gradients_match_finite_differences():
 def test_pair_score_gates_range_and_behind():
     st = _state_looking_down_x()
     P = np.eye(15) * 1e-4
-    params = ScoreParams()
     det = DetectionBox(np.array([640.0, 200.0]), np.array([10.0, 10.0]))
-    assert pair_score(det, _cluster(0, [80.0, 0.0, 5.0]), st, P, params, EXT, INTR) == 0.0
-    assert pair_score(det, _cluster(0, [-10.0, 0.0, 5.0]), st, P, params, EXT, INTR) == 0.0
+    assert pair_score(det, _cluster(0, [80.0, 0.0, 5.0]), st, P, INTR) == 0.0
+    assert pair_score(det, _cluster(0, [-10.0, 0.0, 5.0]), st, P, INTR) == 0.0
 
 
 def test_pair_score_prefers_nearby_detection():
     st = _state_looking_down_x()
     P = np.eye(15) * 1e-4
-    params = ScoreParams()
     C = _cluster(0, [25.0, 1.0, 5.0])
-    pix = project(C.center, st.pose, EXT, INTR)
+    pix = project(C.center, st.pose, INTR)
     close = DetectionBox(pix + np.array([1.0, -1.0]), np.array([10.0, 10.0]))
     far = DetectionBox(pix + np.array([60.0, 45.0]), np.array([10.0, 10.0]))
-    s_close = pair_score(close, C, st, P, params, EXT, INTR)
-    s_far = pair_score(far, C, st, P, params, EXT, INTR)
+    s_close = pair_score(close, C, st, P, INTR)
+    s_far = pair_score(far, C, st, P, INTR)
     assert s_close > s_far
     assert s_close > 1.0  # a tight angular residual dominates the blend
 
@@ -266,7 +264,6 @@ def test_score_matrix_matches_pairwise_scores():
         se23_exp(np.concatenate([rng.normal(size=3) * 0.2, rng.normal(size=6)]))
     )
     P = _random_pose_cov(rng)
-    params = ScoreParams()
     clusters = []
     for i in range(8):
         offset = np.array([rng.uniform(8, 45), rng.uniform(-12, 12), rng.uniform(3, 7)])
@@ -275,12 +272,12 @@ def test_score_matrix_matches_pairwise_scores():
     for _ in range(6):
         pix = np.array([rng.uniform(0, 1280), rng.uniform(0, 720)])
         dets.append(DetectionBox(pix, np.array([10.0, 10.0])))
-    S = score_matrix(dets, clusters, st, P, params, EXT, INTR)
+    S = score_matrix(dets, clusters, st, P, INTR)
     for i, d in enumerate(dets):
         for j, c in enumerate(clusters):
             np.testing.assert_allclose(
                 S[i, j],
-                pair_score(d, c, st, P, params, EXT, INTR),
+                pair_score(d, c, st, P, INTR),
                 rtol=1e-9,
                 atol=1e-300,
             )
@@ -346,9 +343,9 @@ def test_associate_matches_obvious_scene():
     P = np.eye(15) * 1e-5
     dets = []
     for c in clusters[:3]:
-        pix = project(c.center, st.pose, EXT, INTR)
+        pix = project(c.center, st.pose, INTR)
         dets.append(DetectionBox(pix + rng.normal(size=2) * 0.5, np.array([10.0, 10.0])))
-    ms = associate(dets, clusters, st, P, ScoreParams(), EXT, INTR)
+    ms = associate(dets, clusters, st, P, INTR)
     assert ms.cluster_ids == [0, 1, 2]
 
 
@@ -356,12 +353,12 @@ def test_associate_leaves_stray_detection_unmatched():
     rng = np.random.default_rng(56)
     st, clusters = _scene(rng, n_clusters=2)
     P = np.eye(15) * 1e-5
-    pix0 = project(clusters[0].center, st.pose, EXT, INTR)
+    pix0 = project(clusters[0].center, st.pose, INTR)
     dets = [
         DetectionBox(pix0, np.array([10.0, 10.0])),
         DetectionBox(np.array([100.0, 650.0]), np.array([8.0, 8.0])),  # nothing there
     ]
-    ms = associate(dets, clusters, st, P, ScoreParams(), EXT, INTR)
+    ms = associate(dets, clusters, st, P, INTR)
     assert ms.cluster_ids[0] == 0
     assert ms.cluster_ids[1] is None
 
@@ -370,19 +367,18 @@ def test_associate_never_reuses_a_cluster():
     rng = np.random.default_rng(57)
     st, clusters = _scene(rng, n_clusters=3)
     P = np.eye(15) * 1e-4
-    pix = project(clusters[1].center, st.pose, EXT, INTR)
+    pix = project(clusters[1].center, st.pose, INTR)
     dets = [
         DetectionBox(pix + np.array([0.5, 0.0]), np.array([10.0, 10.0])),
         DetectionBox(pix - np.array([0.5, 0.0]), np.array([10.0, 10.0])),
     ]
-    ms = associate(dets, clusters, st, P, ScoreParams(), EXT, INTR)
+    ms = associate(dets, clusters, st, P, INTR)
     matched = ms.matched_ids()
     assert len(matched) == len(set(matched))
 
 
 def test_associate_total_score_matches_exhaustive_search():
     rng = np.random.default_rng(58)
-    params = ScoreParams()
     for _ in range(40):
         st, clusters = _scene(rng, n_clusters=int(rng.integers(1, 6)))
         P = _random_pose_cov(rng, scale=1e-3)
@@ -391,7 +387,7 @@ def test_associate_total_score_matches_exhaustive_search():
         for _ in range(n):
             if rng.random() < 0.7 and clusters:
                 c = clusters[rng.integers(len(clusters))]
-                pix = project(c.center, st.pose, EXT, INTR)
+                pix = project(c.center, st.pose, INTR)
                 if pix is None:
                     pix = np.array([rng.uniform(0, 1280), rng.uniform(0, 720)])
                 pix = pix + rng.normal(size=2) * 3.0
@@ -399,7 +395,7 @@ def test_associate_total_score_matches_exhaustive_search():
                 pix = np.array([rng.uniform(0, 1280), rng.uniform(0, 720)])
             dets.append(DetectionBox(pix, np.array([10.0, 10.0])))
 
-        S = score_matrix(dets, clusters, st, P, params, EXT, INTR)
+        S = score_matrix(dets, clusters, st, P, INTR)
         no_match = np.maximum(1.0 - S.sum(axis=1), 1e-12)
 
         # exhaustive: every one-to-one map detection -> cluster or None
@@ -418,7 +414,7 @@ def test_associate_total_score_matches_exhaustive_search():
 
         recurse(0, frozenset(), 0.0)
 
-        ms = associate(dets, clusters, st, P, params, EXT, INTR)
+        ms = associate(dets, clusters, st, P, INTR)
         got = 0.0
         for i, cid in enumerate(ms.cluster_ids):
             if cid is None:
@@ -431,8 +427,8 @@ def test_associate_total_score_matches_exhaustive_search():
 def test_associate_empty_inputs():
     st = _state_looking_down_x()
     P = np.eye(15)
-    ms = associate([], [], st, P, ScoreParams(), EXT, INTR)
+    ms = associate([], [], st, P, INTR)
     assert ms.cluster_ids == []
     det = DetectionBox(np.array([640.0, 360.0]), np.array([10.0, 10.0]))
-    ms = associate([det], [], st, P, ScoreParams(), EXT, INTR)
+    ms = associate([det], [], st, P, INTR)
     assert ms.cluster_ids == [None]

@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nightrider.association import MatchSet, ScoreParams, score_matrix
+from nightrider import association
+from nightrider.association import MatchSet, score_matrix
 from nightrider.camera import (
     Z_MIN,
-    CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
     apply_camera_update,
@@ -13,29 +15,28 @@ from nightrider.camera import (
     bearing_jacobians,
     camera_point,
     pixel_noise_cov,
-    project,
     project_many,
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, se23_exp, so3_exp
 from nightrider.mapping import StreetlightCluster
+from test_extension import project
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
-EXT = CamExtrinsics()
 
 
 def test_project_known_point():
     state = FilterState()
-    pix = project([20.0, 0.0, 0.0], state.pose, EXT, INTR)
-    np.testing.assert_allclose(pix, [640.0, 360.0])
+    pix = project_many([[20.0, 0.0, 0.0], [20.0, 1.0, 0.0]], state.pose, INTR)
+    np.testing.assert_allclose(pix[0], [640.0, 360.0])
     # one meter left (+y) moves the pixel left by fx * y / depth
-    pix = project([20.0, 1.0, 0.0], state.pose, EXT, INTR)
-    np.testing.assert_allclose(pix, [615.0, 360.0])
+    np.testing.assert_allclose(pix[1], [615.0, 360.0])
 
 
 def test_project_behind_camera_is_none():
     state = FilterState()
-    assert project([-5.0, 0.0, 0.0], state.pose, EXT, INTR) is None
+    assert project([-5.0, 0.0, 0.0], state.pose, INTR) is None
+    assert np.isnan(project_many([-5.0, 0.0, 0.0], state.pose, INTR)).all()
 
 
 def test_project_many_equals_project_bitwise():
@@ -47,9 +48,9 @@ def test_project_many_equals_project_bitwise():
         pose = ExtendedPose(so3_exp(rng.normal(size=3)), np.zeros(3), rng.normal(size=3))
         cases.append((pose, rng.normal(size=(40, 3)) * 30.0))
     for pose, points in cases:
-        pix = project_many(points, pose, EXT, INTR)
+        pix = project_many(points, pose, INTR)
         for p, row in zip(points, pix):
-            ref = project(p, pose, EXT, INTR)
+            ref = project(p, pose, INTR)
             if ref is None:
                 assert np.isnan(row).all()
             else:
@@ -63,11 +64,11 @@ def test_back_project_matches_camera_ray():
             so3_exp(rng.normal(size=3) * 0.5), pos=rng.normal(size=3) * 5
         )
         C = pose.pos + pose.rot @ (np.array([15.0, 0.0, 2.0]) + rng.normal(size=3))
-        pix = project(C, pose, EXT, INTR)
+        pix = project(C, pose, INTR)
         if pix is None:
             continue
         ray = back_project(pix, INTR)
-        c = camera_point(C, pose, EXT)
+        c = camera_point(C, pose)
         np.testing.assert_allclose(ray, c / c[2], atol=1e-10)
 
 
@@ -76,11 +77,11 @@ def test_bearing_jacobians_give_a_two_row_bearing():
     for _ in range(20):
         pose = ExtendedPose(so3_exp(rng.normal(size=3)), pos=rng.normal(size=3))
         C = pose.pos + pose.rot @ np.array([12.0, 1.0, 3.0])
-        front, c, h, H, _, _ = bearing_jacobians([C], FilterState(pose), EXT)
+        front, c, h, H, _, _ = bearing_jacobians([C], FilterState(pose))
         if not front[0]:
             continue
         assert H.shape == (1, 2, 15) and h.shape == (1, 2)
-        c = camera_point(C, pose, EXT)
+        c = camera_point(C, pose)
         assert h[0].tobytes() == (c[:2] / c[2]).tobytes()
         assert np.abs(H[0, :, 3:6]).max() == 0.0  # bearings carry no velocity info
         assert np.abs(H[0, :, 9:15]).max() == 0.0
@@ -98,7 +99,7 @@ def test_bearing_jacobians_match_error_model():
         )
         st_ = FilterState(pose)
         C = pose.pos + pose.rot @ np.array([20.0, 0.0, 4.0]) + rng.normal(size=3) * 2
-        front, _, h, H, _, _ = bearing_jacobians([C], st_, EXT)
+        front, _, h, H, _, _ = bearing_jacobians([C], st_)
         if not front[0]:
             continue
         checked += 1
@@ -107,7 +108,7 @@ def test_bearing_jacobians_match_error_model():
 
         def innovation(scale):
             true_pose = se23_exp(-scale * xi).compose(pose)
-            c = camera_point(C, true_pose, EXT)
+            c = camera_point(C, true_pose)
             return c[:2] / c[2] - h[0]
 
         z = (innovation(eps) - innovation(-eps)) / 2.0
@@ -131,12 +132,12 @@ def test_bearing_jacobians_on_far_states(seed, m):
     state = FilterState(pose)
     # centers around the body, some behind the camera
     centers = pos + rng.uniform(-40.0, 40.0, size=(m, 3)) @ rot.T
-    front, c, h, H, dh_dc, Dc = bearing_jacobians(centers, state, EXT)
+    front, c, h, H, dh_dc, Dc = bearing_jacobians(centers, state)
 
     assert H.shape == (m, 2, 15) and Dc.shape == (m, 3, 15)
     np.testing.assert_array_equal(front, c[:, 2] >= Z_MIN)
     for k in range(m):
-        one = bearing_jacobians(centers[k], state, EXT)
+        one = bearing_jacobians(centers[k], state)
         for whole, single in zip((front, c, h, H, dh_dc, Dc), one):
             assert whole[k].tobytes() == single[0].tobytes()
     assert not h[~front].any() and not H[~front].any() and not Dc[~front].any()
@@ -147,7 +148,7 @@ def test_bearing_jacobians_on_far_states(seed, m):
         for i in range(9):
             e = np.zeros(9)
             e[i] = eps
-            b = [camera_point(centers[k], se23_exp(-s * e).compose(pose), EXT) for s in (1, -1)]
+            b = [camera_point(centers[k], se23_exp(-s * e).compose(pose)) for s in (1, -1)]
             H_fd[:, i] = -(b[0][:2] / b[0][2] - b[1][:2] / b[1][2]) / (2.0 * eps)
         scale = np.abs(H[k]).max()
         assert np.abs(H_fd - H[k, :, :9]).max() <= 1e-5 * scale
@@ -155,7 +156,6 @@ def test_bearing_jacobians_on_far_states(seed, m):
 
     # score_matrix with the projection density alone and each detection on
     # its cluster's projection, one detection per in-front cluster
-    params = ScoreParams(weight=1.0, alpha=4.0, max_range=np.inf)
     B = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-3, -1)
     P = B @ B.T
     seen = np.flatnonzero(front)
@@ -166,8 +166,9 @@ def test_bearing_jacobians_on_far_states(seed, m):
     pix = h[seen] @ F + [INTR.cx, INTR.cy]
     offsets = rng.normal(size=(len(seen), 2)) * 3.0
     dets = [DetectionBox(p + d, np.array([8.0, 8.0])) for p, d in zip(pix, offsets)]
-    S = np.diagonal(score_matrix(dets, clusters, state, P, params, EXT, INTR))
-    Sp = params.alpha * np.eye(2) + F @ H[seen] @ P @ H[seen].transpose(0, 2, 1) @ F
+    with mock.patch.multiple(association, WEIGHT=1.0, MAX_RANGE=np.inf):
+        S = np.diagonal(score_matrix(dets, clusters, state, P, INTR))
+    Sp = association.ALPHA * np.eye(2) + F @ H[seen] @ P @ H[seen].transpose(0, 2, 1) @ F
     quad = np.einsum("ni,nij,nj->n", offsets, np.linalg.inv(Sp), offsets)
     expect = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(Sp)))
     # the density's determinant and quadratic form amplify a relative
@@ -193,7 +194,7 @@ def _scene_clusters(pose, offsets):
 def _exact_detections(clusters, pose):
     dets = []
     for c in clusters:
-        pix = project(c.center, pose, EXT, INTR)
+        pix = project(c.center, pose, INTR)
         dets.append(DetectionBox(pix, np.array([10.0, 10.0])))
     return dets
 
@@ -224,7 +225,7 @@ def test_update_recovers_pose_offset():
     P[0:3, 0:3] = np.eye(3) * 0.01
     P[6:9, 6:9] = np.eye(3) * 1.0
     for _ in range(4):
-        est, P = apply_camera_update(est, P, matches, by_id, EXT, INTR, 2.0)
+        est, P = apply_camera_update(est, P, matches, by_id, INTR, 2.0)
     assert np.linalg.norm(est.pose.pos - truth.pos) < 0.05
     assert np.linalg.norm(est.pose.rot - truth.rot) < 0.01
 
@@ -233,7 +234,7 @@ def test_update_empty_matchset_is_identity():
     st = FilterState()
     P = np.eye(15)
     matches = MatchSet([DetectionBox(np.array([1.0, 1.0]), np.ones(2))], [None], [0.0])
-    st2, P2 = apply_camera_update(st, P, matches, {}, EXT, INTR, 2.0)
+    st2, P2 = apply_camera_update(st, P, matches, {}, INTR, 2.0)
     assert st2 is st
     assert P2 is P
 
@@ -244,7 +245,7 @@ def test_update_drops_behind_camera_matches():
     cluster = StreetlightCluster(0, np.array([-10.0, 0.0, 3.0]))
     det = DetectionBox(np.array([640.0, 360.0]), np.ones(2))
     matches = MatchSet([det], [0], [1.0])
-    st2, P2 = apply_camera_update(st, P, matches, {0: cluster}, EXT, INTR, 2.0)
+    st2, P2 = apply_camera_update(st, P, matches, {0: cluster}, INTR, 2.0)
     assert st2 is st
     assert P2 is P
 
@@ -259,12 +260,12 @@ def test_batch_update_equals_sequential_for_small_errors():
     P0 = np.eye(15) * 1e-3
 
     batch = MatchSet(dets, [0, 1, 2], [1.0] * 3)
-    st_b, P_b = apply_camera_update(est0, P0, batch, by_id, EXT, INTR, 2.0)
+    st_b, P_b = apply_camera_update(est0, P0, batch, by_id, INTR, 2.0)
 
     st_s, P_s = est0, P0
     for i in range(3):
         single = MatchSet([dets[i]], [i], [1.0])
-        st_s, P_s = apply_camera_update(st_s, P_s, single, by_id, EXT, INTR, 2.0)
+        st_s, P_s = apply_camera_update(st_s, P_s, single, by_id, INTR, 2.0)
 
     assert np.linalg.norm(st_b.pose.pos - st_s.pose.pos) < 1e-6
     assert np.linalg.norm(P_b - P_s) / np.linalg.norm(P_b) < 1e-3

@@ -1,9 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import scipy.ndimage
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nightrider.camera import CamExtrinsics, CameraIntrinsics, DetectionBox, project
+from nightrider import extension
+from nightrider.camera import (
+    Z_MIN,
+    CameraIntrinsics,
+    DetectionBox,
+    camera_point,
+    pinhole,
+)
 from nightrider.extension import (
     DegenState,
     _greedy,
@@ -19,7 +28,15 @@ from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
-EXT = CamExtrinsics()
+
+
+def project(point_w, pose, intr):
+    """Pixel projection of one world point, or None when it lies less than
+    Z_MIN in front of the camera: the one-point oracle of project_many."""
+    c = camera_point(point_w, pose)
+    if c[2] < Z_MIN:
+        return None
+    return pinhole(c, intr)
 
 
 # ----------------------------------------------------------- segmentation
@@ -215,7 +232,7 @@ def _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h):
     """degeneration_match one cluster and one box at a time."""
     triples = []
     for c in clusters:
-        center_px = project(c.center, state.pose, EXT, INTR)
+        center_px = project(c.center, state.pose, INTR)
         if center_px is None:
             continue
         for bi, box in enumerate(boxes):
@@ -223,6 +240,12 @@ def _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h):
                 dist = float(np.linalg.norm(box.center - center_px))
                 triples.append((dist, c.id, bi))
     return _greedy(triples, boxes, key=None)
+
+
+def _degeneration_match(boxes, clusters, state, rect_w, rect_h):
+    """degeneration_match with its search window set to rect_w x rect_h."""
+    with mock.patch.multiple(extension, RECT_W=rect_w, RECT_H=rect_h):
+        return degeneration_match(boxes, clusters, state, INTR)
 
 
 @given(st.integers(0, 2**32 - 1), _size, _size)
@@ -241,10 +264,10 @@ def test_degeneration_match_equals_loop(seed, rect_w, rect_h):
     ]
     # boxes a little off some projections, so that rectangles catch them
     for c in clusters[:3]:
-        px = project(c.center, pose, EXT, INTR)
+        px = project(c.center, pose, INTR)
         if px is not None:
             boxes.append(DetectionBox(px + rng.normal(size=2) * 30, rng.uniform(4, 30, 2)))
-    got = degeneration_match(boxes, clusters, state, EXT, INTR, rect_w, rect_h)
+    got = _degeneration_match(boxes, clusters, state, rect_w, rect_h)
     want = _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h)
     assert [id(d) for d in got.detections] == [id(d) for d in want.detections]
     assert got.cluster_ids == want.cluster_ids
@@ -268,7 +291,7 @@ def test_extend_full_containment_ratio_one():
     st = FilterState()
     cluster = _cluster_at(0, [_lamp(0.1, 0.1), _lamp(-0.1, 0.0), _lamp(0.0, -0.1)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([20.0, 20.0]))
-    ms = extend_matches([box], [cluster], st, EXT, INTR)
+    ms = extend_matches([box], [cluster], st, INTR)
     assert ms.cluster_ids == [0]
     assert ms.scores == [1.0]
 
@@ -280,7 +303,7 @@ def test_extend_max_ratio_box_wins():
     cluster = _cluster_at(0, pts)
     box_a = DetectionBox(np.array([640.0, 360.0]), np.array([80.0, 40.0]))
     box_b = DetectionBox(np.array([675.0, 360.0]), np.array([90.0, 20.0]))
-    ms = extend_matches([box_a, box_b], [cluster], st, EXT, INTR)
+    ms = extend_matches([box_a, box_b], [cluster], st, INTR)
     assert ms.cluster_ids == [0]
     assert ms.detections[0] is box_a
     np.testing.assert_allclose(ms.scores, [0.7])
@@ -292,7 +315,7 @@ def test_extend_requires_center_containment():
     pts = [_lamp(0.8, 0.0)] * 2 + [_lamp(-3.2, 0.0)] * 3
     cluster = _cluster_at(0, pts)  # center pixel u = 640 + 25*1.6 = 680
     box = DetectionBox(np.array([620.0, 360.0]), np.array([12.0, 30.0]))
-    ms = extend_matches([box], [cluster], st, EXT, INTR)
+    ms = extend_matches([box], [cluster], st, INTR)
     assert ms.cluster_ids == []
 
 
@@ -300,8 +323,8 @@ def test_extend_range_gate():
     st = FilterState()
     cluster = _cluster_at(0, [_lamp(0.0, 0.0, x=90.0)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([30.0, 30.0]))
-    assert extend_matches([box], [cluster], st, EXT, INTR, max_range=80.0).cluster_ids == []
-    assert extend_matches([box], [cluster], st, EXT, INTR, max_range=120.0).cluster_ids == [0]
+    assert extend_matches([box], [cluster], st, INTR, max_range=80.0).cluster_ids == []
+    assert extend_matches([box], [cluster], st, INTR, max_range=120.0).cluster_ids == [0]
 
 
 def test_extend_box_used_once():
@@ -310,7 +333,7 @@ def test_extend_box_used_once():
     # one point in the box, one outside; the center still lands inside
     half = _cluster_at(1, [_lamp(0.2, 0.0), _lamp(-1.2, 0.0)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([30.0, 30.0]))
-    ms = extend_matches([box], [full, half], st, EXT, INTR)
+    ms = extend_matches([box], [full, half], st, INTR)
     assert ms.cluster_ids == [0]
     assert ms.scores == [1.0]
 
@@ -327,10 +350,10 @@ def _reference_extend(boxes, clusters, state, max_range):
     for c in clusters:
         if np.linalg.norm(c.center - pose.pos) > max_range:
             continue
-        center_px = project(c.center, pose, EXT, INTR)
+        center_px = project(c.center, pose, INTR)
         if center_px is None:
             continue
-        pixels = [project(p, pose, EXT, INTR) for p in c.points]
+        pixels = [project(p, pose, INTR) for p in c.points]
         pixels = [p for p in pixels if p is not None]
         for bi, box in enumerate(boxes):
             if not contains(box, center_px):
@@ -365,10 +388,10 @@ def test_extend_matches_equals_per_point_reference():
         ]
         # boxes centred on some projections so that matches occur
         for c in clusters[:4]:
-            px = project(c.center, pose, EXT, INTR)
+            px = project(c.center, pose, INTR)
             if px is not None:
                 boxes.append(DetectionBox(px + rng.normal(size=2), rng.uniform(4, 30, 2)))
-        ms = extend_matches(boxes, clusters, st, EXT, INTR, max_range=50.0)
+        ms = extend_matches(boxes, clusters, st, INTR, max_range=50.0)
         got = [
             (next(i for i, b in enumerate(boxes) if b is d), cid, s)
             for d, cid, s in zip(ms.detections, ms.cluster_ids, ms.scores)
@@ -430,7 +453,7 @@ def test_degeneracy_survives_match_gap_until_offline_evidence():
 def test_degeneracy_with_noise_below_threshold():
     rng = np.random.default_rng(101)
     for _ in range(20):
-        d = DegenState(th_line=1.5)
+        d = DegenState()
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         base = rng.uniform(-50, 50, size=2)
@@ -471,7 +494,7 @@ def test_rectangle_match_vertical_offset():
     st = FilterState()
     cluster = StreetlightCluster(0, _lamp(0.0, 0.0))  # projects to (640, 360)
     below = DetectionBox(np.array([640.0, 400.0]), np.array([10.0, 10.0]))
-    ms = degeneration_match([below], [cluster], st, EXT, INTR, rect_w=20, rect_h=200)
+    ms = _degeneration_match([below], [cluster], st, 20, 200)
     assert ms.cluster_ids == [0]
 
 
@@ -479,7 +502,7 @@ def test_rectangle_match_rejects_lateral_offset():
     st = FilterState()
     cluster = StreetlightCluster(0, _lamp(0.0, 0.0))
     side = DetectionBox(np.array([680.0, 360.0]), np.array([10.0, 10.0]))
-    ms = degeneration_match([side], [cluster], st, EXT, INTR, rect_w=20, rect_h=200)
+    ms = _degeneration_match([side], [cluster], st, 20, 200)
     assert ms.cluster_ids == []
 
 
@@ -488,7 +511,7 @@ def test_rectangle_match_prefers_nearest():
     cluster = StreetlightCluster(0, _lamp(0.0, 0.0))
     near = DetectionBox(np.array([640.0, 390.0]), np.array([10.0, 10.0]))
     far = DetectionBox(np.array([640.0, 420.0]), np.array([10.0, 10.0]))
-    ms = degeneration_match([far, near], [cluster], st, EXT, INTR, rect_w=20, rect_h=200)
+    ms = _degeneration_match([far, near], [cluster], st, 20, 200)
     assert len(ms.cluster_ids) == 1
     assert ms.detections[0] is near
 
@@ -499,6 +522,6 @@ def test_rectangle_match_unique_assignment():
     c1 = StreetlightCluster(1, _lamp(-0.4, 0.0))  # projects 10 px right
     b0 = DetectionBox(np.array([640.0, 380.0]), np.array([10.0, 10.0]))
     b1 = DetectionBox(np.array([650.0, 390.0]), np.array([10.0, 10.0]))
-    ms = degeneration_match([b0, b1], [c0, c1], st, EXT, INTR, rect_w=30, rect_h=300)
+    ms = degeneration_match([b0, b1], [c0, c1], st, INTR)
     assert sorted(ms.cluster_ids) == [0, 1]
     assert len(set(id(d) for d in ms.detections)) == 2

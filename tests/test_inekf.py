@@ -14,7 +14,6 @@ from nightrider.inekf import (
     ImuSample,
     NoiseConfig,
     UpdateRejected,
-    build_error_dynamics,
     invariant_update,
     propagate_window,
 )
@@ -35,6 +34,24 @@ def _default_noise():
 
 
 # ------------------------------------------------------------ error dynamics
+
+
+def build_error_dynamics(state):
+    """Continuous-time error-state Jacobian A (15x15), written out block by
+    block: the oracle of the dynamics propagate_window builds per sample.
+
+    d/dt [xi; zeta] = A [xi; zeta] + (noise terms); the bias rows are zero
+    and the pose rows couple to the biases through the current estimate.
+    """
+    R, v, p = state.pose.rot, state.pose.vel, state.pose.pos
+    A = np.zeros((15, 15))
+    A[0:3, 9:12] = -R
+    A[3:6, 0:3] = skew(G)
+    A[3:6, 9:12] = -skew(v) @ R
+    A[3:6, 12:15] = -R
+    A[6:9, 3:6] = np.eye(3)
+    A[6:9, 9:12] = -skew(p) @ R
+    return A
 
 
 def test_error_dynamics_structure():
@@ -225,11 +242,11 @@ def _reference_propagate(state, P, imu, dt, noise, first_order=False):
     """
     R, v, p = state.pose.rot, state.pose.vel, state.pose.pos
     omega = imu.gyro - state.bias_gyro
-    acc_w = R @ (imu.accel - state.bias_accel) + noise.gravity
+    acc_w = R @ (imu.accel - state.bias_accel) + G
     pose = ExtendedPose(
         R @ so3_exp(omega * dt), v + acc_w * dt, p + v * dt + 0.5 * acc_w * dt * dt
     )
-    A_dt = build_error_dynamics(state, noise.gravity) * dt
+    A_dt = build_error_dynamics(state) * dt
     Phi = np.eye(15) + A_dt if first_order else expm_taylor(A_dt)
     Qn = scipy.linalg.block_diag(
         noise.gyro_cov,
@@ -307,7 +324,7 @@ def serial_propagate(state, P, imu, dt, noise):
     R, v, p = pose.rot, pose.vel, pose.pos
 
     omega = gyro - state.bias_gyro
-    acc_w = R @ (accel - state.bias_accel) + noise.gravity
+    acc_w = R @ (accel - state.bias_accel) + G
 
     R_new = R @ so3_exp(omega * dt)
     v_new = v + acc_w * dt
@@ -316,7 +333,7 @@ def serial_propagate(state, P, imu, dt, noise):
     cols = np.concatenate([R, skew(v) @ R, skew(p) @ R])
     A = np.zeros((15, 15))
     A[0:9, 9:12] = -cols
-    A[3:6, 0:3] = noise.gravity_skew
+    A[3:6, 0:3] = skew(G)
     A[3:6, 12:15] = -cols[0:3]
     A[6:9, 3:6] = np.eye(3)
     M = A * dt
@@ -479,6 +496,20 @@ def test_update_rejects_singular_innovation():
     H[1, 3] = 1.0  # duplicate row, zero noise -> singular S
     with pytest.raises(UpdateRejected):
         invariant_update(st, P, H, np.zeros(2), np.zeros((2, 2)))
+
+
+def test_update_rejects_innovation_cov_singular_to_solve():
+    # S is exactly singular (its second row is minus its first), yet
+    # eigvalsh can place its smallest eigenvalue a rounding error above
+    # zero, and then np.linalg.solve meets a zero pivot.  Either way the
+    # update is rejected rather than raising LinAlgError.
+    S = np.array([[5.0, -5.0, 3.0], [-5.0, 5.0, -3.0], [3.0, -3.0, 9.0]])
+    P = np.zeros((15, 15))
+    P[0:3, 0:3] = S
+    H = np.zeros((3, 15))
+    H[:, 0:3] = np.eye(3)
+    with pytest.raises(UpdateRejected):
+        invariant_update(FilterState(), P, H, np.zeros(3), np.zeros((3, 3)))
 
 
 def _velocity_rows():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nightrider import mapping
 from nightrider.mapping import (
     MapFormatError,
     StreetlightCluster,
@@ -202,7 +203,7 @@ def test_knn_outlier_filter():
     rng = np.random.default_rng(74)
     dense = rng.normal(scale=0.5, size=(60, 3))
     out = np.array([[40.0, 0.0, 0.0]])
-    kept = knn_outlier_filter(np.concatenate([dense, out]), k=8, std_mult=2.0)
+    kept = knn_outlier_filter(np.concatenate([dense, out]))
     assert len(kept) == 60
     assert np.abs(kept).max() < 10.0
 
@@ -215,12 +216,14 @@ def _knn_filter_reference(pts, k, std_mult):
 
 
 @pytest.mark.parametrize("n, k", [(9, 8), (61, 8), (300, 3), (700, 8)])
-def test_knn_outlier_filter_equals_quadratic_reference(n, k):
+def test_knn_outlier_filter_equals_quadratic_reference(n, k, monkeypatch):
     rng = np.random.default_rng(n)
     pts = rng.normal(scale=2.0, size=(n, 3))
     pts[: n // 10] *= 20.0  # a sparse halo of outliers
     pts[n // 2] = pts[n // 2 + 1]  # a duplicate: zero distance ties
-    kept = knn_outlier_filter(pts, k=k, std_mult=1.5)
+    monkeypatch.setattr(mapping, "KNN_K", k)
+    monkeypatch.setattr(mapping, "KNN_STD_MULT", 1.5)
+    kept = knn_outlier_filter(pts)
     assert kept.tobytes() == _knn_filter_reference(pts, k, 1.5).tobytes()
 
 

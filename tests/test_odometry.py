@@ -2,62 +2,7 @@ import numpy as np
 
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, so3_exp
-from nightrider.odometry import OdomExtrinsics, OdomSample, apply_odom_update, transform_odom
-
-
-def test_transform_identity_mount_passes_through():
-    ext = OdomExtrinsics()
-    sample = OdomSample(0.0, np.array([1.2, -0.3, 0.05]))
-    v_b, cov_b = transform_odom(
-        sample, ext, np.zeros(3), np.zeros(3), np.eye(3) * 1e-5, np.eye(3) * 1e-6
-    )
-    np.testing.assert_allclose(v_b, sample.velocity)
-    np.testing.assert_allclose(cov_b, ext.cov)  # zero lever arm, no gyro term
-
-
-def test_transform_rotation_and_lever_arm():
-    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    ext = OdomExtrinsics(rot=rot, trans=np.array([0.5, 0.0, 0.2]))
-    sample = OdomSample(0.0, np.array([1.0, 0.0, 0.0]))
-    gyro = np.array([0.0, 0.0, 1.0])
-    bias = np.array([0.0, 0.0, 0.1])
-    v_b, _ = transform_odom(sample, ext, gyro, bias, np.zeros((3, 3)), np.zeros((3, 3)))
-    # R v = (0, 1, 0); t x w = (0.5, 0, 0.2) x (0, 0, 0.9) = (0, -0.45, 0)
-    np.testing.assert_allclose(v_b, [0.0, 0.55, 0.0], atol=1e-12)
-
-
-def test_transform_covariance_matches_monte_carlo():
-    rng = np.random.default_rng(80)
-    rot = so3_exp(np.array([0.3, -0.2, 0.9]))
-    ext = OdomExtrinsics(
-        rot=rot,
-        trans=np.array([0.4, -0.1, 0.3]),
-        cov=np.diag([0.05**2, 0.02**2, 0.03**2]),
-    )
-    gyro_cov = np.eye(3) * 0.02**2
-    gyro_bias_cov = np.eye(3) * 0.01**2
-    v_o = np.array([2.0, 0.1, 0.0])
-    omega = np.array([0.1, -0.3, 0.5])
-    bias = np.array([0.01, 0.0, -0.02])
-
-    _, cov_b = transform_odom(
-        OdomSample(0.0, v_o), ext, omega, bias, gyro_cov, gyro_bias_cov
-    )
-
-    n = 200_000
-    ev = rng.multivariate_normal(np.zeros(3), ext.cov, size=n)
-    ew = rng.multivariate_normal(np.zeros(3), gyro_cov + gyro_bias_cov, size=n)
-    T = np.array(
-        [
-            [0.0, -ext.trans[2], ext.trans[1]],
-            [ext.trans[2], 0.0, -ext.trans[0]],
-            [-ext.trans[1], ext.trans[0], 0.0],
-        ]
-    )
-    samples = (v_o + ev) @ rot.T + (omega - bias + ew) @ T.T
-    emp = np.cov(samples.T)
-    rel = np.linalg.norm(emp - cov_b) / np.linalg.norm(cov_b)
-    assert rel < 0.05
+from nightrider.odometry import apply_odom_update
 
 
 def test_zero_innovation_keeps_state():

@@ -9,13 +9,11 @@ from nightrider import recovery
 from nightrider.association import MatchSet
 from nightrider.camera import (
     MAX_BEARING_VAR,
-    CamExtrinsics,
     CameraIntrinsics,
     DetectionBox,
     apply_camera_update,
     bearing_jacobians,
     pixel_noise_cov,
-    project,
 )
 from nightrider.inekf import FilterState, UpdateRejected
 from nightrider.lie import ExtendedPose, so3_exp
@@ -27,9 +25,9 @@ from nightrider.recovery import (
     combination_count,
     is_lost,
 )
+from test_extension import project
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
-EXT = CamExtrinsics()
 
 
 def assignments(n, m):
@@ -121,7 +119,7 @@ def _planted_scene():
         for i, off in enumerate(offsets)
     ]
     dets = [
-        DetectionBox(project(c.center, truth, EXT, INTR), np.array([10.0, 10.0]))
+        DetectionBox(project(c.center, truth, INTR), np.array([10.0, 10.0]))
         for c in clusters
     ]
     return truth, clusters, dets
@@ -148,7 +146,7 @@ def test_recovery_finds_planted_combination():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), EXT, INTR)
+    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
     assert out is not None
     st, P2, ms = out
     assert ms.cluster_ids == [0, 1, 2, 3]
@@ -163,7 +161,7 @@ def test_recovery_does_not_mutate_inputs():
     pos_before = state.pose.pos.copy()
     rot_before = state.pose.rot.copy()
     P_before = P.copy()
-    attempt_recovery(dets, clusters, state, P, RecoveryParams(), EXT, INTR)
+    attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
     np.testing.assert_array_equal(state.pose.pos, pos_before)
     np.testing.assert_array_equal(state.pose.rot, rot_before)
     np.testing.assert_array_equal(P, P_before)
@@ -173,7 +171,7 @@ def test_recovery_needs_more_than_two_matches():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), EXT, INTR)
+    out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), INTR)
     assert out is None  # at most 2 positive matches possible
 
 
@@ -191,13 +189,13 @@ def test_recovery_below_three_lights_searches_nothing(monkeypatch):
     monkeypatch.setattr(recovery, "_SharedLinearization", counting)
     params = RecoveryParams()
     for n, m in ((2, 4), (4, 2), (1, 1), (0, 4)):
-        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, EXT, INTR) is None
+        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, INTR) is None
     assert built == []
     # max_detections shrinks the detections before the count is taken
     shrunk = RecoveryParams(max_detections=2)
-    assert attempt_recovery(dets, clusters, state, P, shrunk, EXT, INTR) is None
+    assert attempt_recovery(dets, clusters, state, P, shrunk, INTR) is None
     assert built == []
-    assert attempt_recovery(dets[:3], clusters, state, P, params, EXT, INTR)
+    assert attempt_recovery(dets[:3], clusters, state, P, params, INTR)
     assert built == [3]
 
 
@@ -209,7 +207,7 @@ def test_recovery_rejects_expensive_scores():
         ExtendedPose(pos=truth.pos + np.array([6.0, -5.0, 0.0]))
     )
     P = np.eye(15) * 1e-8
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), EXT, INTR)
+    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
     assert out is None
 
 
@@ -227,7 +225,7 @@ def test_recovery_abandons_on_budget():
     ]
     params = RecoveryParams(max_combinations=1000)
     assert combination_count(len(many_dets), len(clusters + more)) > 1000
-    out = attempt_recovery(many_dets, clusters + more, state, P, params, EXT, INTR)
+    out = attempt_recovery(many_dets, clusters + more, state, P, params, INTR)
     assert out is None
 
 
@@ -235,8 +233,8 @@ def test_recovery_empty_inputs():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    assert attempt_recovery([], clusters, state, P, RecoveryParams(), EXT, INTR) is None
-    assert attempt_recovery(dets, [], state, P, RecoveryParams(), EXT, INTR) is None
+    assert attempt_recovery([], clusters, state, P, RecoveryParams(), INTR) is None
+    assert attempt_recovery(dets, [], state, P, RecoveryParams(), INTR) is None
 
 
 def test_recovery_applies_one_update_for_the_winner(monkeypatch):
@@ -249,7 +247,7 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 
     monkeypatch.setattr(recovery, "apply_camera_update", counting)
     out = attempt_recovery(
-        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), EXT, INTR
+        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), INTR
     )
     assert out is not None
     assert calls == [[0, 1, 2, 3]]
@@ -258,20 +256,20 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 def test_recovery_returns_none_when_the_winners_update_is_rejected(monkeypatch):
     truth, clusters, dets = _planted_scene()
     state, P, params = _offset_state(truth), _loose_cov(), RecoveryParams()
-    assert attempt_recovery(dets, clusters, state, P, params, EXT, INTR) is not None
+    assert attempt_recovery(dets, clusters, state, P, params, INTR) is not None
 
     def rejecting(*args):
         raise UpdateRejected("planted")
 
     monkeypatch.setattr(recovery, "apply_camera_update", rejecting)
-    assert attempt_recovery(dets, clusters, state, P, params, EXT, INTR) is None
+    assert attempt_recovery(dets, clusters, state, P, params, INTR) is None
 
 
 def _yaw(rot):
     return math.atan2(rot[1, 0], rot[0, 0])
 
 
-def score_candidate(state_before, state_after, matches, clusters_by_id, ext, intr, params):
+def score_candidate(state_before, state_after, matches, clusters_by_id, intr, params):
     """Reference oracle: punishment score of one candidate after its update.
 
     Mean pixel reprojection residual of the matched pairs (0 when none),
@@ -281,7 +279,7 @@ def score_candidate(state_before, state_after, matches, clusters_by_id, ext, int
     """
     residuals = []
     for det, cid in matches.positive_pairs():
-        pix = project(clusters_by_id[cid].center, state_after.pose, ext, intr)
+        pix = project(clusters_by_id[cid].center, state_after.pose, intr)
         if pix is None:
             return None
         residuals.append(np.linalg.norm(np.asarray(det.center) - pix))
@@ -302,7 +300,7 @@ def score_candidate(state_before, state_after, matches, clusters_by_id, ext, int
 
 
 def serial_attempt_recovery(
-    detections, clusters, state, P, params, ext, intr, pixel_sigma=2.0
+    detections, clusters, state, P, params, intr, pixel_sigma=2.0
 ):
     """Reference oracle: one apply_camera_update per combination.
 
@@ -336,13 +334,13 @@ def serial_attempt_recovery(
         if ms.positive_count():
             try:
                 st_, Pc = apply_camera_update(
-                    state, P, ms, clusters_by_id, ext, intr, pixel_sigma
+                    state, P, ms, clusters_by_id, intr, pixel_sigma
                 )
             except UpdateRejected:
                 continue
         else:
             st_, Pc = state, P
-        score = score_candidate(state, st_, ms, clusters_by_id, ext, intr, params)
+        score = score_candidate(state, st_, ms, clusters_by_id, intr, params)
         if score is None:
             continue
         if best is None or score < best[0]:
@@ -377,8 +375,8 @@ def _assert_same_recovery(got, want):
 
 def _check_against_oracle(dets, clusters, state, P, params):
     P_before = P.copy()
-    got = attempt_recovery(dets, clusters, state, P, params, EXT, INTR)
-    want = serial_attempt_recovery(dets, clusters, state, P, params, EXT, INTR)
+    got = attempt_recovery(dets, clusters, state, P, params, INTR)
+    want = serial_attempt_recovery(dets, clusters, state, P, params, INTR)
     _assert_same_recovery(got, want)
     np.testing.assert_array_equal(P, P_before)
     return got
@@ -425,7 +423,7 @@ def planted_scenes(draw):
         StreetlightCluster(10 + i, truth.pos + truth.rot @ np.asarray(offsets[j]))
         for i, j in enumerate(order)
     ]
-    pixels = [project(c.center, truth, EXT, INTR) for c in clusters]
+    pixels = [project(c.center, truth, INTR) for c in clusters]
     pixels = [pix for pix in pixels if pix is not None]
     dets = []
     for pix in pixels[: draw(st.integers(len(pixels) // 2, len(pixels)))]:
@@ -457,7 +455,7 @@ def _scene_rejecting_updates():
     truth, clusters, dets = _planted_scene()
     near = StreetlightCluster(7, truth.pos + np.array([6.0, 1.0, 4.0]))
     clusters = clusters + [near]
-    box = DetectionBox(project(near.center, truth, EXT, INTR), np.array([20.0, 20.0]))
+    box = DetectionBox(project(near.center, truth, INTR), np.array([20.0, 20.0]))
     dets = dets + [box]
     return dets, clusters, _offset_state(truth), _rejecting_cov(), RecoveryParams()
 
@@ -500,9 +498,9 @@ def test_scene_features_occur():
     ids = {c.id: c for c in clusters}
     ms = MatchSet(dets, [c.id for c in clusters], [0.0] * len(dets))
     with pytest.raises(UpdateRejected):
-        apply_camera_update(state, P, ms, ids, EXT, INTR, 2.0)
+        apply_camera_update(state, P, ms, ids, INTR, 2.0)
     dets, clusters, state, P, params = _scene_with_lamps_behind()
-    assert sum(project(c.center, state.pose, EXT, INTR) is None for c in clusters) == 2
+    assert sum(project(c.center, state.pose, INTR) is None for c in clusters) == 2
     dets, clusters, state, P, params = _scene_over_budget()
     assert len(dets) > params.max_detections
     n = params.max_detections
@@ -549,10 +547,10 @@ def test_recovery_exact_tie_across_blocks_keeps_earliest(monkeypatch):
     first, second = combos.index((0, 1, 2, 3)), combos.index((0, 1, 4, 3))
     assert first < second
     monkeypatch.setattr(recovery, "CANDIDATE_BLOCK", second)  # second starts block 2
-    lin = recovery._SharedLinearization(dets, clusters, state, P, EXT, INTR, 2.0)
+    lin = recovery._SharedLinearization(dets, clusters, state, P, INTR, 2.0)
     pair = np.array([combos[first], combos[second]])
-    s1 = recovery._block_scores(pair[:1], lin, state, params, EXT, INTR)
-    s2 = recovery._block_scores(pair[1:], lin, state, params, EXT, INTR)
+    s1 = recovery._block_scores(pair[:1], lin, state, params, INTR)
+    s2 = recovery._block_scores(pair[1:], lin, state, params, INTR)
     assert s1.tobytes() == s2.tobytes()  # an exact tie, scored in separate blocks
     out = _check_against_oracle(dets, clusters, state, P, params)
     assert out[2].cluster_ids == [0, 1, 2, 3]
@@ -567,13 +565,13 @@ def test_recovery_lamps_only_behind_camera_leave_state_unchanged():
     state, P = _offset_state(truth), _loose_cov()
     # what apply_camera_update does with such pairs: nothing
     ms = MatchSet(dets[:3], [0, 1, 2], [0.0] * 3)
-    st_, Pc = apply_camera_update(state, P, ms, {c.id: c for c in behind}, EXT, INTR, 2.0)
+    st_, Pc = apply_camera_update(state, P, ms, {c.id: c for c in behind}, INTR, 2.0)
     assert st_ is state and Pc is P
     # the batched path leaves every combination's state alone too
-    lin = recovery._SharedLinearization(dets, behind, state, P, EXT, INTR, 2.0)
+    lin = recovery._SharedLinearization(dets, behind, state, P, INTR, 2.0)
     combos = np.array(list(assignments(len(dets), len(behind))))
     assert not recovery._corrections(combos, lin).any()
-    scores = recovery._block_scores(combos, lin, state, RecoveryParams(), EXT, INTR)
+    scores = recovery._block_scores(combos, lin, state, RecoveryParams(), INTR)
     assert np.isfinite(scores[0]) and np.isinf(scores[1:]).all()  # only all-NONE
     assert _check_against_oracle(dets, behind, state, P, RecoveryParams()) is None
 
@@ -589,14 +587,14 @@ def test_recovery_memory_is_bounded_by_block():
         for i in range(8)
     ]
     dets = [
-        DetectionBox(project(c.center, truth, EXT, INTR), np.array([10.0, 10.0]))
+        DetectionBox(project(c.center, truth, INTR), np.array([10.0, 10.0]))
         for c in clusters[:5]
     ]
     state, P = _offset_state(truth), _loose_cov()
     assert combination_count(5, 8) == 19_081
     tracemalloc.start()
     try:
-        attempt_recovery(dets, clusters, state, P, RecoveryParams(), EXT, INTR)
+        attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -636,7 +634,7 @@ def oracle_corrections(combos, lin, G, noise):
 def _pair_blocks(lin, clusters, state):
     """G[a, b] = H_a P H_b' as an (m, m, 2, 2) array, from lin's H P."""
     m = len(clusters)
-    H = bearing_jacobians([c.center for c in clusters], state, EXT)[3]
+    H = bearing_jacobians([c.center for c in clusters], state)[3]
     G = lin.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
     return G.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
 
@@ -651,7 +649,7 @@ def _corrections_equal_oracle(dets, clusters, state, P, params):
     n, m = len(dets), len(clusters)
     if n == 0 or m == 0:
         return None
-    lin = recovery._SharedLinearization(dets, clusters, state, P, EXT, INTR, 2.0)
+    lin = recovery._SharedLinearization(dets, clusters, state, P, INTR, 2.0)
     G = _pair_blocks(lin, clusters, state)
     noise = pixel_noise_cov(INTR, 2.0)
     combos = assignment_array(n, m).astype(np.intp)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nightrider.camera import CamExtrinsics, DetectionBox, camera_point, pinhole
+from nightrider.camera import DetectionBox, camera_point, pinhole
 from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate_window
 from nightrider.lie import ExtendedPose, so3_exp, so3_log
 from nightrider.pipeline import run_pipeline
@@ -41,6 +41,13 @@ BLOB_INTENSITY = 240
 def _visible_blobs(pose, smap, scenario, intr):
     """The blob rectangles of one pose."""
     return _blob_rects(pose.rot[None], pose.pos[None], smap, scenario, intr)[0]
+
+
+def _pose_boxes(pose, smap, scenario):
+    """frame_boxes of one pose, passed as a one-sample Trajectory."""
+    zero = np.zeros((1, 3))
+    one = Trajectory(np.zeros(1), pose.rot[None], pose.vel[None], pose.pos[None], zero, zero)
+    return frame_boxes(one, smap, scenario)[0]
 
 
 def render_intensity_image(pose, smap, scenario):
@@ -121,9 +128,10 @@ def test_trajectory_indexes_slices_and_writes_through():
     picked = truth[np.array([3, 7])]
     assert picked.pos.tolist() == [truth[k].pose.pos.tolist() for k in (3, 7)]
     assert [p.pos.tolist() for p in part.poses()] == part.pos.tolist()
-    # a sample's pose reads and writes its row
+    # a sample's pose views its row, so writing into it writes the row
     pose = part[1].pose
-    pose.pos = np.array([1.0, 2.0, 3.0])
+    assert type(pose) is ExtendedPose
+    pose.pos[:] = [1.0, 2.0, 3.0]
     assert truth[15].pose.pos.tolist() == [1.0, 2.0, 3.0]
     copy = truth[15].pose.copy()
     copy.pos[0] = 9.0
@@ -248,7 +256,7 @@ def test_simulate_imu_matches_per_sample_reference_bytes(build):
 def test_simulate_imu_rejects_corrupted_truth_rotation(corrupt, message):
     sc = default_scenario()
     truth = generate_truth(sc)[:50]
-    truth[17].pose.rot = corrupt(truth[17].pose.rot)
+    truth.rot[17] = corrupt(truth.rot[17])
     with pytest.raises(ValueError, match=message):
         simulate_imu(truth, sc, np.random.default_rng(0))
 
@@ -297,7 +305,7 @@ def _reference_detections(truth, sc, smap, rng):
             frames.append((s.t, [], [], True))
             continue
         dets, tids = [], []
-        cps = camera_point(smap.centers(), s.pose, CamExtrinsics())
+        cps = camera_point(smap.centers(), s.pose)
         for c, cp in zip(smap.clusters, cps):
             if cp[2] < 1.0:
                 continue
@@ -381,7 +389,7 @@ def test_detection_pixels_match_projection():
     truth = generate_truth(sc)
     smap = make_map(sc)
     frames = simulate_detections(truth, sc, smap, np.random.default_rng(5))
-    from nightrider.camera import CamExtrinsics, project
+    from test_extension import project
 
     lookup = smap.by_id()
     checked = 0
@@ -389,7 +397,7 @@ def test_detection_pixels_match_projection():
         k = int(round(f.t * sc.imu_rate))
         pose = truth[k].pose
         for det, tid in zip(f.detections, f.truth_ids):
-            pix = project(lookup[tid].center, pose, CamExtrinsics(), sc.intrinsics())
+            pix = project(lookup[tid].center, pose, sc.intrinsics())
             np.testing.assert_allclose(det.center, pix, atol=1e-9)
             checked += 1
     assert checked > 20
@@ -404,7 +412,7 @@ def test_frame_boxes_matches_rendered_segmentation():
     for _ in range(25):
         k = rng.integers(0, len(truth))
         pose = truth[k].pose
-        fast = frame_boxes(pose, smap, sc)
+        fast = _pose_boxes(pose, smap, sc)
         img = render_intensity_image(pose, smap, sc)
         slow = segment_boxes(img)
         key = lambda b: (b.center[1], b.center[0])
@@ -426,7 +434,7 @@ def test_frame_boxes_over_poses_equal_per_pose_calls(build):
     sc = build()
     truth = generate_truth(sc)[::20]
     smap = make_map(sc)
-    one = [_box_bytes(frame_boxes(s.pose.copy(), smap, sc)) for s in truth]
+    one = [_box_bytes(_pose_boxes(s.pose, smap, sc)) for s in truth]
     assert [_box_bytes(b) for b in frame_boxes(truth, smap, sc)] == one
     assert sum(map(len, one)) > len(one) // 2
     assert frame_boxes(truth[:0], smap, sc) == []
@@ -443,7 +451,7 @@ def test_simulate_streams_attaches_each_frames_boxes():
             assert f.boxes == []
             continue
         pose = streams.truth[(j + 1) * step].pose
-        assert _box_bytes(f.boxes) == _box_bytes(frame_boxes(pose, smap, sc))
+        assert _box_bytes(f.boxes) == _box_bytes(_pose_boxes(pose, smap, sc))
         lit += bool(f.boxes)
     assert lit > 100
 
@@ -454,7 +462,7 @@ def _reference_blobs(pose, smap, sc):
     size = sc.bloom * sc.lamp_size
     rects = []
     for c in smap.clusters:
-        cp = camera_point(c.center, pose, CamExtrinsics())
+        cp = camera_point(c.center, pose)
         if cp[2] < 1.0:
             continue
         pu, pv = intr.fx * cp[0] / cp[2] + intr.cx, intr.fy * cp[1] / cp[2] + intr.cy
@@ -486,7 +494,7 @@ def test_visible_blobs_equal_per_cluster_reference():
 def test_frame_boxes_merges_overlapping_blobs():
     sc = Scenario(name="pair", lamps=[[20.0, 0.0, 0.0], [20.0, 0.3, 0.0]])
     pose = ExtendedPose()
-    boxes = frame_boxes(pose, smap=make_map(sc), scenario=sc)
+    boxes = _pose_boxes(pose, make_map(sc), sc)
     img = render_intensity_image(pose, make_map(sc), sc)
     slow = segment_boxes(img)
     assert len(boxes) == len(slow) == 1
