@@ -5,9 +5,11 @@ two Gaussian densities: a reprojection residual in pixels, and an angular
 residual (1 - cos) between the back-projected ray and the predicted ray.
 Both covariances are driven by the filter's covariance, so a confident
 filter is strict and an uncertain one is tolerant.  score_matrix computes
-every pair at once.  It pushes P through camera.bearing_jacobians' dc/dxi,
-the filter's own invariant-error Jacobian, into one 3x3 camera-point
-covariance per cluster, Sc = Dc P Dc'; the pixel density reads it through
+every pair at once, and linearizes only the clusters within MAX_RANGE and
+in front of the camera: the others score 0 without it.  It pushes P
+through camera.bearing_jacobians' dc/dxi, the filter's own
+invariant-error Jacobian, into one 3x3 camera-point covariance per
+cluster, Sc = Dc P Dc'; the pixel density reads it through
 diag(fx, fy) dh/dc and the angle density through d cos / dc.  The blend
 weight (WEIGHT), the base pixel variance (ALPHA) and the cut-off range
 (MAX_RANGE) are module constants; the pipeline's recovery reads MAX_RANGE
@@ -33,6 +35,8 @@ SIGMA_FLOOR = 1e-12
 WEIGHT = 0.5  # blend between reprojection and angle densities
 ALPHA = 4.0  # base pixel variance (px^2)
 MAX_RANGE = 50.0  # clusters farther than this (m) score 0
+_ALPHA_EYE2 = ALPHA * np.eye(2)
+_ALPHA_EYE2.flags.writeable = False
 
 
 @dataclass
@@ -60,28 +64,32 @@ def score_matrix(detections, clusters, state, P, intr):
 
     Each score is WEIGHT times the pixel density plus 1 - WEIGHT times the
     angle density.  Pairs beyond MAX_RANGE or behind the camera score
-    exactly 0.
+    exactly 0; only the other clusters are linearized and scored.
     """
     n, m = len(detections), len(clusters)
+    S = np.zeros((n, m))
     if n == 0 or m == 0:
-        return np.zeros((n, m))
-    Cw = np.stack([c.center for c in clusters])
-    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state)
-    rng = np.linalg.norm(Cw - state.pose.pos, axis=1)
-    valid = front & (rng <= MAX_RANGE)
+        return S
+    Cw = np.array([c.center for c in clusters], dtype=float)
+    near = np.flatnonzero(np.linalg.norm(Cw - state.pose.pos, axis=1) <= MAX_RANGE)
+    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw[near], state)
+    cols = near[front]
+    if len(cols) == 0:
+        return S
+    cc, h, dh_dc, Dc = cc[front], h[front], dh_dc[front], Dc[front]
     f = np.array([intr.fx, intr.fy])
     pix = f * h + [intr.cx, intr.cy]
 
-    # camera-point covariance, (m, 3, 3); zero behind the camera
+    # camera-point covariance, (k, 3, 3)
     Sc = Dc @ P @ Dc.transpose(0, 2, 1)
 
     # pixel Jacobians against the camera point, diag(fx, fy) dh/dc
     Jpi = f[:, None] * dh_dc
-    Sp = ALPHA * np.eye(2) + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
+    Sp = _ALPHA_EYE2 + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
     det2 = Sp[:, 0, 0] * Sp[:, 1, 1] - Sp[:, 0, 1] * Sp[:, 1, 0]
 
-    dets_px = np.stack([np.asarray(d.center, dtype=float) for d in detections])
-    r = dets_px[:, None, :] - pix[None, :, :]  # (n, m, 2)
+    dets_px = np.array([d.center for d in detections], dtype=float)
+    r = dets_px[:, None, :] - pix[None, :, :]  # (n, k, 2)
     quad = (
         Sp[None, :, 1, 1] * r[..., 0] ** 2
         - 2.0 * Sp[None, :, 0, 1] * r[..., 0] * r[..., 1]
@@ -90,12 +98,16 @@ def score_matrix(detections, clusters, state, P, intr):
     s_proj = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det2[None, :]))
 
     # angular residual and its variance
-    rays = np.stack([back_project(d.center, intr) for d in detections])
+    rays = back_project(dets_px, intr)
     n_ray = np.linalg.norm(rays, axis=1)
     u = rays / n_ray[:, None]
     n_c = np.linalg.norm(cc, axis=1)
     w = cc / n_c[:, None]
-    cos = u @ w.T  # (n, m)
+    # matmul rounds a lone column apart from a column of several: give a
+    # lone scored cluster of several a twin, so cos equals its value in
+    # the full (n, m) product
+    twin = 2 if len(cols) == 1 and m > 1 else 1
+    cos = (u @ np.repeat(w, twin, axis=0).T)[:, : len(cols)]  # (n, k)
 
     mpw = (w[None, :, :] - u[:, None, :] * cos[:, :, None]) / n_ray[:, None, None]
     d_pixel = np.einsum("nmk,kl->nml", mpw, intr.K_inv)
@@ -108,8 +120,7 @@ def score_matrix(detections, clusters, state, P, intr):
     r_ang = 1.0 - cos
     s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
 
-    S = WEIGHT * s_proj + (1.0 - WEIGHT) * s_ang
-    S[:, ~valid] = 0.0
+    S[:, cols] = WEIGHT * s_proj + (1.0 - WEIGHT) * s_ang
     return S
 
 

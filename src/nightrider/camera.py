@@ -112,7 +112,7 @@ def project_many(points_w, pose, intr):
 
     Rows less than Z_MIN in front of the camera are NaN.
     """
-    c = camera_point(np.reshape(points_w, (-1, 3)), pose)
+    c = camera_point(np.asarray(points_w, dtype=float).reshape(-1, 3), pose)
     front = c[:, 2] >= Z_MIN
     pix = np.full((len(c), 2), np.nan)
     pix[front] = pinhole(c[front], intr)
@@ -120,9 +120,10 @@ def project_many(points_w, pose, intr):
 
 
 def back_project(pixel, intr):
-    """Normalized ray K^-1 [u, v, 1] (third component 1)."""
-    u, v = pixel
-    return np.array([(u - intr.cx) / intr.fx, (v - intr.cy) / intr.fy, 1.0])
+    """Normalized ray K^-1 [u, v, 1] (third component 1); an (n, 2) array
+    of pixels maps row-wise."""
+    xy = (np.asarray(pixel, dtype=float) - [intr.cx, intr.cy]) / [intr.fx, intr.fy]
+    return np.concatenate([xy, np.ones(xy.shape[:-1] + (1,))], axis=-1)
 
 
 def bearing_jacobians(centers_w, state):
@@ -157,10 +158,15 @@ def bearing_jacobians(centers_w, state):
     return front, c, h, dh_dc @ Dc, dh_dc, Dc
 
 
+def pixel_noise_var(intr, pixel_sigma):
+    """Bearing noise variances (2,) for an isotropic pixel sigma: K^-1
+    scales the pixel axes by 1/fx and 1/fy."""
+    return np.array([(pixel_sigma / intr.fx) ** 2, (pixel_sigma / intr.fy) ** 2])
+
+
 def pixel_noise_cov(intr, pixel_sigma):
-    """Bearing noise (2x2) for an isotropic pixel sigma: K^-1 scales the
-    pixel axes by 1/fx and 1/fy."""
-    return np.diag([(pixel_sigma / intr.fx) ** 2, (pixel_sigma / intr.fy) ** 2])
+    """Bearing noise (2x2), the diagonal of pixel_noise_var."""
+    return np.diag(pixel_noise_var(intr, pixel_sigma))
 
 
 def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
@@ -176,11 +182,11 @@ def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
     front, _, h, H, _, _ = bearing_jacobians(
         [clusters_by_id[cid].center for _, cid in pairs], state
     )
-    if not front.any():
+    k = int(np.count_nonzero(front))
+    if not k:
         return state, P
-    rays = np.array([back_project(det.center, intr)[:2] for det, _ in pairs])
-    k = int(front.sum())
-    N = np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), k))
+    rays = back_project([det.center for det, _ in pairs], intr)[:, :2]
+    N = np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), k))
     return invariant_update(
         state,
         P,

@@ -12,11 +12,16 @@ clusters are matched through tall search rectangles instead of densities.
 Both matchers end in the same greedy step (_greedy), and both ask the
 same questions as array operations: within_range for the clusters near
 the vehicle, and boxes_containing, optionally padded by a search
-rectangle, for which boxes hold which projected pixels.
+rectangle, for which boxes hold which projected pixels.  A ClusterTable
+holds the map's centers and projected rows as arrays, built once per
+run; its views leave out the clusters already matched in a frame.  The
+degeneracy state keeps the window's latest center per lamp as it goes,
+and refits the corridor line only when those centers change.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,17 +45,65 @@ def boxes_containing(boxes, pixels, pad_w=0.0, pad_h=0.0):
     pad_h rectangle centered on the pixel intersects the box.  A NaN
     pixel (a point behind the camera) is in no box.
     """
-    centers = np.reshape([b.center for b in boxes], (-1, 2))
-    halves = (np.reshape([b.extents for b in boxes], (-1, 2)) + (pad_w, pad_h)) / 2.0
+    centers = np.array([b.center for b in boxes], dtype=float).reshape(-1, 2)
+    extents = np.array([b.extents for b in boxes], dtype=float).reshape(-1, 2)
+    halves = (extents + (pad_w, pad_h)) / 2.0
     d = np.abs(np.reshape(pixels, (-1, 2))[:, None, :] - centers)
-    return (d <= halves).all(axis=2)
+    return (d[..., 0] <= halves[:, 0]) & (d[..., 1] <= halves[:, 1])
+
+
+class ClusterTable:
+    """A cluster list as arrays, built once per map and shared by views.
+
+    centers (m, 3) holds the centers in list order.  rows holds one
+    block per cluster, its center and then its points (the center again
+    when it has none); sizes counts each block's points and block gives
+    each row's cluster index.  keep marks the clusters in view: without
+    leaves some out, and the matchers below read only kept clusters.
+    """
+
+    def __init__(self, clusters):
+        self.clusters = list(clusters)
+        self.indices_of = {}  # cluster id -> its indices in the list
+        for i, c in enumerate(self.clusters):
+            self.indices_of.setdefault(c.id, []).append(i)
+        centers = [c.center for c in self.clusters]
+        self.centers = np.array(centers, dtype=float).reshape(-1, 3)
+        blocks = []
+        for c in self.clusters:
+            points = c.points if c.points is not None and len(c.points) else [c.center]
+            points = np.asarray(points, dtype=float).reshape(-1, 3)
+            blocks += [np.atleast_2d(c.center), points]
+        self.rows = np.concatenate(blocks) if blocks else np.zeros((0, 3))
+        self.sizes = np.array([len(b) for b in blocks[1::2]], dtype=int)
+        self.block = np.repeat(np.arange(len(self.sizes)), self.sizes + 1)
+        self.keep = np.ones(len(self.clusters), dtype=bool)
+
+    def without(self, ids):
+        """A view of this table with the clusters of ids left out."""
+        view = object.__new__(ClusterTable)
+        view.__dict__.update(self.__dict__)
+        view.keep = self.keep.copy()
+        for cid in ids:
+            view.keep[self.indices_of.get(cid, [])] = False
+        return view
+
+    def near(self, pos, r):
+        """Mask of the kept clusters whose centers lie within r of pos."""
+        d = self.centers - pos
+        return self.keep & (np.sqrt(dot_many(d, d)) <= r)
+
+
+def as_table(clusters):
+    """clusters itself if it is a ClusterTable, else a table of the list."""
+    return clusters if isinstance(clusters, ClusterTable) else ClusterTable(clusters)
 
 
 def within_range(clusters, pos, r):
-    """The clusters whose centers lie within r of pos, in their order."""
-    d = np.reshape([c.center for c in clusters], (-1, 3)) - pos
-    near = np.sqrt(dot_many(d, d)) <= r
-    return [c for c, keep in zip(clusters, near) if keep]
+    """The clusters (a list or ClusterTable) whose centers lie within r of
+    pos, in their order."""
+    table = as_table(clusters)
+    return [table.clusters[i] for i in np.flatnonzero(table.near(pos, r))]
 
 
 def _greedy(triples, boxes, key):
@@ -76,33 +129,29 @@ def _greedy(triples, boxes, key):
 def extend_matches(boxes, unmatched_clusters, state, intr, max_range=80.0):
     """Match unmatched clusters to segmentation boxes by projected points.
 
-    A cluster within max_range is a candidate for every box containing
-    its projected center; the candidate ratio is the fraction of the
-    cluster's points that project inside the box.  Conflicts resolve
-    greedily by descending ratio, so each box and each cluster is used
-    at most once.
+    unmatched_clusters is a list or a ClusterTable.  A cluster within
+    max_range is a candidate for every box containing its projected
+    center; the candidate ratio is the fraction of the cluster's points
+    that project inside the box.  Conflicts resolve greedily by
+    descending ratio, so each box and each cluster is used at most once.
     """
     pose = state.pose
-    cands = within_range(unmatched_clusters, pose.pos, max_range)
-    if not boxes or not cands:
+    table = as_table(unmatched_clusters)
+    near = table.near(pose.pos, max_range)
+    if not boxes or not near.any():
         return MatchSet([], [], [])
-    # one block of rows per cluster: its center, then its points
-    rows, sizes = [], []
-    for c in cands:
-        points = c.points if c.points is not None and len(c.points) else [c.center]
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        rows += [np.atleast_2d(c.center), points]
-        sizes.append(len(points))
-    sizes = np.array(sizes)
+    # the candidates' blocks of rows, each its center and then its points
+    cands = np.flatnonzero(near)
+    sizes = table.sizes[cands]
     starts = np.cumsum(sizes + 1) - (sizes + 1)
-    pix = project_many(np.concatenate(rows), pose, intr)
+    pix = project_many(table.rows[near[table.block]], pose, intr)
     inside = boxes_containing(boxes, pix)
     center_in = inside[starts]
     # per-block sums count the center row too
     counts = np.add.reduceat(inside.astype(int), starts) - center_in
     triples = []
     for ci, bi in zip(*np.nonzero(center_in & (counts > 0))):
-        c, bi = cands[ci], int(bi)
+        c, bi = table.clusters[cands[ci]], int(bi)
         ratio = int(counts[ci, bi]) / int(sizes[ci])
         triples.append((ratio, c.id, bi))
 
@@ -121,8 +170,16 @@ class DegenState:
 
     degenerate: bool = False
     just_ended: bool = False
-    window: list = field(default_factory=list)  # (t, cluster_id, center)
+    window: deque = field(default_factory=deque)  # (t, cluster_id, center)
     line: tuple | None = None  # (centroid_xy, direction_xy)
+    # each cluster id in the window -> its (position, center) entries,
+    # oldest first; positions count every entry ever appended
+    by_id: dict = field(default_factory=dict, repr=False)
+    appended: int = 0
+    # the last fit: the unique centers it was fitted to, as bytes, and
+    # (line, max_perp)
+    fit_key: bytes | None = field(default=None, repr=False)
+    fit: tuple | None = field(default=None, repr=False)
 
 
 def _fit_line_xy(centers):
@@ -140,20 +197,22 @@ def _perp_distance(center, line):
     return abs(d[0] * direction[1] - d[1] * direction[0])
 
 
-def _unique_centers(window):
-    by_id = {}
-    for _, cid, center in window:
-        by_id[cid] = center
-    return list(by_id.values())
+def _unique_centers(degen):
+    """One center per cluster id in the window: its latest, with the ids
+    in the order of their oldest entries, as a dict filled from the
+    window entry by entry would hold them."""
+    queues = sorted(degen.by_id.values(), key=lambda q: q[0][0])
+    return [q[-1][1] for q in queues]
 
 
 def update_degeneracy(degen, matched, t):
     """Advance the degeneracy state with this frame's positive matches.
 
-    matched: iterable of (cluster_id, world center).  Entry requires at
-    least two distinct clusters in the window, all within TH_LINE of a
-    fitted line.  Exit requires a newly matched center at least TH_LINE
-    off the line fitted before this call; just_ended marks that frame.
+    matched: iterable of (cluster_id, world center); t must not decrease
+    from call to call.  Entry requires at least two distinct clusters in
+    the window, all within TH_LINE of a fitted line.  Exit requires a
+    newly matched center at least TH_LINE off the line fitted before this
+    call; just_ended marks that frame.
     """
     degen.just_ended = False
     new_entries = [(t, cid, np.asarray(c, dtype=float)) for cid, c in matched]
@@ -165,14 +224,29 @@ def update_degeneracy(degen, matched, t):
                 degen.just_ended = True
                 break
 
-    degen.window.extend(new_entries)
+    window = degen.window
+    for entry in new_entries:
+        window.append(entry)
+        degen.by_id.setdefault(entry[1], deque()).append((degen.appended, entry[2]))
+        degen.appended += 1
     cutoff = t - HORIZON
-    degen.window = [e for e in degen.window if e[0] >= cutoff]
+    while window and not window[0][0] >= cutoff:
+        cid = window.popleft()[1]
+        degen.by_id[cid].popleft()
+        if not degen.by_id[cid]:
+            del degen.by_id[cid]
 
-    centers = _unique_centers(degen.window)
+    centers = _unique_centers(degen)
     if len(centers) >= 2:
-        line = _fit_line_xy(centers)
-        max_perp = max(_perp_distance(c, line) for c in centers)
+        # the fit depends on the ordered centers only: reuse it while
+        # they are unchanged
+        centers = np.array(centers)
+        key = centers.tobytes()
+        if key != degen.fit_key:
+            line = _fit_line_xy(centers)
+            degen.fit_key = key
+            degen.fit = line, max(_perp_distance(c, line) for c in centers)
+        line, max_perp = degen.fit
         if degen.just_ended:
             degen.line = None  # stale once off-line evidence arrived
         elif max_perp < TH_LINE:

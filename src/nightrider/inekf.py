@@ -232,8 +232,8 @@ def invariant_update(state, P, H, z, N, max_var=math.inf):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     N = np.atleast_2d(np.asarray(N, dtype=float))
 
-    S = H @ P @ H.T + N
-    S = symmetrize(S)
+    HP = H @ P
+    S = symmetrize(HP @ H.T + N)
     if not (np.isfinite(z).all() and np.isfinite(S).all()):
         raise UpdateRejected("non-finite innovation or innovation covariance")
     lam = np.linalg.eigvalsh(S)
@@ -241,7 +241,7 @@ def invariant_update(state, P, H, z, N, max_var=math.inf):
         raise UpdateRejected(f"eigenvalues of S in [{lam[0]:.3e}, {lam[-1]:.3e}]")
 
     try:
-        K = np.linalg.solve(S, H @ P).T
+        K = np.linalg.solve(S, HP).T
     except np.linalg.LinAlgError as exc:
         # S can pass the eigenvalue test and still be singular to LU
         raise UpdateRejected(f"innovation covariance is singular ({exc})") from exc
@@ -251,7 +251,7 @@ def invariant_update(state, P, H, z, N, max_var=math.inf):
     bias_gyro_new = state.bias_gyro + delta[9:12]
     bias_accel_new = state.bias_accel + delta[12:15]
 
-    IKH = np.eye(15) - K @ H
+    IKH = _EYE15 - K @ H
     P_new = IKH @ P @ IKH.T + K @ N @ K.T
 
     new_state = FilterState(pose_new, bias_gyro_new, bias_accel_new, state.t)

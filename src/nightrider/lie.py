@@ -39,20 +39,32 @@ def unskew(M):
 
 def so3_exp(phi):
     """Rodrigues formula mapping a rotation vector to a rotation matrix."""
+    return _so3_exp_and_left_jacobian(phi, jacobian=False)
+
+
+def _so3_exp_and_left_jacobian(phi, jacobian=True):
+    """so3_exp(phi), and with jacobian=True also so3_left_jacobian(phi).
+
+    Both share skew(phi), S @ S and the sines, so either result equals
+    the one computed alone bit for bit.
+    """
     phi = np.asarray(phi, dtype=float)
     theta2 = float(phi @ phi)
     S = skew(phi)
+    S2 = S @ S
     if theta2 < SMALL_ANGLE**2:
         # second-order Taylor; adequate below the switch point
-        return _EYE3 + S + 0.5 * (S @ S)
+        exp = _EYE3 + S + 0.5 * S2
+        return (exp, _EYE3 + 0.5 * S + S2 / 6.0) if jacobian else exp
     theta = math.sqrt(theta2)
     # 2 sin^2(t/2) instead of 1 - cos(t): no cancellation at small angles
     half_sin = np.sin(theta / 2.0)
-    return (
-        _EYE3
-        + (np.sin(theta) / theta) * S
-        + (2.0 * half_sin * half_sin / theta2) * (S @ S)
-    )
+    sin = np.sin(theta)
+    b = 2.0 * half_sin * half_sin / theta2
+    exp = _EYE3 + (sin / theta) * S + b * S2
+    if not jacobian:
+        return exp
+    return exp, _EYE3 + b * S + ((theta - sin) / (theta2 * theta)) * S2
 
 
 def _check_rotation(R):
@@ -125,25 +137,20 @@ def so3_log_many(Rs):
 
 
 def so3_left_jacobian(phi):
-    phi = np.asarray(phi, dtype=float)
-    theta2 = float(phi @ phi)
-    S = skew(phi)
-    if theta2 < SMALL_ANGLE**2:
-        return np.eye(3) + 0.5 * S + (S @ S) / 6.0
-    theta = np.sqrt(theta2)
-    half_sin = np.sin(theta / 2.0)
-    return (
-        np.eye(3)
-        + (2.0 * half_sin * half_sin / theta2) * S
-        + ((theta - np.sin(theta)) / (theta2 * theta)) * (S @ S)
-    )
+    return _so3_exp_and_left_jacobian(phi)[1]
 
 
 def skew_many(phis):
     """skew of every row of an (n, 3) array, as an (n, 3, 3) stack."""
     x, y, z = phis.T
-    zero = np.zeros_like(x)
-    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+    S = np.zeros((len(phis), 3, 3))
+    S[:, 0, 1] = -z
+    S[:, 0, 2] = y
+    S[:, 1, 0] = z
+    S[:, 1, 2] = -x
+    S[:, 2, 0] = -y
+    S[:, 2, 1] = x
+    return S
 
 
 def matvec_many(M, v):
@@ -264,9 +271,8 @@ def se23_vee(M):
 def se23_exp(xi):
     """Exponential map: closed form via the SO(3) left Jacobian."""
     xi = np.asarray(xi, dtype=float)
-    phi = xi[0:3]
-    J = so3_left_jacobian(phi)
-    return ExtendedPose(so3_exp(phi), J @ xi[3:6], J @ xi[6:9])
+    R, J = _so3_exp_and_left_jacobian(xi[0:3])
+    return ExtendedPose(R, J @ xi[3:6], J @ xi[6:9])
 
 
 def se23_log(pose):

@@ -14,6 +14,11 @@ import numpy as np
 
 from .inekf import invariant_update
 
+# the velocity block of the 15-dim error state
+_H = np.zeros((3, 15))
+_H[:, 3:6] = np.eye(3)
+_H.flags.writeable = False
+
 
 @dataclass
 class OdomSample:
@@ -30,7 +35,5 @@ def apply_odom_update(state, P, velocity_b, cov_b):
     """
     R = state.pose.rot
     z = R @ np.asarray(velocity_b, dtype=float) - state.pose.vel
-    H = np.zeros((3, 15))
-    H[:, 3:6] = np.eye(3)
     N = R @ cov_b @ R.T
-    return invariant_update(state, P, H, z, N)
+    return invariant_update(state, P, _H, z, N)

@@ -19,6 +19,7 @@ import numpy as np
 from .association import MAX_RANGE, MatchSet, associate
 from .camera import apply_camera_update, camera_point, project_many
 from .extension import (
+    ClusterTable,
     DegenState,
     boxes_containing,
     degeneration_match,
@@ -168,14 +169,14 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
     return nees, np.sqrt(dot_many(d, d))
 
 
-def _recovery_candidates(smap, pose, intr):
+def _recovery_candidates(table, pose, intr):
     """Clusters the camera could plausibly see from the current estimate."""
-    near = within_range(smap.clusters, pose.pos, MAX_RANGE)
-    centers = np.reshape([c.center for c in near], (-1, 3))
+    near = np.flatnonzero(table.near(pose.pos, MAX_RANGE))
+    centers = table.centers[near]
     depth = camera_point(centers, pose)[:, 2]
     pix = project_many(centers, pose, intr)
     seen = (depth >= 1.0) & intr.contains(pix, margin=-50.0)
-    return [c for c, keep in zip(near, seen) if keep]
+    return [table.clusters[i] for i in near[seen]]
 
 
 def run_pipeline(scenario, smap=None, config=None):
@@ -193,6 +194,7 @@ def run_pipeline(scenario, smap=None, config=None):
     bias_g, bias_a = streams.bias_gyro, streams.bias_accel
     intr = scenario.intrinsics()
     lookup = smap.by_id()
+    table = ClusterTable(smap.clusters)
     noise = NoiseConfig.from_sigmas(
         scenario.gyro_sigma,
         scenario.accel_sigma,
@@ -273,7 +275,7 @@ def run_pipeline(scenario, smap=None, config=None):
         if config.use_vision and not frame.blackout:
             lost = config.use_recovery and is_lost(state.t - last_match_t, _RECOVERY)
             if lost and frame.detections:
-                cands = _recovery_candidates(smap, state.pose, intr)
+                cands = _recovery_candidates(table, state.pose, intr)
                 found = attempt_recovery(
                     frame.detections,
                     cands,
@@ -317,11 +319,12 @@ def run_pipeline(scenario, smap=None, config=None):
                     free = []
 
                 if config.use_extension and free:
-                    unmatched = [
-                        c for c in smap.clusters if c.id not in matched_ids
-                    ]
                     ems = extend_matches(
-                        free, unmatched, state, intr, config.extension_range
+                        free,
+                        table.without(matched_ids),
+                        state,
+                        intr,
+                        config.extension_range,
                     )
                     n_ext = camera_stage(ems, box_sigma, "extension")
                     if n_ext:
@@ -330,7 +333,7 @@ def run_pipeline(scenario, smap=None, config=None):
                         matched_ids.update(ems.matched_ids())
 
                 if run_degen and free:
-                    unmatched = [c for c in smap.clusters if c.id not in matched_ids]
+                    unmatched = table.without(matched_ids)
                     near = within_range(unmatched, state.pose.pos, config.extension_range)
                     cands = offline_candidates(near, degen)
                     dms = degeneration_match(free, cands, state, intr)

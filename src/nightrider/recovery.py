@@ -52,7 +52,7 @@ from .camera import (
     back_project,
     bearing_jacobians,
     pinhole,
-    pixel_noise_cov,
+    pixel_noise_var,
 )
 from .inekf import UpdateRejected
 from .lie import so3_exp_many
@@ -130,11 +130,11 @@ class _SharedLinearization:
         self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state)
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
-        S += np.diag(np.tile(np.diag(pixel_noise_cov(intr, pixel_sigma)), m))
+        S += np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), m))
         self.S_all = (S + S.T) / 2.0
         self.certified = _certifies(self.S_all)
-        self.rays = np.array([back_project(d.center, intr)[:2] for d in detections])
         self.pixels = np.array([d.center for d in detections], dtype=float)
+        self.rays = back_project(self.pixels, intr)[:, :2]
 
 
 def _certifies(S_all):
@@ -156,7 +156,8 @@ def _corrections(combos, lin):
     Row b is, up to rounding, the correction invariant_update applies for
     combination b: zero when no matched cluster is in front of the camera
     (apply_camera_update then leaves the state alone), and NaN when the
-    innovation covariance fails invariant_update's rule.
+    innovation covariance fails invariant_update's rule or is singular to
+    np.linalg.solve.  One singular S only rejects its own combination.
     """
     infront = combos >= 0
     infront[infront] = lin.front[combos[infront]]
@@ -178,9 +179,24 @@ def _corrections(combos, lin):
         HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
         z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
         # K z = (H P)' S^-1 z, one right-hand side per combination
-        x = np.linalg.solve(S, z[..., None])
+        try:
+            x = np.linalg.solve(S, z[..., None])
+        except np.linalg.LinAlgError:
+            x = _solve_each(S, z[..., None])
         delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
     return delta
+
+
+def _solve_each(S, b):
+    """np.linalg.solve of each system of a batch alone, NaN where its S is
+    singular to LU, as invariant_update then rejects it."""
+    x = np.full(b.shape, np.nan)
+    for i in range(len(S)):
+        try:
+            x[i] = np.linalg.solve(S[i], b[i])
+        except np.linalg.LinAlgError:
+            pass
+    return x
 
 
 def _block_scores(combos, lin, state, params, intr):

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightrider import association
 from nightrider.association import (
+    ALPHA,
+    MAX_RANGE,
     SIGMA_FLOOR,
+    WEIGHT,
     MatchSet,
     associate,
     hungarian,
@@ -19,7 +24,7 @@ from nightrider.camera import (
     bearing_jacobians,
 )
 from nightrider.inekf import FilterState
-from nightrider.lie import ExtendedPose, se23_exp
+from nightrider.lie import ExtendedPose, se23_exp, so3_exp
 from nightrider.mapping import StreetlightCluster
 from test_extension import project
 
@@ -281,6 +286,81 @@ def test_score_matrix_matches_pairwise_scores():
                 rtol=1e-9,
                 atol=1e-300,
             )
+
+
+def _full_width_score_matrix(detections, clusters, state, P, intr):
+    """score_matrix over every cluster: each one linearized and scored,
+    then those out of range or behind the camera zeroed."""
+    n, m = len(detections), len(clusters)
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+    Cw = np.stack([c.center for c in clusters])
+    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state)
+    rng = np.linalg.norm(Cw - state.pose.pos, axis=1)
+    valid = front & (rng <= MAX_RANGE)
+    f = np.array([intr.fx, intr.fy])
+    pix = f * h + [intr.cx, intr.cy]
+    Sc = Dc @ P @ Dc.transpose(0, 2, 1)
+    Jpi = f[:, None] * dh_dc
+    Sp = ALPHA * np.eye(2) + Jpi @ Sc @ Jpi.transpose(0, 2, 1)
+    det2 = Sp[:, 0, 0] * Sp[:, 1, 1] - Sp[:, 0, 1] * Sp[:, 1, 0]
+    dets_px = np.stack([np.asarray(d.center, dtype=float) for d in detections])
+    r = dets_px[:, None, :] - pix[None, :, :]
+    quad = (
+        Sp[None, :, 1, 1] * r[..., 0] ** 2
+        - 2.0 * Sp[None, :, 0, 1] * r[..., 0] * r[..., 1]
+        + Sp[None, :, 0, 0] * r[..., 1] ** 2
+    ) / det2[None, :]
+    s_proj = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det2[None, :]))
+    rays = np.stack([back_project(d.center, intr) for d in detections])
+    n_ray = np.linalg.norm(rays, axis=1)
+    u = rays / n_ray[:, None]
+    n_c = np.linalg.norm(cc, axis=1)
+    w = cc / n_c[:, None]
+    cos = u @ w.T
+    mpw = (w[None, :, :] - u[:, None, :] * cos[:, :, None]) / n_ray[:, None, None]
+    d_pixel = np.einsum("nmk,kl->nml", mpw, intr.K_inv)
+    pix_var = ALPHA * (d_pixel[..., 0] ** 2 + d_pixel[..., 1] ** 2)
+    mcu = (u[:, None, :] - w[None, :, :] * cos[:, :, None]) / n_c[None, :, None]
+    pose_var = np.einsum("nmi,mij,nmj->nm", mcu, Sc, mcu)
+    var = np.maximum(pix_var + pose_var, SIGMA_FLOOR)
+    r_ang = 1.0 - cos
+    s_ang = np.exp(-0.5 * r_ang**2 / var) / np.sqrt(2.0 * np.pi * var)
+    S = WEIGHT * s_proj + (1.0 - WEIGHT) * s_ang
+    S[:, ~valid] = 0.0
+    return S
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 12))
+def test_score_matrix_equals_full_width_scorer(seed, n, m):
+    rng = np.random.default_rng(seed)
+    rot = so3_exp(rng.normal(size=3) * [0.1, 0.1, 2.0])
+    pose = ExtendedPose(rot, np.zeros(3), rng.normal(size=3) * 20)
+    st_ = FilterState(pose)
+    P = _random_pose_cov(rng, scale=10.0 ** rng.uniform(-6, -1))
+    # bodies ahead, behind and to the side, out to twice MAX_RANGE
+    reach = np.array([2 * MAX_RANGE, 60.0, 8.0])
+    clusters = [
+        _cluster(j, pose.pos + pose.rot @ (rng.uniform(-1, 1, 3) * reach))
+        for j in range(m)
+    ]
+    dets = [
+        DetectionBox(rng.uniform([-50, -50], [1330, 770]), np.array([8.0, 8.0]))
+        for _ in range(n)
+    ]
+    # detections on some projections, so that scores are not all tiny
+    for c in clusters[: min(n, 3)]:
+        px = project(c.center, pose, INTR)
+        if px is not None:
+            box = DetectionBox(px + rng.normal(size=2), np.ones(2))
+            dets[int(rng.integers(n))] = box
+    got = score_matrix(dets, clusters, st_, P, INTR)
+    want = _full_width_score_matrix(dets, clusters, st_, P, INTR)
+    assert got.shape == want.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
+    # the no-match column sums the same full-width row
+    assert got.sum(axis=1).tobytes() == want.sum(axis=1).tobytes()
 
 
 # --------------------------------------------------------------- hungarian

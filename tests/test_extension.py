@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.ndimage
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nightrider import extension
@@ -12,8 +12,12 @@ from nightrider.camera import (
     DetectionBox,
     camera_point,
     pinhole,
+    project_many,
 )
 from nightrider.extension import (
+    HORIZON,
+    TH_LINE,
+    ClusterTable,
     DegenState,
     _greedy,
     boxes_containing,
@@ -24,7 +28,7 @@ from nightrider.extension import (
     within_range,
 )
 from nightrider.inekf import FilterState
-from nightrider.lie import ExtendedPose, so3_exp
+from nightrider.lie import ExtendedPose, dot_many, so3_exp
 from nightrider.mapping import StreetlightCluster
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
@@ -399,6 +403,73 @@ def test_extend_matches_equals_per_point_reference():
         assert got == _reference_extend(boxes, clusters, st, 50.0)
 
 
+def _per_candidate_extend(boxes, clusters, state, intr, max_range):
+    """extend_matches from the cluster list alone: the range filter and
+    each candidate's block of rows rebuilt per call, one candidate at a
+    time."""
+    pose = state.pose
+    d = np.reshape([c.center for c in clusters], (-1, 3)) - pose.pos
+    near = np.sqrt(dot_many(d, d)) <= max_range
+    cands = [c for c, keep in zip(clusters, near) if keep]
+    if not boxes or not cands:
+        return _greedy([], boxes, key=None)
+    rows, sizes = [], []
+    for c in cands:
+        points = c.points if c.points is not None and len(c.points) else [c.center]
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        rows += [np.atleast_2d(c.center), points]
+        sizes.append(len(points))
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes + 1) - (sizes + 1)
+    pix = project_many(np.concatenate(rows), pose, intr)
+    inside = boxes_containing(boxes, pix)
+    center_in = inside[starts]
+    counts = np.add.reduceat(inside.astype(int), starts) - center_in
+    triples = []
+    for ci, bi in zip(*np.nonzero(center_in & (counts > 0))):
+        c, bi = cands[ci], int(bi)
+        triples.append((int(counts[ci, bi]) / int(sizes[ci]), c.id, bi))
+    return _greedy(triples, boxes, key=lambda t: (-t[0], t[1], t[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 120.0))
+def test_extend_matches_equals_per_candidate_loop(seed, max_range):
+    rng = np.random.default_rng(seed)
+    pose = ExtendedPose(
+        so3_exp([0.0, 0.0, rng.uniform(-np.pi, np.pi)]), np.zeros(3), rng.normal(size=3)
+    )
+    state = FilterState(pose)
+    clusters = []
+    for cid in range(rng.integers(0, 14)):
+        center = pose.pos + rng.normal(size=3) * [40.0, 40.0, 3.0]
+        # some clusters carry no points, and some points lie behind the camera
+        spread = rng.choice([0.6, 30.0])
+        pts = center + rng.normal(size=(rng.integers(0, 9), 3)) * spread
+        clusters.append(StreetlightCluster(cid, center, pts))
+    boxes = [
+        DetectionBox(rng.uniform([0, 0], [1280, 720]), rng.uniform(5, 120, size=2))
+        for _ in range(rng.integers(0, 8))
+    ]
+    for c in clusters[:4]:
+        px = project(c.center, pose, INTR)
+        if px is not None:
+            boxes.append(DetectionBox(px + rng.normal(size=2), rng.uniform(4, 30, 2)))
+    matched = {c.id for c in clusters if rng.random() < 0.3}
+    unmatched = [c for c in clusters if c.id not in matched]
+    want = _per_candidate_extend(boxes, unmatched, state, INTR, max_range)
+    table = ClusterTable(clusters)
+    for arg in (unmatched, table.without(matched)):
+        got = extend_matches(boxes, arg, state, INTR, max_range)
+        assert [id(b) for b in got.detections] == [id(b) for b in want.detections]
+        assert got.cluster_ids == want.cluster_ids
+        assert got.scores == want.scores
+    near = within_range(table.without(matched), pose.pos, max_range)
+    assert [c.id for c in near] == [
+        c.id for c in within_range(unmatched, pose.pos, max_range)
+    ]
+
+
 # ------------------------------------------------------------- degeneracy
 
 
@@ -525,3 +596,84 @@ def test_rectangle_match_unique_assignment():
     ms = degeneration_match([b0, b1], [c0, c1], st, INTR)
     assert sorted(ms.cluster_ids) == [0, 1]
     assert len(set(id(d) for d in ms.detections)) == 2
+
+
+class _RefitDegen:
+    """update_degeneracy with the window a list filtered on every call and
+    the line refitted on every call."""
+
+    def __init__(self):
+        self.degenerate = False
+        self.just_ended = False
+        self.window = []
+        self.line = None
+
+    def update(self, matched, t):
+        self.just_ended = False
+        new_entries = [(t, cid, np.asarray(c, dtype=float)) for cid, c in matched]
+        if self.degenerate and self.line is not None:
+            for _, _, center in new_entries:
+                if _ref_perp(center, self.line) >= TH_LINE:
+                    self.degenerate = False
+                    self.just_ended = True
+                    break
+        self.window.extend(new_entries)
+        cutoff = t - HORIZON
+        self.window = [e for e in self.window if e[0] >= cutoff]
+        by_id = {}
+        for _, cid, center in self.window:
+            by_id[cid] = center
+        centers = list(by_id.values())
+        if len(centers) >= 2:
+            pts = np.asarray(centers, dtype=float)[:, :2]
+            centroid = pts.mean(axis=0)
+            _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
+            line = centroid, vt[0]
+            max_perp = max(_ref_perp(c, line) for c in centers)
+            if self.just_ended:
+                self.line = None
+            elif max_perp < TH_LINE:
+                self.degenerate = True
+                self.line = line
+            elif self.degenerate:
+                self.line = line
+        elif not self.degenerate:
+            self.line = None
+
+
+def _ref_perp(center, line):
+    centroid, direction = line
+    d = np.asarray(center, dtype=float)[:2] - centroid
+    return abs(d[0] * direction[1] - d[1] * direction[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_update_degeneracy_equals_refit_on_every_call(seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(2, 9)
+    # lamps near one line, a few well off it
+    base = {}
+    for cid in range(pool):
+        off = rng.normal() * rng.choice([0.3, 4.0])
+        base[cid] = np.array([rng.uniform(-60, 60), off, 4.0])
+    got, want = DegenState(), _RefitDegen()
+    t = 0.0
+    for _ in range(rng.integers(1, 60)):
+        t += float(rng.choice([0.0, 0.1, 0.5, 3.0, HORIZON, 2 * HORIZON]))
+        matched = []
+        for _ in range(rng.integers(0, 5)):
+            cid = int(rng.integers(pool))
+            if rng.random() < 0.2:  # the id's center moves
+                base[cid] = base[cid] + rng.normal(size=3) * [0.5, 2.0, 0.0]
+            matched.append((cid, base[cid]))
+        update_degeneracy(got, matched, t)
+        want.update(matched, t)
+        assert (got.degenerate, got.just_ended) == (want.degenerate, want.just_ended)
+        assert (got.line is None) == (want.line is None)
+        if got.line is not None:
+            assert got.line[0].tobytes() == want.line[0].tobytes()
+            assert got.line[1].tobytes() == want.line[1].tobytes()
+        assert [(e[0], e[1], e[2].tobytes()) for e in got.window] == [
+            (e[0], e[1], e[2].tobytes()) for e in want.window
+        ]

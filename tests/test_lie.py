@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nightrider.lie import (
+    SMALL_ANGLE,
     ExtendedPose,
     adjoint_se23,
     right_invariant_error,
@@ -12,6 +16,7 @@ from nightrider.lie import (
     se23_log,
     se23_vee,
     skew,
+    skew_many,
     so3_exp,
     so3_exp_many,
     so3_left_jacobian,
@@ -288,3 +293,68 @@ def test_adjoint_exp_conjugation_identity():
     lhs = se23_exp(adjoint_se23(X) @ xi).as_matrix()
     rhs = X.as_matrix() @ se23_exp(xi).as_matrix() @ np.linalg.inv(X.as_matrix())
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+# ------------------------------------------- bit-for-bit reference code
+# Each function computed on its own, the byte-level oracle of the shared
+# or batched version.
+
+
+def _skew_many_by_stack(phis):
+    x, y, z = phis.T
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(-1, 3, 3)
+
+
+def _so3_exp_alone(phi):
+    theta2 = float(phi @ phi)
+    S = skew(phi)
+    if theta2 < SMALL_ANGLE**2:
+        return np.eye(3) + S + 0.5 * (S @ S)
+    theta = math.sqrt(theta2)
+    half_sin = np.sin(theta / 2.0)
+    return (
+        np.eye(3)
+        + (np.sin(theta) / theta) * S
+        + (2.0 * half_sin * half_sin / theta2) * (S @ S)
+    )
+
+
+def _so3_left_jacobian_alone(phi):
+    theta2 = float(phi @ phi)
+    S = skew(phi)
+    if theta2 < SMALL_ANGLE**2:
+        return np.eye(3) + 0.5 * S + (S @ S) / 6.0
+    theta = np.sqrt(theta2)
+    half_sin = np.sin(theta / 2.0)
+    return (
+        np.eye(3)
+        + (2.0 * half_sin * half_sin / theta2) * S
+        + ((theta - np.sin(theta)) / (theta2 * theta)) * (S @ S)
+    )
+
+
+_finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+# magnitudes from zero through the small-angle switch to several turns
+_rotvec = st.tuples(_finite, _finite, _finite).map(np.array) | st.tuples(
+    st.floats(-1e-7, 1e-7), st.floats(-1e-7, 1e-7), st.floats(-1e-7, 1e-7)
+).map(np.array)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(3)), elements=_finite))
+def test_skew_many_equals_stack_construction(phis):
+    got = skew_many(phis)
+    assert got.shape == (len(phis), 3, 3)
+    assert got.tobytes() == _skew_many_by_stack(phis).tobytes()
+
+
+@given(_rotvec, st.tuples(_finite, _finite, _finite, _finite, _finite, _finite))
+def test_so3_exp_jacobian_and_se23_exp_equal_separate_formulas(phi, rest):
+    assert so3_exp(phi).tobytes() == _so3_exp_alone(phi).tobytes()
+    J = _so3_left_jacobian_alone(phi)
+    assert so3_left_jacobian(phi).tobytes() == J.tobytes()
+    xi = np.concatenate([phi, rest])
+    pose = se23_exp(xi)
+    assert pose.rot.tobytes() == _so3_exp_alone(phi).tobytes()
+    assert pose.vel.tobytes() == (J @ xi[3:6]).tobytes()
+    assert pose.pos.tobytes() == (J @ xi[6:9]).tobytes()

@@ -18,6 +18,7 @@ from nightrider.camera import (
 from nightrider.inekf import FilterState, UpdateRejected
 from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
+from nightrider.pipeline import initial_covariance
 from nightrider.recovery import (
     RecoveryParams,
     assignment_array,
@@ -766,3 +767,30 @@ def test_singular_or_non_finite_innovation_cov_is_not_certified():
         S_all = np.eye(6)
         S_all[0, 1] = S_all[1, 0] = bad
         assert not recovery._certifies(S_all)
+
+
+def test_recovery_survives_a_candidate_singular_to_solve():
+    # two clusters at one center and noise-free bearings: some candidate
+    # innovation covariances pass the eigenvalue rule but are singular to
+    # LU, and each such candidate alone is rejected
+    rng = np.random.default_rng(77)
+    pose = ExtendedPose()
+    for _ in range(25):
+        centers = [[rng.uniform(10, 40), rng.uniform(-10, 10), rng.uniform(2, 8)]
+                   for _ in range(3)]
+        centers.append(list(centers[rng.integers(3)]))
+        clusters = [StreetlightCluster(i, np.array(c)) for i, c in enumerate(centers)]
+        dets = [
+            DetectionBox(project(c.center, pose, INTR), np.array([10.0, 10.0]))
+            for c in clusters
+        ]
+        out = attempt_recovery(
+            dets,
+            clusters,
+            FilterState(pose),
+            initial_covariance(),
+            RecoveryParams(),
+            INTR,
+            pixel_sigma=1e-9,
+        )
+        assert out is None or len(out) == 3
