@@ -52,12 +52,6 @@ class CameraIntrinsics:
     height: int = 720
 
     @property
-    def K(self):
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-    @property
     def K_inv(self):
         return np.array(
             [
@@ -164,9 +158,10 @@ def pixel_noise_var(intr, pixel_sigma):
     return np.array([(pixel_sigma / intr.fx) ** 2, (pixel_sigma / intr.fy) ** 2])
 
 
-def pixel_noise_cov(intr, pixel_sigma):
-    """Bearing noise (2x2), the diagonal of pixel_noise_var."""
-    return np.diag(pixel_noise_var(intr, pixel_sigma))
+def pixel_noise_cov(intr, pixel_sigma, k=1):
+    """Bearing noise (2k x 2k) of k stacked bearings, the diagonal of
+    pixel_noise_var repeated k times."""
+    return np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), k))
 
 
 def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
@@ -186,7 +181,7 @@ def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
     if not k:
         return state, P
     rays = back_project([det.center for det, _ in pairs], intr)[:, :2]
-    N = np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), k))
+    N = pixel_noise_cov(intr, pixel_sigma, k)
     return invariant_update(
         state,
         P,

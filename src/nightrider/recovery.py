@@ -29,11 +29,13 @@ memory grows with the max_combinations budget.
 
 By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the
 eigenvalues of a principal submatrix lie within [lambda_min, lambda_max]
-of S_all.  So when S_all's eigenvalues lie in (0, MAX_BEARING_VAR], with
-a rounding margin at each end, every candidate passes invariant_update's
-rule, and one eigvalsh per attempt stands in for one per candidate.
-Otherwise every candidate's S is checked by the rule, in one batched
-eigvalsh per block.
+of S_all, so its lambda_max is at most S_all's and its ratio lambda_min /
+lambda_max at least S_all's, up to rounding.  So when S_all passes the
+update rule (inekf.admissible) with a rounding margin at each end of its
+spectrum, every candidate passes it too, and one eigvalsh per attempt
+stands in for one per candidate.  Otherwise every candidate's S is
+checked by the rule, in one batched eigvalsh per block.  Either way the
+candidates are solved by inekf.guarded_solve, as invariant_update solves.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from .camera import (
     back_project,
     bearing_jacobians,
     pinhole,
-    pixel_noise_var,
+    pixel_noise_cov,
 )
-from .inekf import UpdateRejected
+from .inekf import UpdateRejected, admissible, guarded_solve
 from .lie import so3_exp_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
@@ -130,7 +132,7 @@ class _SharedLinearization:
         self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state)
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
-        S += np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), m))
+        S += pixel_noise_cov(intr, pixel_sigma, m)
         self.S_all = (S + S.T) / 2.0
         self.certified = _certifies(self.S_all)
         self.pixels = np.array([d.center for d in detections], dtype=float)
@@ -139,15 +141,10 @@ class _SharedLinearization:
 
 def _certifies(S_all):
     """Whether interlacing passes every principal submatrix of S_all
-    through invariant_update's rule: S_all finite, with eigenvalues in
-    [CERTIFY_MARGIN, MAX_BEARING_VAR - CERTIFY_MARGIN].
+    through invariant_update's rule: S_all passes it with CERTIFY_MARGIN
+    at both ends of its spectrum.
     """
-    if not np.isfinite(S_all).all():
-        return False
-    lam = np.linalg.eigvalsh(S_all)
-    return bool(
-        CERTIFY_MARGIN <= lam[0] and lam[-1] <= MAX_BEARING_VAR - CERTIFY_MARGIN
-    )
+    return bool(admissible(S_all, MAX_BEARING_VAR, CERTIFY_MARGIN))
 
 
 def _corrections(combos, lin):
@@ -156,8 +153,8 @@ def _corrections(combos, lin):
     Row b is, up to rounding, the correction invariant_update applies for
     combination b: zero when no matched cluster is in front of the camera
     (apply_camera_update then leaves the state alone), and NaN when the
-    innovation covariance fails invariant_update's rule or is singular to
-    np.linalg.solve.  One singular S only rejects its own combination.
+    innovation covariance fails the update rule (inekf.admissible) or
+    guarded_solve finds it singular.  Either rejects that combination alone.
     """
     infront = combos >= 0
     infront[infront] = lin.front[combos[infront]]
@@ -170,33 +167,15 @@ def _corrections(combos, lin):
         idx = (2 * cl[:, :, None] + np.arange(2)).reshape(len(rows), 2 * kk)
         S = lin.S_all[idx[:, :, None], idx[:, None, :]]
         if not lin.certified:
-            # invariant_update's rule; a non-finite S becomes 0 and fails it
-            finite = np.isfinite(S).all(axis=(1, 2))
-            lam = np.linalg.eigvalsh(np.where(finite[:, None, None], S, 0.0))
-            ok = (lam[:, 0] > 0.0) & (lam[:, -1] <= MAX_BEARING_VAR)
+            ok = admissible(S, MAX_BEARING_VAR)
             delta[rows[~ok]] = np.nan
             rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
         HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
         z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
         # K z = (H P)' S^-1 z, one right-hand side per combination
-        try:
-            x = np.linalg.solve(S, z[..., None])
-        except np.linalg.LinAlgError:
-            x = _solve_each(S, z[..., None])
+        x = guarded_solve(S, z[..., None])
         delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
     return delta
-
-
-def _solve_each(S, b):
-    """np.linalg.solve of each system of a batch alone, NaN where its S is
-    singular to LU, as invariant_update then rejects it."""
-    x = np.full(b.shape, np.nan)
-    for i in range(len(S)):
-        try:
-            x[i] = np.linalg.solve(S[i], b[i])
-        except np.linalg.LinAlgError:
-            pass
-    return x
 
 
 def _block_scores(combos, lin, state, params, intr):

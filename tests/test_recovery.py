@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from nightrider.camera import (
     bearing_jacobians,
     pixel_noise_cov,
 )
-from nightrider.inekf import FilterState, UpdateRejected
+from nightrider.inekf import (
+    RCOND,
+    FilterState,
+    UpdateRejected,
+    admissible,
+    invariant_update,
+)
 from nightrider.lie import ExtendedPose, so3_exp
 from nightrider.mapping import StreetlightCluster
 from nightrider.pipeline import initial_covariance
@@ -794,3 +801,90 @@ def test_recovery_survives_a_candidate_singular_to_solve():
             pixel_sigma=1e-9,
         )
         assert out is None or len(out) == 3
+
+
+COV_KINDS = ("spd", "indefinite", "zero", "nan", "inf")
+
+
+def _drawn_cov(rng, n, log_top, log_cond, kind):
+    """A symmetric n x n S: eigenvalues 10^log_top down to 10^(log_top -
+    log_cond) in a random basis, one of them negated when indefinite; or
+    zero, or holding one NaN or inf pair."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    lam = 10.0 ** (log_top - rng.uniform(0.0, log_cond, n))
+    lam[0], lam[-1] = 10.0**log_top, 10.0 ** (log_top - log_cond)
+    if kind == "indefinite":
+        lam[rng.integers(n)] *= -1.0
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    S = (Q * lam) @ Q.T
+    S = (S + S.T) / 2.0
+    if kind in ("nan", "inf"):
+        i, j = rng.integers(n, size=2)
+        S[i, j] = S[j, i] = np.nan if kind == "nan" else np.inf
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    log_top=st.floats(-4.0, 0.5),
+    log_cond=st.floats(0.0, 20.0),
+    kind=st.sampled_from(COV_KINDS),
+)
+@example(seed=1, k=3, log_top=-2.0, log_cond=4.0, kind="spd")  # certified
+@example(seed=2, k=5, log_top=-1.0, log_cond=-math.log10(RCOND) - 0.01, kind="spd")
+@example(seed=3, k=5, log_top=-1.0, log_cond=-math.log10(RCOND) + 0.01, kind="spd")
+@example(seed=4, k=2, log_top=0.2, log_cond=1.0, kind="spd")  # over the cap
+def test_one_rule_decides_every_update(seed, k, log_top, log_cond, kind):
+    """invariant_update, recovery's per-candidate check and its certificate
+    all follow inekf.admissible on the same S."""
+    rng = np.random.default_rng(seed)
+    n = 2 * k
+    S = _drawn_cov(rng, n, log_top, log_cond, kind)
+    # off the floor and the cap by more than rounding, the rule is its definition
+    if kind == "spd" and abs(log_top) > 1e-3 and abs(log_cond + math.log10(RCOND)) > 1:
+        want = log_top < 0.0 and log_cond < -math.log10(RCOND)
+        assert admissible(S, MAX_BEARING_VAR) == want
+
+    # invariant_update: with H = 0 its innovation covariance is N itself
+    batch = [S] + [
+        _drawn_cov(rng, n, rng.uniform(-4, 0.5), rng.uniform(0, 20), kind_b)
+        for kind_b in rng.choice(COV_KINDS, size=5)
+    ]
+    ok = admissible(np.stack(batch), MAX_BEARING_VAR)
+    for S_b, ok_b in zip(batch, ok):
+        assert admissible(S_b, MAX_BEARING_VAR) == ok_b
+        args = FilterState(), np.eye(15), np.zeros((n, 15)), np.zeros(n), S_b
+        if ok_b:
+            invariant_update(*args, MAX_BEARING_VAR)
+        else:
+            with pytest.raises(UpdateRejected):
+                invariant_update(*args, MAX_BEARING_VAR)
+
+    # _corrections, uncertified: combination b matches its detections to the
+    # k clusters of the b-th diagonal block of S_all, whose S is batch[b]
+    m = k * len(batch)
+    S_all = np.zeros((2 * m, 2 * m))
+    for b, S_b in enumerate(batch):
+        S_all[b * n : (b + 1) * n, b * n : (b + 1) * n] = S_b
+    lin = SimpleNamespace(
+        front=np.ones(m, dtype=bool),
+        S_all=S_all,
+        certified=False,
+        HP=rng.normal(size=(m, 2, 15)),
+        h=rng.normal(size=(m, 2)),
+        rays=rng.normal(size=(k, 2)),
+    )
+    combos = np.arange(m).reshape(len(batch), k)
+    delta = recovery._corrections(combos, lin)
+    np.testing.assert_array_equal(np.isnan(delta).all(axis=1), ~ok)
+    assert np.isfinite(delta[ok]).all()
+
+    # _certifies: a certified S passes the rule on every 2-row block
+    # principal submatrix
+    if recovery._certifies(S):
+        for mask in range(1, 2**k):
+            idx = [2 * j + r for j in range(k) if mask >> j & 1 for r in (0, 1)]
+            assert admissible(S[np.ix_(idx, idx)], MAX_BEARING_VAR)
