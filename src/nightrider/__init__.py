@@ -11,7 +11,6 @@ from .association import MatchSet, associate
 from .camera import CameraIntrinsics, DetectionBox
 from .inekf import (
     FilterState,
-    ImuSample,
     NoiseConfig,
     UpdateRejected,
     invariant_update,
@@ -50,7 +49,6 @@ __all__ = [
     "CameraIntrinsics",
     "DetectionBox",
     "FilterState",
-    "ImuSample",
     "NoiseConfig",
     "UpdateRejected",
     "invariant_update",

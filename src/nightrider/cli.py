@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .mapping import build_map, load_map, load_points, save_map
-from .io import write_jsonl, write_trajectory, read_trajectory
+from .io import read_trajectory, write_csv, write_jsonl, write_trajectory
 from .pipeline import PipelineConfig, monte_carlo, run_pipeline
 from .sim import (
     Scenario,
@@ -117,21 +117,15 @@ def cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
 
     streams = simulate_streams(sc, smap)
-    truth, imu, odom, frames = streams.truth, streams.imu, streams.odom, streams.frames
+    truth, frames = streams.truth, streams.frames
 
     sc.save(out / "scenario.json")
     save_map(smap, out / "map.json")
-    step_cam = int(round(sc.imu_rate / sc.cam_rate))
-    cam_truth = truth[::step_cam]
-    write_trajectory(out / "truth.csv", cam_truth.t, cam_truth.poses())
-    lines = ["t,wx,wy,wz,ax,ay,az"]
-    for s in imu:
-        lines.append(",".join(_fmt(v) for v in (s.t, *s.gyro, *s.accel)))
-    (out / "imu.csv").write_text("\n".join(lines) + "\n")
-    lines = ["t,vx,vy,vz"]
-    for s in odom:
-        lines.append(",".join(_fmt(v) for v in (s.t, *s.velocity)))
-    (out / "odom.csv").write_text("\n".join(lines) + "\n")
+    frame_truth = truth[streams.frame_rows()]
+    write_trajectory(out / "truth.csv", frame_truth.t, frame_truth.poses())
+    gyro, accel, odom = streams.gyro, streams.accel, streams.odom
+    write_csv(out / "imu.csv", "t,wx,wy,wz,ax,ay,az", truth.t[:-1], gyro, accel)
+    write_csv(out / "odom.csv", "t,vx,vy,vz", truth.t[streams.odom_at], odom)
     write_jsonl(
         out / "frames.jsonl",
         [
@@ -153,7 +147,7 @@ def cmd_simulate(args):
         ],
     )
     print(
-        f"{len(imu)} imu, {len(odom)} odom, {len(frames)} frames -> {out}"
+        f"{len(gyro)} imu, {len(odom)} odom, {len(frames)} frames -> {out}"
     )
     return 0
 

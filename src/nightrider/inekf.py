@@ -6,7 +6,9 @@ where xi is the right-invariant pose error (see lie.right_invariant_error)
 and zeta = estimated bias - true bias.
 
 Propagation runs over windows of IMU samples, the stretches between two
-updates (propagate_window).  Within a window the biases are constant, so
+updates (propagate_window), given as (n, 3) gyro and accel arrays: row k
+is the sample that carries the estimate from t + k dt to t + (k + 1) dt,
+where t is the state's time.  Within a window the biases are constant, so
 the attitude increments, velocity and position sums, transitions and
 noise terms are computed for all samples at once; only the attitude chain
 and the covariance recursion (propagate, one call per sample) are serial.
@@ -57,13 +59,6 @@ class FilterState:
         return FilterState(
             self.pose.copy(), self.bias_gyro.copy(), self.bias_accel.copy(), self.t
         )
-
-
-@dataclass
-class ImuSample:
-    t: float
-    gyro: np.ndarray
-    accel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,9 @@ def propagate(P, Phi, Qdt):
     return symmetrize(Phi @ (P + Qdt) @ Phi.T)
 
 
-def propagate_window(state, P, imu, dt, noise):
-    """Strapdown propagation over a window of IMU samples, dt apart.
+def propagate_window(state, P, gyro, accel, dt, noise):
+    """Strapdown propagation over a window of IMU samples, dt apart, given
+    as (n, 3) gyro and accel arrays, one row per sample.
 
     Each sample integrates the bias-corrected rates over dt; the biases
     stay constant within the window.  The covariance uses the closed-form
@@ -153,19 +149,23 @@ def propagate_window(state, P, imu, dt, noise):
     Only the attitude chain and the covariance recursion run per sample;
     the rest is computed for the whole window at once, by the same
     operations in the same order as one sample at a time, so the result
-    equals that of len(imu) single-sample windows bit for bit.  Returns
-    the new (state, P).
+    equals that of n single-sample windows bit for bit.  Returns the new
+    (state, P).  A non-finite sample raises ValueError naming its row and
+    time.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > MAX_DT:
         raise ValueError(f"dt {dt} exceeds sanity bound {MAX_DT}")
-    gyro = np.array([s.gyro for s in imu], dtype=float).reshape(len(imu), 3)
-    accel = np.array([s.accel for s in imu], dtype=float).reshape(len(imu), 3)
+    gyro = np.asarray(gyro, dtype=float).reshape(len(gyro), 3)
+    accel = np.asarray(accel, dtype=float).reshape(len(accel), 3)
+    if len(gyro) != len(accel):
+        raise ValueError(f"{len(gyro)} gyro rows but {len(accel)} accel rows")
     bad = ~(np.isfinite(gyro).all(axis=1) & np.isfinite(accel).all(axis=1))
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"non-finite IMU sample {k} of the window (t = {imu[k].t})")
+        t = state.t + k * dt
+        raise ValueError(f"non-finite IMU sample {k} of the window (t = {t})")
     for a in range(0, len(gyro), MAX_WINDOW):
         b = a + MAX_WINDOW
         state, P = _propagate_batch(state, P, gyro[a:b], accel[a:b], dt, noise)
@@ -224,14 +224,17 @@ def _propagate_batch(state, P, gyro, accel, dt, noise):
 
 def admissible(S, max_var=math.inf, margin=0.0):
     """The update rule: S is finite, and its eigenvalues, both ends from one
-    eigvalsh and each widened by margin for rounding, satisfy lambda_max <=
-    max_var and lambda_min > RCOND lambda_max.  One answer per (n, n) S of
-    an (..., n, n) stack."""
+    eigvalsh and each widened by margin ||S||_2 for rounding, satisfy
+    lambda_max <= max_var and lambda_min > RCOND lambda_max.  One answer
+    per (n, n) S of an (..., n, n) stack."""
     finite = np.isfinite(S).all(axis=(-2, -1))
     if not finite.all():  # each non-finite S becomes 0, which fails the rule
         S = np.where(finite[..., None, None], S, 0.0)
     lam = np.linalg.eigvalsh(S)
-    lo, hi = lam[..., 0] - margin, lam[..., -1] + margin
+    lo, hi = lam[..., 0], lam[..., -1]
+    if margin:
+        spread = margin * np.maximum(-lo, hi)  # ||S||_2
+        lo, hi = lo - spread, hi + spread
     return finite & (hi <= max_var) & (lo > RCOND * hi)
 
 

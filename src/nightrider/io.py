@@ -13,20 +13,28 @@ from .lie import ExtendedPose
 TRAJECTORY_HEADER = "t,x,y,z,qw,qx,qy,qz"
 
 
-def write_trajectory(path, times, poses):
-    """CSV with rows t,x,y,z,qw,qx,qy,qz (scalar-first quaternions).
+def write_csv(path, header, *columns):
+    """CSV of a header line and one line per row of the columns (1-D
+    arrays or 2-D blocks of columns) stacked side by side.
 
     Floats use repr-shortest formatting so repeated runs with identical
     inputs produce byte-identical files.
     """
-    lines = [TRAJECTORY_HEADER]
+    rows = np.column_stack(columns).tolist() if columns else []
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trajectory(path, times, poses):
+    """CSV with rows t,x,y,z,qw,qx,qy,qz (scalar-first quaternions),
+    written by write_csv."""
+    columns = ()
     if len(poses):
         rot = np.array([p.rot for p in poses], dtype=float)
         pos = np.array([p.pos for p in poses], dtype=float)
         qx, qy, qz, qw = Rotation.from_matrix(rot).as_quat().T
-        rows = np.column_stack([times, pos, qw, qx, qy, qz]).tolist()
-        lines += [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+        columns = times, pos, qw, qx, qy, qz
+    write_csv(path, TRAJECTORY_HEADER, *columns)
 
 
 def read_trajectory(path):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 SCHEMA_VERSION = 1
 # knn_outlier_filter drops points whose KNN_K-th neighbor lies more than
@@ -49,32 +50,11 @@ class StreetlightMap:
         return np.stack([c.center for c in self.clusters])
 
 
-_PAIRS_PER_BLOCK = 1 << 17  # bounds the (b, n, 3) difference array to 3 MB
-
-
-def _sq_distance_rows(pts):
-    """Squared distances from each point to every point, a block of rows at a time.
-
-    Yields (b, n) arrays in row order; b * n stays near _PAIRS_PER_BLOCK,
-    so memory does not grow with n squared.
-    """
-    chunk = max(1, _PAIRS_PER_BLOCK // len(pts))
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        yield ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-
-
-def _neighbor_lists(pts, eps):
-    eps2 = eps * eps
-    return [
-        np.nonzero(row <= eps2)[0] for d2 in _sq_distance_rows(pts) for row in d2
-    ]
-
-
 def dbscan(points, eps, min_pts):
     """Density clustering; labels 0..k-1 with noise marked -1.
 
-    The neighborhood of a point includes the point itself.  Clusters are
+    The neighborhood of a point includes the point itself; neighbors
+    come from a k-d tree, so the points must be finite.  Clusters are
     grown from core points in ascending index order, so the labeling is
     deterministic for a given input order (border points join the first
     cluster that reaches them).
@@ -89,7 +69,7 @@ def dbscan(points, eps, min_pts):
     if eps <= 0 or min_pts < 1:
         raise ValueError("eps must be positive and min_pts >= 1")
 
-    neigh = _neighbor_lists(pts, eps)
+    neigh = cKDTree(pts).query_ball_point(pts, eps, return_sorted=True)
     core = np.array([len(nb) >= min_pts for nb in neigh])
 
     cluster = 0
@@ -115,13 +95,8 @@ def knn_outlier_filter(points):
     n, k = len(pts), KNN_K
     if n <= k:
         return pts
-    kth = np.empty(n)
-    done = 0
-    for d2 in _sq_distance_rows(pts):
-        # entry 0 of each sorted row is the point itself
-        kth[done : done + len(d2)] = np.partition(d2, k, axis=1)[:, k]
-        done += len(d2)
-    kth = np.sqrt(kth)
+    # entry 0 of each row is the point itself, at distance 0
+    kth = cKDTree(pts).query(pts, k=k + 1)[0][:, k]
     keep = kth <= kth.mean() + KNN_STD_MULT * kth.std()
     return pts[keep]
 
@@ -219,6 +194,8 @@ def load_xyz(path):
         return np.zeros((0, 3))
     if pts.shape[1] != 3:
         raise MapFormatError(f"{path}: expected 3 columns, got {pts.shape[1]}")
+    if not np.isfinite(pts).all():
+        raise MapFormatError(f"{path}: points must be finite")
     return pts
 
 

@@ -8,8 +8,6 @@ measurement covariance odom_sigma^2 I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .inekf import invariant_update
@@ -18,12 +16,6 @@ from .inekf import invariant_update
 _H = np.zeros((3, 15))
 _H[:, 3:6] = np.eye(3)
 _H.flags.writeable = False
-
-
-@dataclass
-class OdomSample:
-    t: float
-    velocity: np.ndarray  # body-frame velocity
 
 
 def apply_odom_update(state, P, velocity_b, cov_b):

@@ -8,6 +8,10 @@ sensor streams, each camera frame with its segmentation boxes, and
 records every frame's estimate and covariance.  Ground truth is used
 only by the simulation and by the scoring after the loop, which computes
 NEES and translation errors for all frames in one batched pass.
+
+The loop's clock is the IMU grid: its propagation windows end at the
+grid indices the streams carry for each odometer sample and frame
+(odom_at, frame_at), where it applies that sample or frame.
 """
 
 from __future__ import annotations
@@ -190,7 +194,8 @@ def run_pipeline(scenario, smap=None, config=None):
     config = config if config is not None else PipelineConfig()
     smap = smap if smap is not None else make_map(scenario)
     streams = simulate_streams(scenario, smap)
-    truth, imu, odom, frames = streams.truth, streams.imu, streams.odom, streams.frames
+    truth, gyro, accel = streams.truth, streams.gyro, streams.accel
+    odom, frames = streams.odom, streams.frames
     bias_g, bias_a = streams.bias_gyro, streams.bias_accel
     intr = scenario.intrinsics()
     lookup = smap.by_id()
@@ -215,15 +220,12 @@ def run_pipeline(scenario, smap=None, config=None):
         ba0 = bias_a[0] + delta[12:15]
     state = FilterState(pose0, bg0, ba0, 0.0)
 
-    step_odom = int(round(scenario.imu_rate / scenario.odom_rate))
-    step_cam = int(round(scenario.imu_rate / scenario.cam_rate))
     degen = DegenState()
     last_match_t = 0.0
     events = []
     frame_matches = []
     log = EstimateLog.empty(len(frames) + 1)
     log.record(0, 0.0, state, P)
-    oi = fi = 0
     # extended and degeneration matches measure segmentation boxes
     box_sigma = EXTENSION_SIGMA_SCALE * scenario.pixel_sigma
 
@@ -245,27 +247,24 @@ def run_pipeline(scenario, smap=None, config=None):
             )
         return n
 
-    # propagate in windows that end at each odometer or camera sample and
-    # at the end of the stream; kk counts the IMU samples propagated
-    n_imu = len(imu)
-    ends = [
-        k for k in range(1, n_imu + 1)
-        if k % step_odom == 0 or k % step_cam == 0 or k == n_imu
-    ]
-    kk = 0
-    for end in ends:
-        state, P = propagate_window(state, P, imu[kk:end], dt, noise)
-        kk = end
+    # propagate in windows that end at each odometer sample and frame and at
+    # the end of the stream; k, oi and fi count the IMU rows, odometer
+    # samples and frames reached
+    odom_at, frame_at = streams.odom_at.tolist(), streams.frame_at.tolist()
+    k = oi = fi = 0
+    for end in sorted({*odom_at, *frame_at, len(gyro)}):
+        state, P = propagate_window(state, P, gyro[k:end], accel[k:end], dt, noise)
+        k = end
 
-        if config.use_odom and kk % step_odom == 0 and oi < len(odom):
-            sample = odom[oi]
+        if oi < len(odom_at) and odom_at[oi] == end:
+            if config.use_odom:
+                try:
+                    state, P = apply_odom_update(state, P, odom[oi], odom_cov)
+                except UpdateRejected:
+                    events.append((state.t, "update_rejected", "odom"))
             oi += 1
-            try:
-                state, P = apply_odom_update(state, P, sample.velocity, odom_cov)
-            except UpdateRejected:
-                events.append((state.t, "update_rejected", "odom"))
 
-        if kk % step_cam != 0 or fi >= len(frames):
+        if fi == len(frame_at) or frame_at[fi] != end:
             continue
         frame = frames[fi]
         fi += 1
@@ -354,7 +353,7 @@ def run_pipeline(scenario, smap=None, config=None):
         frame_matches.append((frame.t, len(frame.detections), n_ass, n_ext, n_deg))
 
     log = log.head(fi + 1)
-    rows = step_cam * np.arange(fi + 1)  # IMU-grid index of each log row
+    rows = streams.frame_rows()[: fi + 1]  # IMU-grid index of each log row
     truth_rows = truth[rows]
     nees, trans_errors = score_estimates(log, truth_rows, bias_g[rows], bias_a[rows])
     return RunResult(

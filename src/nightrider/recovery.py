@@ -61,13 +61,16 @@ from .lie import so3_exp_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
 MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
-# eigvalsh errs by about 2m eps lambda_max in each eigenvalue of the 2m x
-# 2m S_all (eps = 2.2e-16), and a candidate's own S, computed by
-# invariant_update, differs from S_all's submatrix by rounding of the same
-# order.  Where lambda_max <= MAX_BEARING_VAR both are under
-# CERTIFY_MARGIN for any m below 10^5, so a margin this wide at both ends
-# of S_all's spectrum keeps every certified candidate inside the rule.
-CERTIFY_MARGIN = 1e-9 * MAX_BEARING_VAR
+# eigvalsh is backward stable, so by Weyl's inequality each eigenvalue it
+# gives for an n x n symmetric S is off by at most about n eps ||S||_2
+# (eps = 2.2e-16; Golub & Van Loan, Matrix Computations, ch. 8).  A
+# candidate's S is a principal submatrix of S_all (n <= 2m), so by
+# interlacing it passes the rule once S_all passes with both ends of its
+# spectrum widened by the two eigvalsh errors, 2 x 2m eps ||S_all||_2.
+# CERTIFY_MARGIN per row is 8 times that, and certifies any S_all whose
+# lambda_min / lambda_max exceeds about RCOND + 32 m eps.  The winner's
+# update recomputes its S; if that fails the rule, the recovery fails.
+CERTIFY_MARGIN = 16 * np.finfo(float).eps  # per row of S_all
 
 
 @dataclass
@@ -141,10 +144,10 @@ class _SharedLinearization:
 
 def _certifies(S_all):
     """Whether interlacing passes every principal submatrix of S_all
-    through invariant_update's rule: S_all passes it with CERTIFY_MARGIN
-    at both ends of its spectrum.
+    through invariant_update's rule: S_all passes it with both ends of its
+    spectrum widened by CERTIFY_MARGIN ||S_all||_2 per row.
     """
-    return bool(admissible(S_all, MAX_BEARING_VAR, CERTIFY_MARGIN))
+    return bool(admissible(S_all, MAX_BEARING_VAR, CERTIFY_MARGIN * len(S_all)))
 
 
 def _corrections(combos, lin):

@@ -5,10 +5,12 @@ the streetlight layout, noise levels, and one RNG seed.  All randomness
 flows from that seed through named child streams, so a scenario always
 reproduces the same sensor bytes.
 
-IMU samples are interval-consistent: each reports the exact body rate and
-specific force that carry the sampled truth pose from one grid time to
-the next, so a noise-free stream integrates back to the truth up to the
-integrator's own O(dt^3) position remainder.
+Sensor streams are arrays on the truth's time grid t_k = k / imu_rate.
+IMU row k is interval-consistent: the exact body rate and specific force
+that carry the truth pose from t_k to t_k+1, so a noise-free stream
+integrates back to the truth up to the integrator's own O(dt^3) position
+remainder.  The other sensors sample grid points whose indices
+SensorStreams carries (odom_at, frame_at), decided once by _grid_indices.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ import numpy as np
 import scipy.interpolate
 
 from .camera import CAMERA_MOUNT, CameraIntrinsics, DetectionBox, pinhole
-from .inekf import GRAVITY, MAX_DT, ImuSample
+from .inekf import GRAVITY, MAX_DT
 from .lie import ExtendedPose, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
-from .odometry import OdomSample
 
 
 _FP_INSET = 10.0  # px: false positives are drawn this far inside each edge
@@ -369,9 +370,11 @@ def generate_truth(scenario):
 
 
 def simulate_imu(truth, scenario, rng):
-    """IMU stream plus the true bias trajectories (one entry per sample).
+    """(gyro, accel, bias_gyro, bias_accel): the IMU stream as (n, 3) rows
+    for the n intervals of the truth grid, and the true biases, one row
+    per grid time.
 
-    Sample k carries the interval-consistent rates for [t_k, t_{k+1}],
+    Row k carries the interval-consistent rates for [t_k, t_{k+1}],
     corrupted by the bias at t_k and white noise scaled to the rate.
     """
     n = len(truth) - 1
@@ -395,19 +398,19 @@ def simulate_imu(truth, scenario, rng):
     accel = (rot_t @ ((vel[1:] - vel[:-1]) / dt - GRAVITY)[:, :, None])[:, :, 0]
     gyro = omega + bias_g[:n] + noise_g
     accel = accel + bias_a[:n] + noise_a
-    samples = [ImuSample(truth.t[k], gyro[k], accel[k]) for k in range(n)]
-    return samples, bias_g, bias_a
+    return gyro, accel, bias_g, bias_a
 
 
 def simulate_odom(truth, scenario, rng):
-    """Body-frame velocity samples on the odometer grid.
+    """Body-frame velocities, one (m, 3) row per odometer sample, taken at
+    the grid indices _grid_indices gives for odom_rate.
 
     The odometer sits at the body origin, aligned with the body axes.
     """
     idx = _grid_indices(scenario, scenario.odom_rate)
     noise = rng.normal(size=(len(idx), 3)) * scenario.odom_sigma
     vel_b = (np.swapaxes(truth.rot[idx], 1, 2) @ truth.vel[idx][:, :, None])[:, :, 0]
-    return [OdomSample(t, v) for t, v in zip(truth.t[idx], vel_b + noise)]
+    return vel_b + noise
 
 
 def _grid_indices(scenario, rate):
@@ -487,12 +490,19 @@ class SensorStreams:
     """A scenario's ground truth and simulated sensor streams."""
 
     truth: Trajectory  # on the IMU grid
-    imu: list
+    gyro: np.ndarray  # (n, 3); row k covers grid times [t_k, t_k+1]
+    accel: np.ndarray
     bias_gyro: np.ndarray  # true biases, one row per IMU grid time
     bias_accel: np.ndarray
-    odom: list
+    odom: np.ndarray  # (m, 3) body-frame velocities
+    odom_at: np.ndarray  # grid index of each odometer row
     frames: list  # CameraFrame per camera time, with its segmentation boxes
+    frame_at: np.ndarray  # grid index of each frame
     rng_init: np.random.Generator  # left for drawing an initial state
+
+    def frame_rows(self):
+        """Grid indices of t = 0 and of every frame: the rows of a run's log."""
+        return np.concatenate([[0], self.frame_at])
 
 
 def simulate_streams(scenario, smap):
@@ -508,14 +518,17 @@ def simulate_streams(scenario, smap):
     rng_imu, rng_odom, rng_cam, rng_init = (
         np.random.default_rng(s) for s in np.random.SeedSequence(scenario.seed).spawn(4)
     )
-    imu, bias_g, bias_a = simulate_imu(truth, scenario, rng_imu)
+    gyro, accel, bias_g, bias_a = simulate_imu(truth, scenario, rng_imu)
     odom = simulate_odom(truth, scenario, rng_odom)
     frames = simulate_detections(truth, scenario, smap, rng_cam)
+    frame_at = _grid_indices(scenario, scenario.cam_rate)
     lit = [j for j, f in enumerate(frames) if not f.blackout]
-    poses = truth[_grid_indices(scenario, scenario.cam_rate)[lit]]
-    for j, boxes in zip(lit, frame_boxes(poses, smap, scenario)):
+    for j, boxes in zip(lit, frame_boxes(truth[frame_at[lit]], smap, scenario)):
         frames[j].boxes = boxes
-    return SensorStreams(truth, imu, bias_g, bias_a, odom, frames, rng_init)
+    odom_at = _grid_indices(scenario, scenario.odom_rate)
+    return SensorStreams(
+        truth, gyro, accel, bias_g, bias_a, odom, odom_at, frames, frame_at, rng_init
+    )
 
 
 def _blob_rects(rot, pos, smap, scenario, intr):

@@ -11,7 +11,6 @@ from nightrider.camera import MAX_BEARING_VAR
 from nightrider.inekf import (
     MAX_WINDOW,
     FilterState,
-    ImuSample,
     NoiseConfig,
     UpdateRejected,
     invariant_update,
@@ -76,7 +75,7 @@ def test_error_dynamics_nilpotent():
     np.testing.assert_allclose(A4, 0.0, atol=1e-18)
 
 
-def _flow_error_derivative(state, imu, err, h):
+def _flow_error_derivative(state, gyro, accel, err, h):
     """Central finite difference of d/dt [xi; zeta] for the nonlinear flow.
 
     Truth is placed at exp(-xi) * estimate with bias (estimate - zeta); both
@@ -87,8 +86,8 @@ def _flow_error_derivative(state, imu, err, h):
     xi, zeta = err[0:9], err[9:15]
 
     def step(R, v, p, gyro_b, accel_b, dt):
-        om = imu.gyro - gyro_b
-        aw = R @ (imu.accel - accel_b) + G
+        om = gyro - gyro_b
+        aw = R @ (accel - accel_b) + G
         return R @ so3_exp(om * dt), v + aw * dt, p + v * dt + 0.5 * aw * dt * dt
 
     est0 = state.pose
@@ -116,13 +115,13 @@ def test_error_dynamics_matches_finite_differences():
     h, eps = 1e-5, 1e-4
     for _ in range(20):
         st = _random_state(rng)
-        imu = ImuSample(0.0, rng.normal(size=3) * 0.5, rng.normal(size=3) * 2.0)
+        gyro, accel = rng.normal(size=3) * 0.5, rng.normal(size=3) * 2.0
         A = build_error_dynamics(st)
         A_fd = np.zeros((15, 15))
         for k in range(15):
             e = np.zeros(15)
             e[k] = eps
-            A_fd[:, k] = _flow_error_derivative(st, imu, e, h) / eps
+            A_fd[:, k] = _flow_error_derivative(st, gyro, accel, e, h) / eps
         scale = np.abs(A).max()
         assert np.abs(A_fd - A).max() / scale < 1e-5
 
@@ -162,9 +161,9 @@ def test_propagate_stationary_hover():
     st = FilterState()
     P = np.eye(15) * 1e-4
     noise = _default_noise()
-    imu = ImuSample(0.0, np.zeros(3), -G)  # accelerometer reads +9.81 up
+    gyro, accel = np.zeros(3), -G  # accelerometer reads +9.81 up
     for _ in range(100):
-        st, P = propagate_window(st, P, [imu], 0.005, noise)
+        st, P = propagate_window(st, P, [gyro], [accel], 0.005, noise)
     np.testing.assert_allclose(st.pose.rot, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(st.pose.vel, 0.0, atol=1e-12)
     np.testing.assert_allclose(st.pose.pos, 0.0, atol=1e-12)
@@ -174,9 +173,9 @@ def test_propagate_stationary_hover():
 def test_propagate_constant_velocity():
     st = FilterState(ExtendedPose(vel=np.array([1.0, 0.0, 0.0])))
     P = np.eye(15) * 1e-4
-    imu = ImuSample(0.0, np.zeros(3), -G)
+    gyro, accel = np.zeros(3), -G
     for _ in range(200):
-        st, P = propagate_window(st, P, [imu], 0.005, _default_noise())
+        st, P = propagate_window(st, P, [gyro], [accel], 0.005, _default_noise())
     np.testing.assert_allclose(st.pose.pos, [1.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -202,8 +201,7 @@ def test_propagate_circle_oracle():
         _, vk1, _ = truth((k + 1) * dt)
         gyro = np.array([0.0, 0.0, w])
         accel = Rk.T @ ((vk1 - vk) / dt - G)
-        imu = ImuSample(k * dt, gyro, accel)
-        st, P = propagate_window(st, P, [imu], dt, noise)
+        st, P = propagate_window(st, P, [gyro], [accel], dt, noise)
     _, _, p_end = truth(n * dt)
     assert np.linalg.norm(st.pose.pos - p_end) < 1e-3
 
@@ -212,10 +210,10 @@ def test_propagate_covariance_grows_and_stays_psd():
     rng = np.random.default_rng(34)
     st = _random_state(rng)
     P = np.eye(15) * 1e-6
-    imu = ImuSample(0.0, rng.normal(size=3) * 0.1, -G)
+    gyro, accel = rng.normal(size=3) * 0.1, -G
     tr0 = np.trace(P)
     for _ in range(100):
-        st, P = propagate_window(st, P, [imu], 0.005, _default_noise())
+        st, P = propagate_window(st, P, [gyro], [accel], 0.005, _default_noise())
     assert np.trace(P) > tr0
     assert np.linalg.eigvalsh(P).min() > -1e-12
     np.testing.assert_allclose(P, P.T)
@@ -225,24 +223,24 @@ def test_propagate_first_order_close_to_exact():
     rng = np.random.default_rng(35)
     st = _random_state(rng)
     P = np.eye(15) * 1e-4
-    imu = ImuSample(0.0, rng.normal(size=3) * 0.1, rng.normal(size=3))
-    sa, Pa = propagate_window(st, P, [imu], 0.005, _default_noise())
+    gyro, accel = rng.normal(size=3) * 0.1, rng.normal(size=3)
+    sa, Pa = propagate_window(st, P, [gyro], [accel], 0.005, _default_noise())
     pose_b, Pb = _reference_propagate(
-        st, P, imu, 0.005, _default_noise(), first_order=True
+        st, P, gyro, accel, 0.005, _default_noise(), first_order=True
     )
     np.testing.assert_allclose(sa.pose.pos, pose_b.pos)  # mean identical
     assert np.abs(Pa - Pb).max() < 1e-6
 
 
-def _reference_propagate(state, P, imu, dt, noise, first_order=False):
+def _reference_propagate(state, P, gyro, accel, dt, noise, first_order=False):
     """The propagation step written out term by term.
 
     Phi = expm_taylor(A dt), or I + A dt with first_order,
     Q = Ad Q_n Ad' with the full 15x15 adjoint, P' = sym(Phi (P + Q dt) Phi').
     """
     R, v, p = state.pose.rot, state.pose.vel, state.pose.pos
-    omega = imu.gyro - state.bias_gyro
-    acc_w = R @ (imu.accel - state.bias_accel) + G
+    omega = gyro - state.bias_gyro
+    acc_w = R @ (accel - state.bias_accel) + G
     pose = ExtendedPose(
         R @ so3_exp(omega * dt), v + acc_w * dt, p + v * dt + 0.5 * acc_w * dt * dt
     )
@@ -277,10 +275,10 @@ def test_propagate_equals_expm_reference_exactly():
             gyro = rng.normal(size=3) * 1e-12
         else:
             gyro = rng.normal(size=3) * 0.5
-        imu = ImuSample(0.0, gyro, rng.normal(size=3) * 2.0 - G)
+        accel = rng.normal(size=3) * 2.0 - G
         dt = [0.005, 0.01, 0.1][trial % 3]
-        ref_pose, ref_P = _reference_propagate(st, P, imu, dt, noise)
-        out, P_out = propagate_window(st, P, [imu], dt, noise)
+        ref_pose, ref_P = _reference_propagate(st, P, gyro, accel, dt, noise)
+        out, P_out = propagate_window(st, P, [gyro], [accel], dt, noise)
         np.testing.assert_array_equal(out.pose.rot, ref_pose.rot)
         np.testing.assert_array_equal(out.pose.vel, ref_pose.vel)
         np.testing.assert_array_equal(out.pose.pos, ref_pose.pos)
@@ -295,31 +293,31 @@ def test_propagate_rejects_bad_input():
     P = np.eye(15)
     noise = _default_noise()
     with pytest.raises(ValueError):
-        propagate_window(st, P, [ImuSample(0, np.zeros(3), np.zeros(3))], 0.0, noise)
+        propagate_window(st, P, [np.zeros(3)], [np.zeros(3)], 0.0, noise)
     with pytest.raises(ValueError):
-        propagate_window(st, P, [ImuSample(0, np.zeros(3), np.zeros(3))], 0.2, noise)
+        propagate_window(st, P, [np.zeros(3)], [np.zeros(3)], 0.2, noise)
     with pytest.raises(ValueError):
         propagate_window(
-            st, P, [ImuSample(0, np.array([np.nan, 0, 0]), np.zeros(3))], 0.005, noise
+            st, P, [np.array([np.nan, 0, 0])], [np.zeros(3)], 0.005, noise
         )
 
 
 def test_window_error_names_the_bad_sample():
     noise = _default_noise()
-    imu = [ImuSample(0.005 * k, np.zeros(3), -G) for k in range(20)]
-    imu[7] = ImuSample(0.035, np.zeros(3), np.array([0.0, np.nan, 9.81]))
+    gyro, accel = np.zeros((20, 3)), np.tile(-G, (20, 1))
+    accel[7] = [0.0, np.nan, 9.81]
     with pytest.raises(ValueError, match=r"sample 7 of the window \(t = 0\.035\)"):
-        propagate_window(FilterState(), np.eye(15), imu, 0.005, noise)
+        propagate_window(FilterState(), np.eye(15), gyro, accel, 0.005, noise)
 
 
 # ---------------------------------------------------- serial propagation oracle
 
 
-def serial_propagate(state, P, imu, dt, noise):
+def serial_propagate(state, P, gyro, accel, dt, noise):
     """One strapdown step, the single-sample propagation that
     propagate_window batches, kept here as its bit-for-bit oracle."""
-    gyro = np.asarray(imu.gyro, dtype=float)
-    accel = np.asarray(imu.accel, dtype=float)
+    gyro = np.asarray(gyro, dtype=float)
+    accel = np.asarray(accel, dtype=float)
     pose = state.pose
     R, v, p = pose.rot, pose.vel, pose.pos
 
@@ -375,18 +373,19 @@ def _assert_same_bits(out, P_out, ref, P_ref):
 
 
 def _random_window(rng, state, n, rates):
-    """n IMU samples; "zero" and "tiny" rates put omega dt below
-    lie.SMALL_ANGLE, so so3_exp takes its small-angle branch."""
-    imu = []
-    for k in range(n):
+    """n IMU samples as (gyro, accel) arrays; "zero" and "tiny" rates put
+    omega dt below lie.SMALL_ANGLE, so so3_exp takes its small-angle branch."""
+    gyros, accels = [], []
+    for _ in range(n):
         kind = rng.choice(["zero", "tiny", "turn"]) if rates == "mixed" else rates
         gyro = state.bias_gyro.copy()
         if kind == "tiny":
             gyro += rng.normal(size=3) * 1e-9
         elif kind == "turn":
             gyro += rng.normal(size=3) * 0.5
-        imu.append(ImuSample(state.t + 0.005 * k, gyro, rng.normal(size=3) * 2.0 - G))
-    return imu
+        gyros.append(gyro)
+        accels.append(rng.normal(size=3) * 2.0 - G)
+    return np.array(gyros), np.array(accels)
 
 
 @settings(max_examples=80, deadline=None)
@@ -402,12 +401,12 @@ def test_window_equals_serial_steps_bit_for_bit(seed, n, dt, rates):
     L = rng.normal(size=(15, 15))
     P = L @ L.T * 10.0 ** rng.uniform(-6, 0)
     noise = NoiseConfig.from_sigmas(*rng.uniform(1e-4, 0.1, size=4))
-    imu = _random_window(rng, state, n, rates)
+    gyro, accel = _random_window(rng, state, n, rates)
 
     ref, P_ref = state, P
-    for s in imu:
-        ref, P_ref = serial_propagate(ref, P_ref, s, dt, noise)
-    out, P_out = propagate_window(state, P, imu, dt, noise)
+    for g, a in zip(gyro, accel):
+        ref, P_ref = serial_propagate(ref, P_ref, g, a, dt, noise)
+    out, P_out = propagate_window(state, P, gyro, accel, dt, noise)
     _assert_same_bits(out, P_out, ref, P_ref)
 
 
@@ -416,11 +415,11 @@ def test_long_window_runs_in_batches_bit_for_bit():
     state = _random_state(rng)
     P = np.eye(15) * 1e-3
     noise = _default_noise()
-    imu = _random_window(rng, state, 2 * MAX_WINDOW + 3, "mixed")
+    gyro, accel = _random_window(rng, state, 2 * MAX_WINDOW + 3, "mixed")
     ref, P_ref = state, P
-    for s in imu:
-        ref, P_ref = serial_propagate(ref, P_ref, s, 0.005, noise)
-    out, P_out = propagate_window(state, P, imu, 0.005, noise)
+    for g, a in zip(gyro, accel):
+        ref, P_ref = serial_propagate(ref, P_ref, g, a, 0.005, noise)
+    out, P_out = propagate_window(state, P, gyro, accel, 0.005, noise)
     _assert_same_bits(out, P_out, ref, P_ref)
 
 
@@ -567,8 +566,8 @@ def test_many_cycles_covariance_stays_psd():
     N = np.eye(3) * 0.0025
     cycles = 20_000
     for k in range(cycles):
-        imu = ImuSample(k * 0.005, rng.normal(size=3) * 0.02, -G)
-        st, P = propagate_window(st, P, [imu], 0.005, noise)
+        gyro = rng.normal(size=3) * 0.02
+        st, P = propagate_window(st, P, [gyro], [-G], 0.005, noise)
         if k % 20 == 0:
             st, P = invariant_update(st, P, H, rng.normal(size=3) * 0.05, N)
     assert np.linalg.eigvalsh(P).min() > -1e-10

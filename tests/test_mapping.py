@@ -190,6 +190,15 @@ def test_load_xyz(tmp_path):
         load_xyz(bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_xyz_rejects_non_finite_points(tmp_path, value):
+    # dbscan's k-d tree takes finite points only
+    f = tmp_path / "cloud.xyz"
+    f.write_text(f"1.0 2.0 3.0\n4.0 {value} 6.0\n")
+    with pytest.raises(MapFormatError, match="points must be finite"):
+        load_xyz(f)
+
+
 def test_load_points_pools_map_clusters(tmp_path):
     c0 = StreetlightCluster(0, np.zeros(3), np.zeros((4, 3)))
     c1 = StreetlightCluster(1, np.ones(3), np.ones((3, 3)))

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nightrider import pipeline
+from nightrider.association import associate
+from nightrider.camera import apply_camera_update
 from nightrider.inekf import FilterState, NoiseConfig, propagate_window
 from nightrider.lie import ExtendedPose, right_invariant_error, so3_exp
+from nightrider.odometry import apply_odom_update
 from nightrider.pipeline import (
     EstimateLog,
     MonteCarloResult,
@@ -21,8 +25,10 @@ from nightrider.sim import (
     corridor_scenario,
     default_scenario,
     generate_truth,
+    make_map,
     ring_scenario,
     simulate_imu,
+    simulate_streams,
 )
 
 
@@ -106,7 +112,7 @@ def test_dead_reckoning_equals_manual_propagation():
 
     truth = generate_truth(sc)
     rng_imu = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(4)[0])
-    imu, _, _ = simulate_imu(truth, sc, rng_imu)
+    gyro, accel, _, _ = simulate_imu(truth, sc, rng_imu)
     noise = NoiseConfig.from_sigmas(
         sc.gyro_sigma, sc.accel_sigma, sc.gyro_bias_sigma, sc.accel_bias_sigma
     )
@@ -115,13 +121,64 @@ def test_dead_reckoning_equals_manual_propagation():
     dt = 1.0 / sc.imu_rate
     step = int(round(sc.imu_rate / sc.cam_rate))
     manual = [state.pose.pos.copy()]
-    for k, s in enumerate(imu):
-        state, P = propagate_window(state, P, [s], dt, noise)
+    for k, (g, a) in enumerate(zip(gyro, accel)):
+        state, P = propagate_window(state, P, [g], [a], dt, noise)
         if (k + 1) % step == 0:
             manual.append(state.pose.pos.copy())
 
     est = np.stack([p.pos for p in res.est_poses])
     np.testing.assert_array_equal(est, np.stack(manual))
+
+
+@pytest.mark.parametrize("use_odom", [True, False])
+@pytest.mark.parametrize(
+    "imu_rate, odom_rate, cam_rate", [(200, 10, 10), (200, 20, 10), (200, 40, 5), (100, 100, 20)]
+)
+def test_loop_applies_every_sample_once_at_its_own_index(
+    monkeypatch, imu_rate, odom_rate, cam_rate, use_odom
+):
+    doc = {**default_scenario(0).to_dict(), "duration": 3.0, "imu_rate": imu_rate}
+    sc = Scenario.from_dict({**doc, "odom_rate": odom_rate, "cam_rate": cam_rate})
+    streams = simulate_streams(sc, make_map(sc))
+    reached = [0]  # IMU rows propagated so far
+    odom_seen, frames_seen, camera_at = [], [], []
+
+    def window(state, P, gyro, accel, dt, noise):
+        reached[0] += len(gyro)
+        return propagate_window(state, P, gyro, accel, dt, noise)
+
+    def odom_update(state, P, velocity_b, cov_b):
+        odom_seen.append((reached[0], velocity_b.tobytes()))
+        return apply_odom_update(state, P, velocity_b, cov_b)
+
+    def associating(detections, *args):
+        frames_seen.append((reached[0], [d.center.tobytes() for d in detections]))
+        return associate(detections, *args)
+
+    def camera_update(*args):
+        camera_at.append(reached[0])
+        return apply_camera_update(*args)
+
+    monkeypatch.setattr(pipeline, "propagate_window", window)
+    monkeypatch.setattr(pipeline, "apply_odom_update", odom_update)
+    monkeypatch.setattr(pipeline, "associate", associating)
+    monkeypatch.setattr(pipeline, "apply_camera_update", camera_update)
+    # without recovery no frame is lost, so every frame with detections
+    # is associated
+    res = run_pipeline(sc, config=PipelineConfig(use_odom=use_odom, use_recovery=False))
+
+    assert reached[0] == len(streams.gyro)
+    odom = list(zip(streams.odom_at.tolist(), (v.tobytes() for v in streams.odom)))
+    assert len(odom) == len(streams.odom) > 0
+    assert odom_seen == (odom if use_odom else [])
+    frames = [
+        (j, [d.center.tobytes() for d in f.detections])
+        for j, f in zip(streams.frame_at.tolist(), streams.frames)
+        if f.detections
+    ]
+    assert len(frames) > 0 and frames_seen == frames
+    assert camera_at and set(camera_at) <= set(streams.frame_at.tolist())
+    assert res.times.tolist() == [0.0] + [f.t for f in streams.frames]
 
 
 def test_odometer_bounds_drift():

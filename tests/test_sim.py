@@ -150,10 +150,10 @@ def test_stationary_imu_reads_reaction_to_gravity():
     )
     truth = generate_truth(sc)
     rng = np.random.default_rng(0)
-    imu, _, _ = simulate_imu(truth, sc, rng)
-    for s in imu[:: len(imu) // 5]:
-        np.testing.assert_allclose(s.gyro, 0.0, atol=1e-12)
-        np.testing.assert_allclose(s.accel, [0.0, 0.0, 9.81], atol=1e-10)
+    gyro, accel, _, _ = simulate_imu(truth, sc, rng)
+    for g, a in zip(gyro[:: len(gyro) // 5], accel[:: len(accel) // 5]):
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
+        np.testing.assert_allclose(a, [0.0, 0.0, 9.81], atol=1e-10)
 
 
 def test_circle_specific_force_closed_form():
@@ -168,7 +168,7 @@ def test_circle_specific_force_closed_form():
         accel_bias_sigma=0.0,
     )
     truth = generate_truth(sc)
-    imu, _, _ = simulate_imu(truth, sc, np.random.default_rng(0))
+    gyro, accel, _, _ = simulate_imu(truth, sc, np.random.default_rng(0))
     w = speed / r
     dt = 1.0 / sc.imu_rate
     # interval average of the rotating centripetal acceleration, expressed
@@ -177,9 +177,9 @@ def test_circle_specific_force_closed_form():
     expected = np.array(
         [-mag * math.sin(w * dt / 2.0), mag * math.cos(w * dt / 2.0), 9.81]
     )
-    for s in imu[:: len(imu) // 7]:
-        np.testing.assert_allclose(s.gyro, [0.0, 0.0, w], atol=1e-12)
-        np.testing.assert_allclose(s.accel, expected, atol=1e-9)
+    for g, a in zip(gyro[:: len(gyro) // 7], accel[:: len(accel) // 7]):
+        np.testing.assert_allclose(g, [0.0, 0.0, w], atol=1e-12)
+        np.testing.assert_allclose(a, expected, atol=1e-9)
     np.testing.assert_allclose(mag, speed**2 / r, rtol=1e-6)
 
 
@@ -190,13 +190,13 @@ def test_noise_free_imu_integrates_back_to_truth():
     sc.gyro_bias_sigma = 0.0
     sc.accel_bias_sigma = 0.0
     truth = generate_truth(sc)
-    imu, _, _ = simulate_imu(truth, sc, np.random.default_rng(1))
+    gyro, accel, _, _ = simulate_imu(truth, sc, np.random.default_rng(1))
     state = FilterState(pose=truth[0].pose.copy(), t=0.0)
     P = np.eye(15) * 1e-6
     noise = NoiseConfig.from_sigmas()
     dt = 1.0 / sc.imu_rate
-    for s in imu:
-        state, P = propagate_window(state, P, [s], dt, noise)
+    for g, a in zip(gyro, accel):
+        state, P = propagate_window(state, P, [g], [a], dt, noise)
     final = truth[-1].pose
     assert np.linalg.norm(state.pose.pos - final.pos) < 1e-4
     assert np.linalg.norm(state.pose.rot - final.rot) < 1e-6
@@ -235,14 +235,14 @@ def _reference_imu(truth, sc, rng):
 def test_simulate_imu_matches_per_sample_reference_bytes(build):
     sc = build()
     truth = generate_truth(sc)
-    imu, bg, ba = simulate_imu(truth, sc, np.random.default_rng(11))
+    gyro, accel, bg, ba = simulate_imu(truth, sc, np.random.default_rng(11))
     ref, ref_bg, ref_ba = _reference_imu(truth, sc, np.random.default_rng(11))
     assert bg.tobytes() == ref_bg.tobytes() and ba.tobytes() == ref_ba.tobytes()
-    assert len(imu) == len(ref)
-    for s, (t, gyro, accel) in zip(imu, ref):
-        assert s.t == t
-        assert s.gyro.tobytes() == gyro.tobytes()
-        assert s.accel.tobytes() == accel.tobytes()
+    assert len(gyro) == len(accel) == len(ref)
+    for k, (t, ref_gyro, ref_accel) in enumerate(ref):
+        assert truth.t[k] == t  # row k is the sample taken at grid time k
+        assert gyro[k].tobytes() == ref_gyro.tobytes()
+        assert accel[k].tobytes() == ref_accel.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -270,12 +270,12 @@ def test_constant_bias_mode_shifts_measurements():
     )
     truth = generate_truth(sc)[:201]
     sc2 = Scenario(**{**sc.to_dict(), "accel_bias0": [0.0, 0.0, 0.0]})
-    imu_b, bg, ba = simulate_imu(truth, sc, np.random.default_rng(3))
-    imu_0, _, _ = simulate_imu(truth, sc2, np.random.default_rng(3))
+    _, accel_b, bg, ba = simulate_imu(truth, sc, np.random.default_rng(3))
+    _, accel_0, _, _ = simulate_imu(truth, sc2, np.random.default_rng(3))
     np.testing.assert_allclose(ba, np.tile([0.0, 0.0, 0.25], (len(truth), 1)))
     np.testing.assert_allclose(bg, 0.0)
-    for a, b in zip(imu_b, imu_0):
-        np.testing.assert_allclose(a.accel - b.accel, [0.0, 0.0, 0.25], atol=1e-12)
+    for a, b in zip(accel_b, accel_0):
+        np.testing.assert_allclose(a - b, [0.0, 0.0, 0.25], atol=1e-12)
 
 
 def test_stream_counts_and_timestamps():
@@ -283,13 +283,14 @@ def test_stream_counts_and_timestamps():
     truth = generate_truth(sc)
     assert len(truth) == 8001
     rng = np.random.default_rng(0)
-    imu, bg, ba = simulate_imu(truth, sc, rng)
+    gyro, accel, bg, ba = simulate_imu(truth, sc, rng)
     odom = simulate_odom(truth, sc, rng)
     frames = simulate_detections(truth, sc, make_map(sc), rng)
-    assert len(imu) == 8000 and bg.shape == (8001, 3)
-    assert len(odom) == 400
+    assert gyro.shape == accel.shape == (8000, 3) and bg.shape == (8001, 3)
+    assert odom.shape == (400, 3)
     assert len(frames) == 400
-    np.testing.assert_allclose(odom[0].t, 0.1, atol=1e-12)
+    streams = simulate_streams(sc, make_map(sc))
+    np.testing.assert_allclose(truth.t[streams.odom_at[0]], 0.1, atol=1e-12)
     np.testing.assert_allclose(frames[-1].t, 40.0, atol=1e-12)
 
 
@@ -353,10 +354,11 @@ def test_simulate_detections_and_odom_match_per_frame_reference_bytes(build):
     odom = simulate_odom(truth, sc, np.random.default_rng(22))
     noise = np.random.default_rng(22).normal(size=(len(odom), 3)) * sc.odom_sigma
     step = int(round(sc.imu_rate / sc.odom_rate))
+    odom_at = simulate_streams(sc, smap).odom_at
+    assert odom_at.tolist() == [(j + 1) * step for j in range(len(odom))]
     for j, o in enumerate(odom):
         s = truth[(j + 1) * step]
-        assert repr(o.t) == repr(s.t)
-        assert o.velocity.tobytes() == (s.pose.rot.T @ s.pose.vel + noise[j]).tobytes()
+        assert o.tobytes() == (s.pose.rot.T @ s.pose.vel + noise[j]).tobytes()
 
 
 def test_detection_frames_respect_blackouts_and_labels():
@@ -445,6 +447,7 @@ def test_simulate_streams_attaches_each_frames_boxes():
     smap = make_map(sc)
     streams = simulate_streams(sc, smap)
     step = int(round(sc.imu_rate / sc.cam_rate))
+    assert streams.frame_at.tolist() == [(j + 1) * step for j in range(len(streams.frames))]
     lit = 0
     for j, f in enumerate(streams.frames):
         if f.blackout:
@@ -514,12 +517,12 @@ def test_simulation_is_deterministic():
 def _bundle(sc):
     truth = generate_truth(sc)
     rng = np.random.default_rng(sc.seed)
-    imu, bg, ba = simulate_imu(truth, sc, rng)
+    gyro, accel, bg, ba = simulate_imu(truth, sc, rng)
     odom = simulate_odom(truth, sc, rng)
     frames = simulate_detections(truth, sc, make_map(sc), rng)
     parts = [bg.tobytes(), ba.tobytes()]
-    parts += [s.gyro.tobytes() + s.accel.tobytes() for s in imu[::97]]
-    parts += [s.velocity.tobytes() for s in odom]
+    parts += [g.tobytes() + a.tobytes() for g, a in zip(gyro[::97], accel[::97])]
+    parts += [o.tobytes() for o in odom]
     for f in frames:
         parts.append(str(f.truth_ids).encode())
         parts += [d.center.tobytes() for d in f.detections]
