@@ -18,15 +18,17 @@ too.
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
 explains the detection well.  The resulting rectangular problem has one
-solver, hungarian, a thin wrapper over scipy's linear_sum_assignment.
+solver, hungarian: the shortest-augmenting-path method of scipy's
+linear_sum_assignment, ported step for step so that it breaks ties the
+same way, without loading scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .camera import back_project, bearing_jacobians
 
@@ -127,15 +129,72 @@ def score_matrix(detections, clusters, state, P, intr):
 def hungarian(score):
     """Optimal one-to-one assignment of rows to columns, by largest total.
 
-    Requires at least as many columns as rows; returns the column index
-    chosen for each row.  Solved by scipy's linear_sum_assignment
-    (Crouse, IEEE TAES 2016).
+    Requires at least as many columns as rows and finite scores; returns
+    the column index chosen for each row.  A port of scipy's
+    linear_sum_assignment(score, maximize=True), the shortest augmenting
+    path method of Crouse (IEEE TAES 2016), that keeps its order of
+    operations: it minimizes the negated scores, searches the remaining
+    columns in scipy's order and, among equal path costs, takes an
+    unassigned column.  So it returns scipy's columns, ties included.
     """
     S = np.asarray(score, dtype=float)
     n, m = S.shape
     if n > m:
         raise ValueError(f"assignment needs cols >= rows, got {n}x{m}")
-    return linear_sum_assignment(S, maximize=True)[1].tolist()
+    if not np.isfinite(S).all():
+        raise ValueError("assignment needs finite scores")
+    cost = (-S).tolist()
+    u = [0.0] * n  # row and column dual potentials
+    v = [0.0] * m
+    path = [-1] * m  # the row each column was reached from
+    col4row = [-1] * n
+    row4col = [-1] * m
+    for cur in range(n):
+        # Dijkstra over reduced costs from row cur to an unassigned column
+        spc = [math.inf] * m  # shortest path cost to each column
+        remaining = list(range(m - 1, -1, -1))
+        rows = [cur]
+        cols = []
+        min_val = 0.0
+        i = cur
+        while True:
+            ci, ui = cost[i], u[i]
+            lowest = math.inf
+            index = -1
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                else:
+                    r = spc[j]
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            i = row4col[j]
+            if i == -1:
+                break
+            rows.append(i)
+
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - spc[j]
+
+        # augment along the path back to row cur
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def associate(detections, clusters, state, P, intr):

@@ -1,12 +1,18 @@
-"""File formats: trajectory CSV and JSON lines."""
+"""File formats: trajectory CSV and JSON lines.
+
+Trajectory rotations are stored as unit quaternions.  The conversions
+follow scipy's Rotation.from_matrix(...).as_quat() and
+from_quat(...).as_matrix() operation for operation, so the files read
+and write the same bytes without loading scipy.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .lie import ExtendedPose
 
@@ -25,6 +31,59 @@ def write_csv(path, header, *columns):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def matrix_to_quat(rot):
+    """(n, 4) scalar-last unit quaternions of (n, 3, 3) rotation matrices.
+
+    Markley's method, as scipy's from_matrix: the largest of the three
+    diagonal entries and the trace picks the best-conditioned of four
+    formulas.  Unlike scipy, which first re-orthogonalizes by SVD a matrix
+    with an off-diagonal |R R' - I| above 1e-12, this converts each matrix
+    as given.
+    """
+    rot = np.asarray(rot, dtype=float)
+    trace = rot[:, 0, 0] + rot[:, 1, 1] + rot[:, 2, 2]
+    decision = np.stack([rot[:, 0, 0], rot[:, 1, 1], rot[:, 2, 2], trace], axis=1)
+    choice = decision.argmax(axis=1)
+    quat = np.empty((len(rot), 4))
+    # a diagonal entry is largest: build from column i of the matrix
+    r = np.flatnonzero(choice < 3)
+    i = choice[r]
+    j, k = (i + 1) % 3, (i + 2) % 3
+    quat[r, i] = 1 - trace[r] + 2 * rot[r, i, i]
+    quat[r, j] = rot[r, j, i] + rot[r, i, j]
+    quat[r, k] = rot[r, k, i] + rot[r, i, k]
+    quat[r, 3] = rot[r, k, j] - rot[r, j, k]
+    # the trace is largest
+    r = np.flatnonzero(choice == 3)
+    quat[r, 0] = rot[r, 2, 1] - rot[r, 1, 2]
+    quat[r, 1] = rot[r, 0, 2] - rot[r, 2, 0]
+    quat[r, 2] = rot[r, 1, 0] - rot[r, 0, 1]
+    quat[r, 3] = 1 + trace[r]
+    return quat / _quat_norm(quat)[:, None]
+
+
+def quat_to_matrix(quat):
+    """(n, 3, 3) rotation matrices of (n, 4) scalar-last quaternions,
+    normalized first, by scipy's as_matrix product formula."""
+    quat = np.asarray(quat, dtype=float)
+    x, y, z, w = (quat / _quat_norm(quat)[:, None]).T
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.stack(
+        [
+            x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+            2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+            2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2,
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+
+
+def _quat_norm(quat):
+    x, y, z, w = quat.T
+    return np.sqrt(x * x + y * y + z * z + w * w)
+
+
 def write_trajectory(path, times, poses):
     """CSV with rows t,x,y,z,qw,qx,qy,qz (scalar-first quaternions),
     written by write_csv."""
@@ -32,24 +91,42 @@ def write_trajectory(path, times, poses):
     if len(poses):
         rot = np.array([p.rot for p in poses], dtype=float)
         pos = np.array([p.pos for p in poses], dtype=float)
-        qx, qy, qz, qw = Rotation.from_matrix(rot).as_quat().T
+        qx, qy, qz, qw = matrix_to_quat(rot).T
         columns = times, pos, qw, qx, qy, qz
     write_csv(path, TRAJECTORY_HEADER, *columns)
 
 
 def read_trajectory(path):
-    """Inverse of write_trajectory: (times array, list of ExtendedPose)."""
+    """Inverse of write_trajectory: (times array, list of ExtendedPose).
+
+    Raises ValueError, naming the file and line, on a row without exactly
+    eight fields, a non-finite value, a zero-norm quaternion, or a time that
+    does not increase.
+    """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise ValueError(f"{path}: missing trajectory header")
-    times = []
-    poses = []
-    for line in lines[1:]:
-        t, x, y, z, qw, qx, qy, qz = (float(v) for v in line.split(","))
-        times.append(t)
-        rot = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-        poses.append(ExtendedPose(rot=rot, pos=np.array([x, y, z])))
-    return np.array(times), poses
+    width = len(TRAJECTORY_HEADER.split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}, line {lineno}"
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(f"{where}: {len(fields)} fields, expected {width}")
+        try:
+            row = [float(v) for v in fields]
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{where}: non-finite value")
+        if sum(q * q for q in row[4:]) == 0.0:
+            raise ValueError(f"{where}: zero-norm quaternion")
+        if rows and row[0] <= rows[-1][0]:
+            raise ValueError(f"{where}: time {row[0]!r} does not increase")
+        rows.append(row)
+    data = np.array(rows, dtype=float).reshape(-1, width)
+    rot = quat_to_matrix(data[:, [5, 6, 7, 4]])  # qx, qy, qz, qw
+    return data[:, 0], [ExtendedPose(rot=r, pos=p) for r, p in zip(rot, data[:, 1:4])]
 
 
 def write_jsonl(path, records):

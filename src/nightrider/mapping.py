@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 SCHEMA_VERSION = 1
 # knn_outlier_filter drops points whose KNN_K-th neighbor lies more than
@@ -69,6 +68,8 @@ def dbscan(points, eps, min_pts):
     if eps <= 0 or min_pts < 1:
         raise ValueError("eps must be positive and min_pts >= 1")
 
+    from scipy.spatial import cKDTree  # here, so localizing never loads scipy
+
     neigh = cKDTree(pts).query_ball_point(pts, eps, return_sorted=True)
     core = np.array([len(nb) >= min_pts for nb in neigh])
 
@@ -95,6 +96,8 @@ def knn_outlier_filter(points):
     n, k = len(pts), KNN_K
     if n <= k:
         return pts
+    from scipy.spatial import cKDTree
+
     # entry 0 of each row is the point itself, at distance 0
     kth = cKDTree(pts).query(pts, k=k + 1)[0][:, k]
     keep = kth <= kth.mean() + KNN_STD_MULT * kth.std()

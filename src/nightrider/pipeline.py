@@ -16,7 +16,7 @@ grid indices the streams carry for each odometer sample and frame
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,10 +141,6 @@ class EstimateLog:
         self.bias_gyro[i] = state.bias_gyro
         self.bias_accel[i] = state.bias_accel
         self.P[i] = P
-
-    def head(self, n):
-        """The first n rows, as views."""
-        return EstimateLog(*(getattr(self, f.name)[:n] for f in fields(self)))
 
     def poses(self):
         """One ExtendedPose per row, viewing the arrays."""
@@ -352,8 +348,7 @@ def run_pipeline(scenario, smap=None, config=None):
         log.record(fi, frame.t, state, P)
         frame_matches.append((frame.t, len(frame.detections), n_ass, n_ext, n_deg))
 
-    log = log.head(fi + 1)
-    rows = streams.frame_rows()[: fi + 1]  # IMU-grid index of each log row
+    rows = streams.frame_rows()  # IMU-grid index of each log row
     truth_rows = truth[rows]
     nees, trans_errors = score_estimates(log, truth_rows, bias_g[rows], bias_a[rows])
     return RunResult(

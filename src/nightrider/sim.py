@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.interpolate
 
 from .camera import CAMERA_MOUNT, CameraIntrinsics, DetectionBox, pinhole
 from .inekf import GRAVITY, MAX_DT
@@ -338,6 +337,8 @@ def _truth_arrays(spec, t):
         yaw0 = spec.get("yaw", math.atan2(v[1], v[0]) if speed_xy > 0 else 0.0)
         return pos, vel, acc, np.full(n, float(yaw0)), np.zeros(n)
     else:  # waypoints
+        import scipy.interpolate  # here, so the analytic kinds never load scipy
+
         times = np.asarray(spec["times"], dtype=float)
         points = np.asarray(spec["points"], dtype=float)
         bc = "periodic" if spec.get("closed", False) else "natural"

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import scipy.optimize
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nightrider import association
 from nightrider.association import (
@@ -392,17 +394,41 @@ def test_hungarian_matches_brute_force():
         np.testing.assert_allclose(total, _brute_force_best(S), rtol=1e-12)
 
 
-def test_hungarian_agrees_with_scipy():
-    rng = np.random.default_rng(54)
-    for _ in range(200):
-        n = rng.integers(1, 7)
-        m = rng.integers(n, 10)
-        S = rng.uniform(size=(n, m))
-        cols = hungarian(S)
-        rr, cc = scipy.optimize.linear_sum_assignment(S, maximize=True)
-        mine = sum(S[i, j] for i, j in enumerate(cols))
-        ref = S[rr, cc].sum()
-        np.testing.assert_allclose(mine, ref, rtol=1e-12)
+@st.composite
+def _assignment_problems(draw):
+    """Score matrices of 1-20 rows: uniform floats, small integers with
+    heavy ties, or associate's layout (cluster columns, some all zero,
+    then one equal no-match column per row)."""
+    n = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["uniform", "ties", "associate"]))
+    if kind == "associate":
+        m = draw(st.integers(0, 10))
+        S = draw(arrays(float, (n, m), elements=st.floats(0.0, 0.3)))
+        S[:, draw(arrays(bool, m))] = 0.0
+        no_match = np.maximum(1.0 - S.sum(axis=1), association.NO_MATCH_FLOOR)
+        return np.concatenate([S, np.repeat(no_match[:, None], n, axis=1)], axis=1)
+    m = draw(st.integers(n, n + 10))
+    elements = st.floats(0.0, 1.0) if kind == "uniform" else st.sampled_from([0.0, 1.0, 2.0])
+    return draw(arrays(float, (n, m), elements=elements))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_assignment_problems())
+@example(np.array([[0.25]]))
+@example(np.ones((3, 3)))
+@example(np.zeros((20, 20)))
+def test_hungarian_agrees_with_scipy(S):
+    # the same column for every row, so ties break as scipy breaks them
+    want = scipy.optimize.linear_sum_assignment(S, maximize=True)[1].tolist()
+    assert hungarian(S) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hungarian_rejects_non_finite_scores(bad):
+    S = np.ones((2, 3))
+    S[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hungarian(S)
 
 
 # --------------------------------------------------------------- associate

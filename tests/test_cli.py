@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nightrider
 from nightrider.cli import main
+from nightrider.io import TRAJECTORY_HEADER
 from nightrider.mapping import load_map, save_map
 from nightrider.sim import Scenario, default_scenario, make_map, simulate_streams
 
@@ -213,6 +219,66 @@ def test_unknown_scenario_exits_1(tmp_path, capsys):
 def test_evaluate_missing_file_exits_1(tmp_path, capsys):
     assert main(["evaluate", "missing_a.csv", "missing_b.csv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+_GOOD_ROWS = ["0.0,1.0,2.0,3.0,1.0,0.0,0.0,0.0", "0.1,1.5,2.0,3.0,0.0,0.0,0.0,1.0"]
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ("0.2,nan,2.0,3.0,1.0,0.0,0.0,0.0", "non-finite"),
+        ("nan,1.0,2.0,3.0,1.0,0.0,0.0,0.0", "non-finite"),
+        ("0.2,1.0,2.0,3.0,1.0,0.0,inf,0.0", "non-finite"),
+        ("0.2,1.0,2.0,3.0,1.0,0.0,0.0", "7 fields"),
+        ("0.2,1.0,2.0,3.0,1.0,0.0,0.0,0.0,0.0", "9 fields"),
+        ("0.2,1.0,2.0,3.0,abc,0.0,0.0,0.0", "abc"),
+        ("0.2,1.0,2.0,3.0,0.0,0.0,0.0,-0.0", "zero-norm quaternion"),
+        ("0.1,1.0,2.0,3.0,1.0,0.0,0.0,0.0", "does not increase"),
+        ("0.05,1.0,2.0,3.0,1.0,0.0,0.0,0.0", "does not increase"),
+    ],
+    ids=[
+        "nan-x", "nan-t", "inf-quaternion", "short-row", "long-row",
+        "not-a-number", "zero-quaternion", "repeated-time", "earlier-time",
+    ],
+)
+def test_evaluate_rejects_malformed_trajectory_rows(tmp_path, capsys, row, named):
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join([TRAJECTORY_HEADER, *_GOOD_ROWS]) + "\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([TRAJECTORY_HEADER, *_GOOD_ROWS, row]) + "\n")
+    assert main(["evaluate", str(bad), str(good)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}, line 4" in err and named in err
+    assert main(["evaluate", str(good), str(bad)]) == 1
+
+
+def test_localize_and_evaluate_never_load_scipy(tmp_path):
+    script = """
+import sys
+import nightrider
+from nightrider import cli, default_scenario, run_pipeline
+
+sc = default_scenario()
+sc.duration = 2.0
+run_pipeline(sc)
+doc, out = sys.argv[1], sys.argv[2]
+sc.save(doc)
+assert cli.main(["localize", doc, "--write-frames", "--out", out]) == 0
+assert cli.main(["evaluate", out + "/trajectory.csv", out + "/truth.csv"]) == 0
+assert cli.main(["simulate", doc, "--out", out + "/streams"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(nightrider.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "sc.json"), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # lamps around the start of the default figure-eight, some of them in view

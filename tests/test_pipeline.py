@@ -88,15 +88,6 @@ def test_score_estimates_equals_per_frame_oracle(seed, n, angle):
     assert errors.tobytes() == np.array(want_err).tobytes()
 
 
-def test_estimate_log_head_views_the_first_rows():
-    log = EstimateLog.empty(4)
-    state = FilterState(ExtendedPose(pos=np.array([1.0, 2.0, 3.0])), t=0.5)
-    log.record(0, 0.5, state, np.eye(15))
-    head = log.head(1)
-    assert head.t.tolist() == [0.5] and head.pos.tolist() == [[1.0, 2.0, 3.0]]
-    assert head.P.shape == (1, 15, 15) and np.shares_memory(head.P, log.P)
-
-
 def _quick_scenario(seed=0, duration=10.0):
     sc = default_scenario(seed)
     sc.duration = duration
