@@ -16,8 +16,7 @@ from nightrider.sim import default_scenario
 def run(name, config):
     res = run_pipeline(default_scenario(), config=config)
     m = res.metrics()
-    times = np.asarray(res.times)
-    errs = np.asarray(res.trans_errors)
+    times, errs = res.log.t, res.trans_errors
     print(f"\n== {name} ==")
     print(f"  ATE {m['ate_trans']:.3f} m   final error {m['final_trans_err']:.3f} m")
     for t in (10.0, 20.0, 30.0, 40.0):

@@ -49,9 +49,7 @@ def main():
         print("\nmatplotlib not installed; skipping the plot.")
         return
 
-    est = np.array([p.pos for p in full.est_poses])
-    tru = np.array([p.pos for p in full.truth_poses])
-    drift = np.array([p.pos for p in no_vision.est_poses])
+    est, tru, drift = full.log.pos, full.truth.pos, no_vision.log.pos
     fig, ax = plt.subplots(figsize=(7, 7))
     ax.plot(tru[:, 0], tru[:, 1], "k-", lw=1, label="truth")
     ax.plot(est[:, 0], est[:, 1], "g-", lw=1, label="full pipeline")

@@ -18,12 +18,9 @@ from nightrider.sim import blackout_scenario, corridor_scenario
 
 
 def z_error_after(res, t_from, t_to):
-    errs = [
-        abs(e.pos[2] - t.pos[2])
-        for tt, e, t in zip(res.times, res.est_poses, res.truth_poses)
-        if t_from < tt <= t_to
-    ]
-    return float(np.mean(errs))
+    t = res.log.t
+    rows = (t_from < t) & (t <= t_to)
+    return float(np.mean(np.abs(res.log.pos[rows, 2] - res.truth.pos[rows, 2])))
 
 
 def main():
@@ -46,8 +43,7 @@ def main():
     print("\n== part 2: blackout recovery ==")
     sc = blackout_scenario()  # detector dark over [15, 35)
     res = run_pipeline(sc)
-    times = np.asarray(res.times)
-    errs = np.asarray(res.trans_errors)
+    times, errs = res.log.t, res.trans_errors
 
     pre = float(errs[times < 15.0][-1])
     peak = float(errs[(times >= 15.0) & (times < 35.0)].max())

@@ -16,7 +16,7 @@ from .inekf import (
     invariant_update,
     propagate_window,
 )
-from .lie import ExtendedPose, se23_exp, se23_log
+from .lie import ExtendedPose, Trajectory, se23_exp, se23_log
 from .mapping import (
     StreetlightCluster,
     StreetlightMap,
@@ -54,6 +54,7 @@ __all__ = [
     "invariant_update",
     "propagate_window",
     "ExtendedPose",
+    "Trajectory",
     "se23_exp",
     "se23_log",
     "StreetlightCluster",

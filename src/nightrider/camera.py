@@ -76,7 +76,7 @@ class CameraIntrinsics:
         )
 
 
-@dataclass
+@dataclass(slots=True)  # without a dict per box: a run makes thousands
 class DetectionBox:
     """Axis-aligned bright-blob box: pixel center and (width, height)."""
 

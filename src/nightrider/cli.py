@@ -121,8 +121,7 @@ def cmd_simulate(args):
 
     sc.save(out / "scenario.json")
     save_map(smap, out / "map.json")
-    frame_truth = truth[streams.frame_rows()]
-    write_trajectory(out / "truth.csv", frame_truth.t, frame_truth.poses())
+    write_trajectory(out / "truth.csv", truth[streams.frame_rows()])
     gyro, accel, odom = streams.gyro, streams.accel, streams.odom
     write_csv(out / "imu.csv", "t,wx,wy,wz,ax,ay,az", truth.t[:-1], gyro, accel)
     write_csv(out / "odom.csv", "t,vx,vy,vz", truth.t[streams.odom_at], odom)
@@ -188,8 +187,8 @@ def cmd_localize(args):
         return 0
 
     result = run_pipeline(sc, smap=smap, config=config)
-    write_trajectory(out / "trajectory.csv", result.times, result.est_poses)
-    write_trajectory(out / "truth.csv", result.times, result.truth_poses)
+    write_trajectory(out / "trajectory.csv", result.log)
+    write_trajectory(out / "truth.csv", result.truth)
     metrics = result.metrics()
     (out / "metrics.json").write_text(
         json.dumps(metrics, sort_keys=True, indent=2) + "\n"
@@ -210,9 +209,9 @@ def cmd_localize(args):
 
 
 def cmd_evaluate(args):
-    t_est, est = read_trajectory(args.estimate)
-    t_truth, truth = read_trajectory(args.truth)
-    ate_trans, ate_rot = compute_ate(t_est, est, t_truth, truth)
+    ate_trans, ate_rot = compute_ate(
+        read_trajectory(args.estimate), read_trajectory(args.truth)
+    )
     report = {"ate_trans": ate_trans, "ate_rot_deg": ate_rot}
     print(f"ate_trans = {ate_trans:.6f} m")
     print(f"ate_rot = {ate_rot:.6f} deg")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lie import ExtendedPose
+from .lie import Trajectory
 
 TRAJECTORY_HEADER = "t,x,y,z,qw,qx,qy,qz"
 
@@ -84,20 +84,15 @@ def _quat_norm(quat):
     return np.sqrt(x * x + y * y + z * z + w * w)
 
 
-def write_trajectory(path, times, poses):
-    """CSV with rows t,x,y,z,qw,qx,qy,qz (scalar-first quaternions),
-    written by write_csv."""
-    columns = ()
-    if len(poses):
-        rot = np.array([p.rot for p in poses], dtype=float)
-        pos = np.array([p.pos for p in poses], dtype=float)
-        qx, qy, qz, qw = matrix_to_quat(rot).T
-        columns = times, pos, qw, qx, qy, qz
-    write_csv(path, TRAJECTORY_HEADER, *columns)
+def write_trajectory(path, traj):
+    """CSV of a Trajectory with rows t,x,y,z,qw,qx,qy,qz (scalar-first
+    quaternions), written by write_csv."""
+    qx, qy, qz, qw = matrix_to_quat(traj.rot).T
+    write_csv(path, TRAJECTORY_HEADER, traj.t, traj.pos, qw, qx, qy, qz)
 
 
 def read_trajectory(path):
-    """Inverse of write_trajectory: (times array, list of ExtendedPose).
+    """Inverse of write_trajectory: a Trajectory with zero velocities.
 
     Raises ValueError, naming the file and line, on a row without exactly
     eight fields, a non-finite value, a zero-norm quaternion, or a time that
@@ -126,7 +121,8 @@ def read_trajectory(path):
         rows.append(row)
     data = np.array(rows, dtype=float).reshape(-1, width)
     rot = quat_to_matrix(data[:, [5, 6, 7, 4]])  # qx, qy, qz, qw
-    return data[:, 0], [ExtendedPose(rot=r, pos=p) for r, p in zip(rot, data[:, 1:4])]
+    pos = data[:, 1:4]
+    return Trajectory(data[:, 0], rot, np.zeros_like(pos), pos)
 
 
 def write_jsonl(path, records):

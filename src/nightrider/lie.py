@@ -1,4 +1,4 @@
-"""Rotation and extended-pose group operations.
+"""Rotation and extended-pose group operations, and trajectories of poses.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,7 @@ Taylor expansions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -252,6 +252,37 @@ class ExtendedPose:
 
     def __matmul__(self, other):
         return self.compose(other)
+
+
+@dataclass
+class Trajectory:
+    """Extended poses on a time grid, one row each: t (n,), rot (n, 3, 3),
+    vel and pos (n, 3).
+
+    Indexing with a slice or an index array gives a trajectory of the same
+    type holding those rows of every array field.
+    """
+
+    t: np.ndarray
+    rot: np.ndarray
+    vel: np.ndarray
+    pos: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, rows):
+        if not isinstance(rows, (slice, np.ndarray)):
+            raise TypeError("pick rows with a slice or an index array; pose(k) gives row k")
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def pose(self, k):
+        """Row k as an ExtendedPose viewing the arrays."""
+        return ExtendedPose(self.rot[k], self.vel[k], self.pos[k])
+
+    def poses(self):
+        """One ExtendedPose per row, viewing the arrays."""
+        return [ExtendedPose(*row) for row in zip(self.rot, self.vel, self.pos)]
 
 
 def se23_hat(xi):

@@ -148,7 +148,43 @@ def save_map(smap, path):
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _numbers(v):
+    """Whether v is a JSON number (an int or a float, not a bool), or a nest
+    of lists whose leaves all are."""
+    if isinstance(v, list):
+        return all(map(_numbers, v))
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _cluster(entry, path, i):
+    """The StreetlightCluster of entry i of a map's clusters list.
+
+    Raises MapFormatError, naming the file and the cluster, unless the id
+    is an integer, the center three finite numbers and the points finite
+    numbers in x, y, z triples.
+    """
+    cid = entry.get("id") if isinstance(entry, dict) else None
+    if not isinstance(cid, int) or isinstance(cid, bool):
+        raise MapFormatError(f"{path}: cluster entry {i} id must be an integer, got {cid!r}")
+    where = f"{path}: cluster {cid}"
+    center, points = entry.get("center"), entry.get("points", [])
+    if not (_numbers(center) and _numbers(points)):
+        raise MapFormatError(f"{where} center and points must hold JSON numbers only")
+    try:
+        center = np.asarray(center, dtype=float)
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+    except (ValueError, OverflowError) as exc:
+        raise MapFormatError(f"{where} points must be [x, y, z] triples ({exc})") from exc
+    if center.shape != (3,) or not np.isfinite(center).all():
+        raise MapFormatError(f"{where} center must be 3 finite numbers")
+    if not np.isfinite(points).all():
+        raise MapFormatError(f"{where} points must be finite")
+    return StreetlightCluster(cid, center, points)
+
+
 def load_map(path):
+    """The StreetlightMap of a map file; MapFormatError, naming the file
+    and the offending cluster, for anything save_map would not write."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -156,30 +192,20 @@ def load_map(path):
         raise MapFormatError(f"{path}: cannot read map file ({exc})") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise MapFormatError(f"{path}: missing schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise MapFormatError(
-            f"{path}: unsupported schema_version {doc['schema_version']}"
-        )
-    try:
-        clusters = [
-            StreetlightCluster(
-                int(c["id"]),
-                np.asarray(c["center"], dtype=float),
-                np.asarray(c.get("points", []), dtype=float).reshape(-1, 3),
-            )
-            for c in doc["clusters"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MapFormatError(f"{path}: malformed cluster entry ({exc})") from exc
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise MapFormatError(f"{path}: unsupported schema_version {version!r}")
+    entries = doc.get("clusters")
+    if not isinstance(entries, list):
+        raise MapFormatError(f"{path}: clusters must be a list, got {entries!r}")
+    clusters = []
     seen = set()
-    for c in clusters:
-        if c.center.shape != (3,) or not np.isfinite(c.center).all():
-            raise MapFormatError(f"{path}: cluster {c.id} center must be 3 finite numbers")
-        if not np.isfinite(c.points).all():
-            raise MapFormatError(f"{path}: cluster {c.id} points must be finite")
+    for i, entry in enumerate(entries):
+        c = _cluster(entry, path, i)
         if c.id in seen:
             raise MapFormatError(f"{path}: cluster id {c.id} repeats")
         seen.add(c.id)
+        clusters.append(c)
     return StreetlightMap(doc.get("map_id", ""), doc.get("frame", "world"), clusters)
 
 

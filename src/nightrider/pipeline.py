@@ -33,7 +33,7 @@ from .extension import (
     within_range,
 )
 from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate_window
-from .lie import ExtendedPose, dot_many, right_invariant_error_many, se23_exp
+from .lie import Trajectory, dot_many, right_invariant_error_many, se23_exp
 from .odometry import apply_odom_update
 from .recovery import RecoveryParams, attempt_recovery, is_lost
 from .sim import (
@@ -78,49 +78,11 @@ def initial_covariance():
 
 
 @dataclass
-class RunResult:
-    scenario_name: str
-    times: np.ndarray
-    est_poses: list
-    truth_poses: list
-    nees: np.ndarray
-    trans_errors: np.ndarray
-    events: list  # (t, kind, detail)
-    frame_matches: list  # (t, detections, associated, extended, degen-matched)
-    final_state: FilterState
-    final_P: np.ndarray
-    path_length: float
+class EstimateLog(Trajectory):
+    """Per-frame filter output, in arrays preallocated for a whole run:
+    the estimated poses, the bias estimates and the covariance."""
 
-    def metrics(self):
-        ate_trans, ate_rot = compute_ate(
-            self.times, self.est_poses, self.times, self.truth_poses
-        )
-        return {
-            "scenario": self.scenario_name,
-            "duration": float(self.times[-1]),
-            "path_length": self.path_length,
-            "ate_trans": ate_trans,
-            "ate_rot_deg": ate_rot,
-            "final_trans_err": float(self.trans_errors[-1]),
-            "max_trans_err": float(self.trans_errors.max()),
-            "mean_nees": float(self.nees.mean()),
-            "frames": int(len(self.times) - 1),
-            "recoveries": sum(1 for e in self.events if e[1] == "recovered"),
-            "rejected_updates": sum(
-                1 for e in self.events if e[1] == "update_rejected"
-            ),
-        }
-
-
-@dataclass
-class EstimateLog:
-    """Per-frame filter output, in arrays preallocated for a whole run."""
-
-    t: np.ndarray
-    rot: np.ndarray  # (n, 3, 3)
-    vel: np.ndarray  # (n, 3)
-    pos: np.ndarray
-    bias_gyro: np.ndarray
+    bias_gyro: np.ndarray  # (n, 3)
     bias_accel: np.ndarray
     P: np.ndarray  # (n, 15, 15)
 
@@ -142,9 +104,43 @@ class EstimateLog:
         self.bias_accel[i] = state.bias_accel
         self.P[i] = P
 
-    def poses(self):
-        """One ExtendedPose per row, viewing the arrays."""
-        return [ExtendedPose(*row) for row in zip(self.rot, self.vel, self.pos)]
+
+@dataclass
+class RunResult:
+    scenario_name: str
+    log: EstimateLog  # the filter's output at t = 0 and at every frame
+    truth: Trajectory  # the truth at the log's times
+    nees: np.ndarray
+    trans_errors: np.ndarray
+    events: list  # (t, kind, detail)
+    frame_matches: list  # (t, detections, associated, extended, degen-matched)
+    final_state: FilterState
+    final_P: np.ndarray
+    path_length: float
+
+    # read-only views that benchmarks/checks.py reads; every other reader
+    # takes the arrays of log and truth
+    times = property(lambda self: self.log.t)
+    est_poses = property(lambda self: self.log.poses())
+    truth_poses = property(lambda self: self.truth.poses())
+
+    def metrics(self):
+        ate_trans, ate_rot = compute_ate(self.log, self.truth)
+        return {
+            "scenario": self.scenario_name,
+            "duration": float(self.log.t[-1]),
+            "path_length": self.path_length,
+            "ate_trans": ate_trans,
+            "ate_rot_deg": ate_rot,
+            "final_trans_err": float(self.trans_errors[-1]),
+            "max_trans_err": float(self.trans_errors.max()),
+            "mean_nees": float(self.nees.mean()),
+            "frames": int(len(self.log) - 1),
+            "recoveries": sum(1 for e in self.events if e[1] == "recovered"),
+            "rejected_updates": sum(
+                1 for e in self.events if e[1] == "update_rejected"
+            ),
+        }
 
 
 def score_estimates(log, truth, bias_gyro, bias_accel):
@@ -207,7 +203,7 @@ def run_pipeline(scenario, smap=None, config=None):
     dt = 1.0 / scenario.imu_rate
 
     P = initial_covariance()
-    pose0 = truth[0].pose.copy()
+    pose0 = truth.pose(0).copy()
     bg0, ba0 = np.zeros(3), np.zeros(3)
     if config.perturb_init:
         delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
@@ -268,7 +264,7 @@ def run_pipeline(scenario, smap=None, config=None):
         matched_pairs = []  # (cluster id, world center) seen this frame
 
         if config.use_vision and not frame.blackout:
-            lost = config.use_recovery and is_lost(state.t - last_match_t, _RECOVERY)
+            lost = config.use_recovery and is_lost(state.t - last_match_t)
             if lost and frame.detections:
                 cands = _recovery_candidates(table, state.pose, intr)
                 found = attempt_recovery(
@@ -353,9 +349,8 @@ def run_pipeline(scenario, smap=None, config=None):
     nees, trans_errors = score_estimates(log, truth_rows, bias_g[rows], bias_a[rows])
     return RunResult(
         scenario_name=scenario.name,
-        times=log.t,
-        est_poses=log.poses(),
-        truth_poses=truth_rows.poses(),
+        log=log,
+        truth=truth_rows,
         nees=nees,
         trans_errors=trans_errors,
         events=events,

@@ -71,25 +71,27 @@ MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
 # lambda_min / lambda_max exceeds about RCOND + 32 m eps.  The winner's
 # update recomputes its S; if that fails the rule, the recovery fails.
 CERTIFY_MARGIN = 16 * np.finfo(float).eps  # per row of S_all
+# The score's weights.  GAMMA_POS must dominate GAMMA_NEG for map layouts
+# with repeating spacing: a whole-pitch shift reprojects almost perfectly,
+# so the only thing that separates it from the truth is the size of the
+# position jump it needs.
+GAMMA_POS = 5.0  # per meter of x-y correction
+GAMMA_YAW = 5.0  # per radian of yaw correction
+GAMMA_NEG = 12.0  # per unmatched detection
+TH_SCORE = 40.0  # a winner must score below this
+LOST_AFTER = 3.0  # seconds without a positive match
 
 
 @dataclass
 class RecoveryParams:
-    # gamma_pos must dominate gamma_neg for map layouts with repeating
-    # spacing: a whole-pitch shift reprojects almost perfectly, so the
-    # only thing that separates it from the truth is the size of the
-    # position jump it needs.
-    gamma_pos: float = 5.0  # per meter of x-y correction
-    gamma_yaw: float = 5.0  # per radian of yaw correction
-    gamma_neg: float = 12.0  # per unmatched detection
-    th_score: float = 40.0
-    lost_after: float = 3.0  # seconds without a positive match
+    """The search budget."""
+
     max_combinations: int = 20_000
     max_detections: int = 5  # keep the largest boxes beyond this
 
 
-def is_lost(time_since_last_match, params):
-    return time_since_last_match > params.lost_after
+def is_lost(time_since_last_match):
+    return time_since_last_match > LOST_AFTER
 
 
 def combination_count(n, m):
@@ -181,7 +183,7 @@ def _corrections(combos, lin):
     return delta
 
 
-def _block_scores(combos, lin, state, params, intr):
+def _block_scores(combos, lin, state, intr):
     """Punishment score of each combination in a (B, n) block.
 
     Mean pixel reprojection residual of the matched pairs after the
@@ -214,9 +216,9 @@ def _block_scores(combos, lin, state, params, intr):
     d_yaw = np.abs(np.arctan2(rot[:, :, 0] @ R[:, 1], rot[:, :, 0] @ R[:, 0]))
     score = (
         mean_resid
-        + params.gamma_pos * dt_xy
-        + params.gamma_yaw * d_yaw
-        + params.gamma_neg * (combos.shape[1] - n_pos)
+        + GAMMA_POS * dt_xy
+        + GAMMA_YAW * d_yaw
+        + GAMMA_NEG * (combos.shape[1] - n_pos)
     )
     score[rejected | behind] = np.inf
     return score
@@ -261,7 +263,7 @@ def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma=2
     docstring).  A combination whose update is numerically rejected, or
     that leaves a matched cluster behind the camera, is skipped.  The
     lowest score wins, the earliest in enumeration order on a tie.  The
-    winner is accepted when its score is under th_score and it matches at
+    winner is accepted when its score is under TH_SCORE and it matches at
     least MIN_LIGHTS lights; the returned state and covariance are then
     those of one apply_camera_update for it, and None if that update is
     rejected.  With fewer than MIN_LIGHTS detections or clusters left
@@ -277,12 +279,12 @@ def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma=2
     combos = assignment_array(n, m)
     for start in range(0, len(combos), CANDIDATE_BLOCK):
         block = combos[start : start + CANDIDATE_BLOCK].astype(np.intp)
-        scores = _block_scores(block, lin, state, params, intr)
+        scores = _block_scores(block, lin, state, intr)
         i = int(np.argmin(scores))  # the first of equal lowest scores
         if scores[i] < best:
             best, winner = scores[i], block[i]
 
-    if best >= params.th_score or (winner >= 0).sum() < MIN_LIGHTS:
+    if best >= TH_SCORE or (winner >= 0).sum() < MIN_LIGHTS:
         return None
     ids = [clusters[j].id if j >= 0 else None for j in winner]
     ms = MatchSet(list(detections), ids, [0.0] * n)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .camera import CAMERA_MOUNT, CameraIntrinsics, DetectionBox, pinhole
 from .inekf import GRAVITY, MAX_DT
-from .lie import ExtendedPose, dot_many, so3_log_many
+from .lie import Trajectory, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
 
 
@@ -227,56 +226,7 @@ class Scenario:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass
-class TrajectorySample:
-    t: float
-    pose: ExtendedPose
-    body_rate: np.ndarray
-    accel_world: np.ndarray
-
-
-class Trajectory(Sequence):
-    """Ground truth on a time grid, held as arrays.
-
-    Item k is a TrajectorySample whose pose views row k.  Slicing or
-    indexing with an array gives another Trajectory.
-    """
-
-    def __init__(self, t, rot, vel, pos, body_rate, accel_world):
-        self.t = t
-        self.rot = rot
-        self.vel = vel
-        self.pos = pos
-        self.body_rate = body_rate
-        self.accel_world = accel_world
-
-    def __len__(self):
-        return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, (slice, np.ndarray)):
-            return Trajectory(
-                self.t[k],
-                self.rot[k],
-                self.vel[k],
-                self.pos[k],
-                self.body_rate[k],
-                self.accel_world[k],
-            )
-        k = range(len(self))[k]  # bounds check; a negative k counts from the end
-        return TrajectorySample(
-            self.t[k],
-            ExtendedPose(self.rot[k], self.vel[k], self.pos[k]),
-            self.body_rate[k],
-            self.accel_world[k],
-        )
-
-    def poses(self):
-        """One ExtendedPose per sample, viewing the arrays."""
-        return [ExtendedPose(*row) for row in zip(self.rot, self.vel, self.pos)]
-
-
-@dataclass
+@dataclass(slots=True)
 class CameraFrame:
     t: float
     detections: list
@@ -299,7 +249,7 @@ def _rotz(yaw):
 
 
 def _truth_arrays(spec, t):
-    """(pos, vel, acc, yaw, yaw_rate) arrays for a trajectory spec."""
+    """(pos, vel, yaw) arrays for a trajectory spec."""
     kind = spec.get("kind")
     n = len(t)
     if kind == "circle":
@@ -311,10 +261,7 @@ def _truth_arrays(spec, t):
         th = spec.get("phase", 0.0) + w * t
         pos = np.stack([cx + r * np.cos(th), cy + r * np.sin(th), np.full(n, z)], 1)
         vel = np.stack([-r * w * np.sin(th), r * w * np.cos(th), np.zeros(n)], 1)
-        acc = np.stack(
-            [-r * w * w * np.cos(th), -r * w * w * np.sin(th), np.zeros(n)], 1
-        )
-        return pos, vel, acc, th + np.pi / 2, np.full(n, w)
+        return pos, vel, th + np.pi / 2
     if kind == "figure-eight":
         A = float(spec["amp_x"])
         B = float(spec["amp_y"])
@@ -324,18 +271,14 @@ def _truth_arrays(spec, t):
         u = ud * t
         pos = np.stack([A * np.sin(u), B * np.sin(2 * u), np.full(n, z)], 1)
         vel = np.stack([A * ud * np.cos(u), 2 * B * ud * np.cos(2 * u), np.zeros(n)], 1)
-        acc = np.stack(
-            [-A * ud**2 * np.sin(u), -4 * B * ud**2 * np.sin(2 * u), np.zeros(n)], 1
-        )
     elif kind == "line":
         start = np.asarray(spec.get("start", (0.0, 0.0, 0.0)), dtype=float)
         v = np.asarray(spec.get("velocity", (0.0, 0.0, 0.0)), dtype=float)
         pos = start + np.outer(t, v)
         vel = np.tile(v, (n, 1))
-        acc = np.zeros((n, 3))
         speed_xy = math.hypot(v[0], v[1])
         yaw0 = spec.get("yaw", math.atan2(v[1], v[0]) if speed_xy > 0 else 0.0)
-        return pos, vel, acc, np.full(n, float(yaw0)), np.zeros(n)
+        return pos, vel, np.full(n, float(yaw0))
     else:  # waypoints
         import scipy.interpolate  # here, so the analytic kinds never load scipy
 
@@ -345,29 +288,26 @@ def _truth_arrays(spec, t):
         spline = scipy.interpolate.CubicSpline(times, points, bc_type=bc)
         pos = spline(t)
         vel = spline(t, 1)
-        acc = spline(t, 2)
 
     speed2 = vel[:, 0] ** 2 + vel[:, 1] ** 2
     if speed2.min() < 0.05**2:
         raise ValueError("planar speed too low for a defined heading")
-    yaw = np.arctan2(vel[:, 1], vel[:, 0])
-    yaw_rate = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed2
-    return pos, vel, acc, yaw, yaw_rate
+    return pos, vel, np.arctan2(vel[:, 1], vel[:, 0])
 
 
 def generate_truth(scenario):
-    """Ground truth sampled on the IMU grid, with analytic derivatives,
-    as a Trajectory.
+    """Ground truth sampled on the IMU grid, as a Trajectory of analytic
+    positions and velocities.
 
-    Attitude is yaw-only (planar heading along the velocity), so the body
-    angular rate is (0, 0, yaw_rate).
+    Attitude is yaw-only (planar heading along the velocity).  No analytic
+    derivative beyond the velocity is taken: simulate_imu works out the
+    body rates and specific forces from consecutive rotation and velocity
+    rows.
     """
     n = int(round(scenario.duration * scenario.imu_rate))
     t = np.arange(n + 1) / scenario.imu_rate
-    pos, vel, acc, yaw, yaw_rate = _truth_arrays(scenario.trajectory, t)
-    body_rate = np.zeros((n + 1, 3))
-    body_rate[:, 2] = yaw_rate
-    return Trajectory(t, _rotz(yaw), vel, pos, body_rate, acc)
+    pos, vel, yaw = _truth_arrays(scenario.trajectory, t)
+    return Trajectory(t, _rotz(yaw), vel, pos)
 
 
 def simulate_imu(truth, scenario, rng):
@@ -620,7 +560,7 @@ def _segment_rects(rects):
 def frame_boxes(poses, smap, scenario):
     """Segmentation boxes of the rendered frames, without the images.
 
-    poses is a Trajectory; each sample gives one list of boxes, and the
+    poses is a Trajectory; each row gives one list of boxes, and the
     camera geometry of all its poses is computed in one pass.  Blob
     rectangles are grouped by 8-connectivity, and each group gives
     its bounding box and painted pixel count.  That equals segmenting
@@ -662,14 +602,14 @@ def make_map(scenario):
     return StreetlightMap(map_id=scenario.name, clusters=clusters)
 
 
-def compute_ate(est_times, est_poses, truth_times, truth_poses):
-    """(translation RMSE m, rotation RMSE deg) over nearest-time pairs.
+def compute_ate(est, truth):
+    """(translation RMSE m, rotation RMSE deg) of the est Trajectory against
+    the truth Trajectory, over nearest-time pairs.
 
     Both trajectories share the world frame, so no alignment is applied.
     Raises ValueError when no timestamps pair up within ATE_MAX_DT.
     """
-    est_times = np.asarray(est_times, dtype=float)
-    truth_times = np.asarray(truth_times, dtype=float)
+    est_times, truth_times = est.t, truth.t
     if len(est_times) == 0 or len(truth_times) == 0:
         raise ValueError("empty trajectory")
     idx = np.searchsorted(truth_times, est_times)
@@ -683,13 +623,9 @@ def compute_ate(est_times, est_poses, truth_times, truth_poses):
     if not ok.any():
         raise ValueError("no overlapping timestamps within tolerance")
 
-    est = [est_poses[k] for k in np.flatnonzero(ok)]
-    truth = [truth_poses[k] for k in nearest[ok]]
-    est_pos = np.array([p.pos for p in est], dtype=float)
-    truth_pos = np.array([p.pos for p in truth], dtype=float)
-    t_sq = np.sum((est_pos - truth_pos) ** 2, axis=1)
-    est_rot_t = np.swapaxes(np.array([p.rot for p in est], dtype=float), 1, 2)
-    phi = so3_log_many(est_rot_t @ np.array([p.rot for p in truth], dtype=float))
+    est, truth = est[np.flatnonzero(ok)], truth[nearest[ok]]
+    t_sq = np.sum((est.pos - truth.pos) ** 2, axis=1)
+    phi = so3_log_many(np.swapaxes(est.rot, 1, 2) @ truth.rot)
     # the square of each angle as a scalar, as its per-pose form squared it
     r_sq = [ang**2 for ang in np.sqrt(dot_many(phi, phi))]
     trans = math.sqrt(float(np.mean(t_sq)))

@@ -441,20 +441,14 @@ def test_06_corridor_degeneration():
 
     # the corner: the first frame with the off-line lamp inside range
     lamp = np.array([110.0, -12.0, 4.0])
-    corner = None
-    for t, pose in zip(on.times, on.truth_poses):
-        if np.linalg.norm(lamp - pose.pos) <= 35.0:
-            corner = float(t)
-            break
-    assert corner is not None
+    in_range = np.linalg.norm(lamp - on.truth.pos, axis=1) <= 35.0
+    assert in_range.any()
+    corner = float(on.log.t[np.argmax(in_range)])
 
     def window_z_error(res):
-        errs = [
-            abs(e.pos[2] - tr.pos[2])
-            for t, e, tr in zip(res.times, res.est_poses, res.truth_poses)
-            if corner < t <= corner + 5.0
-        ]
-        return float(np.mean(errs))
+        t = res.log.t
+        rows = (corner < t) & (t <= corner + 5.0)
+        return float(np.mean(np.abs(res.log.pos[rows, 2] - res.truth.pos[rows, 2])))
 
     z_on = window_z_error(on)
     z_off = window_z_error(off)
@@ -474,8 +468,7 @@ def test_06_corridor_degeneration():
 def test_07_blackout_recovery():
     sc = blackout_scenario()  # detector dark over [15, 35)
     res = run_pipeline(sc)
-    times = np.asarray(res.times)
-    errs = np.asarray(res.trans_errors)
+    times, errs = res.log.t, res.trans_errors
 
     pre = float(errs[times < 15.0][-1])
     assert 0.0 < pre < 1.0

@@ -1,11 +1,14 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from nightrider.io import read_jsonl, read_trajectory, write_jsonl, write_trajectory
-from nightrider.lie import ExtendedPose, so3_exp
+from nightrider.lie import ExtendedPose, Trajectory, so3_exp
 
 
 # PGM is an image format only these tests write and read.
@@ -100,10 +103,10 @@ def test_pgm_rejects_garbage(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
 
 
-def _reference_write_trajectory(path, times, poses):
+def _reference_write_trajectory(path, traj):
     """write_trajectory one pose, and one Rotation, at a time."""
     lines = ["t,x,y,z,qw,qx,qy,qz"]
-    for t, pose in zip(times, poses):
+    for t, pose in zip(traj.t, traj.poses()):
         x, y, z = pose.pos
         qx, qy, qz, qw = Rotation.from_matrix(pose.rot).as_quat()
         lines.append(",".join(repr(float(v)) for v in [t, x, y, z, qw, qx, qy, qz]))
@@ -113,53 +116,73 @@ def _reference_write_trajectory(path, times, poses):
 def test_write_trajectory_equals_per_pose_writer(tmp_path):
     rng = np.random.default_rng(112)
     n = 500
-    times = np.arange(n) * 0.1
-    poses = [
-        ExtendedPose(
-            so3_exp(rng.normal(size=3) * s), rng.normal(size=3), rng.normal(size=3) * 100
-        )
-        for s in np.geomspace(1e-9, 3.1, n)
-    ]
+    rot = np.array([so3_exp(rng.normal(size=3) * s) for s in np.geomspace(1e-9, 3.1, n)])
     # a half turn, where the quaternion's sign convention matters
-    poses[7] = ExtendedPose(so3_exp([0.0, 0.0, np.pi]))
-    for name, ts, ps in (
-        ("many", times, poses),
-        ("list", [0, 0.5, 1.25], poses[:3]),
-        ("empty", [], []),
+    rot[7] = so3_exp([0.0, 0.0, np.pi])
+    many = Trajectory(np.arange(n) * 0.1, rot, rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 100)
+    for name, traj in (
+        ("many", many),
+        ("three", Trajectory(np.array([0, 0.5, 1.25]), rot[:3], many.vel[:3], many.pos[:3])),
+        ("empty", many[:0]),
     ):
-        write_trajectory(tmp_path / f"{name}.csv", ts, ps)
-        _reference_write_trajectory(tmp_path / f"{name}-ref.csv", ts, ps)
+        write_trajectory(tmp_path / f"{name}.csv", traj)
+        _reference_write_trajectory(tmp_path / f"{name}-ref.csv", traj)
         assert (tmp_path / f"{name}.csv").read_bytes() == (
             tmp_path / f"{name}-ref.csv"
         ).read_bytes()
 
 
-def test_trajectory_roundtrip(tmp_path):
-    rng = np.random.default_rng(111)
-    times = np.arange(5) * 0.1
-    poses = [
-        ExtendedPose(
-            so3_exp(rng.normal(size=3) * 0.7),
-            rng.normal(size=3),
-            rng.normal(size=3) * 10,
-        )
-        for _ in times
-    ]
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: math.hypot(*a) > 1e-3)
+_ANGLES = st.one_of(
+    st.floats(0.0, math.pi),
+    st.just(math.pi),  # half turns
+    st.floats(math.pi - 1e-6, math.pi),
+    st.floats(0.0, 1e-6),  # near the identity
+)
+_COORDS = st.floats(-1e12, 1e12)
+
+
+@st.composite
+def _trajectories(draw):
+    """Trajectories of 1-12 rows: increasing times, any finite positions,
+    and rotations about any axis, half turns and near-identity included."""
+    n = draw(st.integers(1, 12))
+    t = sorted(draw(st.lists(st.floats(-1e9, 1e9), min_size=n, max_size=n, unique=True)))
+    rot = []
+    for _ in range(n):
+        axis = np.array(draw(_UNIT))
+        rot.append(so3_exp(draw(_ANGLES) * axis / np.linalg.norm(axis)))
+    pos = draw(st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=n, max_size=n))
+    return Trajectory(np.array(t), np.array(rot), np.ones((n, 3)), np.array(pos))
+
+
+_AXIS_TURNS = np.array([so3_exp(v) for v in np.pi * np.eye(3)] + [np.eye(3)])
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(traj=_trajectories())
+@example(traj=Trajectory(np.arange(4.0), _AXIS_TURNS, np.zeros((4, 3)), np.zeros((4, 3))))
+def test_trajectory_roundtrip(tmp_path, traj):
+    """write_trajectory then read_trajectory gives back t and pos bit for
+    bit, rot to rounding, and zero velocities."""
     path = tmp_path / "traj.csv"
-    write_trajectory(path, times, poses)
-    t_back, p_back = read_trajectory(path)
-    np.testing.assert_allclose(t_back, times)
-    for a, b in zip(p_back, poses):
-        np.testing.assert_allclose(a.pos, b.pos, atol=1e-12)
-        np.testing.assert_allclose(a.rot, b.rot, atol=1e-12)
+    write_trajectory(path, traj)
+    back = read_trajectory(path)
+    assert back.t.tobytes() == traj.t.tobytes()
+    assert back.pos.tobytes() == traj.pos.tobytes()
+    assert np.abs(back.rot - traj.rot).max() <= 16 * np.finfo(float).eps
+    assert not back.vel.any() and back.vel.shape == traj.pos.shape
 
 
 def test_trajectory_writes_are_byte_stable(tmp_path):
-    pose = ExtendedPose(so3_exp(np.array([0.1, 0.2, 0.3])), pos=np.array([1.0, 2.0, 3.0]))
+    rot = so3_exp(np.array([0.1, 0.2, 0.3]))[None]
+    traj = Trajectory(np.array([0.5]), rot, np.zeros((1, 3)), np.array([[1.0, 2.0, 3.0]]))
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_trajectory(p1, [0.5], [pose])
-    write_trajectory(p2, [0.5], [pose])
+    write_trajectory(p1, traj)
+    write_trajectory(p2, traj)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -147,6 +147,19 @@ def test_map_json_roundtrip(tmp_path):
         np.testing.assert_allclose(a.points, b.points, rtol=0, atol=1e-15)
 
 
+def test_builtin_maps_load_back(tmp_path):
+    from nightrider.sim import corridor_scenario, default_scenario, make_map, ring_scenario
+
+    for build in (default_scenario, ring_scenario, corridor_scenario):
+        smap = make_map(build())
+        save_map(smap, tmp_path / "map.json")
+        back = load_map(tmp_path / "map.json")
+        assert [c.id for c in back.clusters] == [c.id for c in smap.clusters]
+        for a, b in zip(back.clusters, smap.clusters):
+            assert a.center.tobytes() == b.center.tobytes()
+            assert a.points.tobytes() == b.points.tobytes()
+
+
 def test_load_map_rejects_garbage(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{not json")
@@ -162,16 +175,42 @@ def test_load_map_rejects_garbage(tmp_path):
     noversion.write_text(json.dumps({"clusters": []}))
     with pytest.raises(MapFormatError):
         load_map(noversion)
+    # True == 1 and 1.0 == 1, but neither is the integer version 1
+    for version in (True, 1.0, "1"):
+        path = tmp_path / "version.json"
+        path.write_text(json.dumps({"schema_version": version, "clusters": []}))
+        with pytest.raises(MapFormatError, match="schema_version"):
+            load_map(path)
     good = {"id": 1, "center": [0.0, 0.0, 4.0], "points": [[0.0, 0.0, 4.0]]}
     for name, bad_cluster in [
         ("short", {**good, "center": [0.0, 4.0]}),
         ("nan", {**good, "center": [0.0, float("nan"), 4.0]}),
         ("inf-point", {**good, "points": [[0.0, float("inf"), 4.0]]}),
+        ("string-center", {**good, "center": ["12", "0", "4"]}),
+        ("bool-center", {**good, "center": [0.0, True, 4.0]}),
+        ("string-point", {**good, "points": [["0", "0", "4"]]}),
+        ("bool-point", {**good, "points": [[0.0, False, 4.0]]}),
+        ("pair-point", {**good, "points": [[0.0, 4.0]]}),
+        ("no-center", {"id": 1}),
     ]:
         path = tmp_path / f"{name}.json"
         clusters = [good, {**bad_cluster, "id": 7}]
         path.write_text(json.dumps({"schema_version": 1, "clusters": clusters}))
         with pytest.raises(MapFormatError, match=f"{name}.json: cluster 7 "):
+            load_map(path)
+    # an id that is not an integer is named by its place in the list, before
+    # it could be taken for a repeat ({"id": 1.7} once loaded as id 1)
+    for name, ids in [
+        ("float-id", [1, 1.7]),
+        ("string-id", [1, "3"]),
+        ("bool-id", [1, True]),
+        ("float-and-bool-id", [1.7, True]),
+    ]:
+        path = tmp_path / f"{name}.json"
+        clusters = [{**good, "id": i} for i in ids]
+        path.write_text(json.dumps({"schema_version": 1, "clusters": clusters}))
+        bad = next(k for k, i in enumerate(ids) if type(i) is not int)
+        with pytest.raises(MapFormatError, match=f"{name}.json: cluster entry {bad} id "):
             load_map(path)
     twice = tmp_path / "twice.json"
     twice.write_text(json.dumps({"schema_version": 1, "clusters": [good, good]}))

@@ -7,7 +7,7 @@ from nightrider import pipeline
 from nightrider.association import associate
 from nightrider.camera import apply_camera_update
 from nightrider.inekf import FilterState, NoiseConfig, propagate_window
-from nightrider.lie import ExtendedPose, right_invariant_error, so3_exp
+from nightrider.lie import ExtendedPose, Trajectory, right_invariant_error, so3_exp
 from nightrider.odometry import apply_odom_update
 from nightrider.pipeline import (
     EstimateLog,
@@ -20,7 +20,6 @@ from nightrider.pipeline import (
 )
 from nightrider.sim import (
     Scenario,
-    Trajectory,
     blackout_scenario,
     corridor_scenario,
     default_scenario,
@@ -59,8 +58,7 @@ def test_score_estimates_equals_per_frame_oracle(seed, n, angle):
     ref_pos = rng.normal(size=(n, 3)) * 50.0
     bias_g = rng.normal(size=(n, 3)) * 1e-3
     bias_a = rng.normal(size=(n, 3)) * 1e-2
-    zeros = np.zeros((n, 3))
-    truth = Trajectory(np.arange(n) * 0.1, ref_rot, ref_vel, ref_pos, zeros, zeros)
+    truth = Trajectory(np.arange(n) * 0.1, ref_rot, ref_vel, ref_pos)
     log = EstimateLog.empty(n)
     want_nees, want_err = [], []
     for i in range(n):
@@ -107,7 +105,7 @@ def test_dead_reckoning_equals_manual_propagation():
     noise = NoiseConfig.from_sigmas(
         sc.gyro_sigma, sc.accel_sigma, sc.gyro_bias_sigma, sc.accel_bias_sigma
     )
-    state = FilterState(truth[0].pose.copy(), t=0.0)
+    state = FilterState(truth.pose(0).copy(), t=0.0)
     P = initial_covariance()
     dt = 1.0 / sc.imu_rate
     step = int(round(sc.imu_rate / sc.cam_rate))
@@ -117,8 +115,7 @@ def test_dead_reckoning_equals_manual_propagation():
         if (k + 1) % step == 0:
             manual.append(state.pose.pos.copy())
 
-    est = np.stack([p.pos for p in res.est_poses])
-    np.testing.assert_array_equal(est, np.stack(manual))
+    np.testing.assert_array_equal(res.log.pos, np.stack(manual))
 
 
 @pytest.mark.parametrize("use_odom", [True, False])
@@ -169,7 +166,7 @@ def test_loop_applies_every_sample_once_at_its_own_index(
     ]
     assert len(frames) > 0 and frames_seen == frames
     assert camera_at and set(camera_at) <= set(streams.frame_at.tolist())
-    assert res.times.tolist() == [0.0] + [f.t for f in streams.frames]
+    assert res.log.t.tolist() == [0.0] + [f.t for f in streams.frames]
 
 
 def test_odometer_bounds_drift():
@@ -193,12 +190,10 @@ def test_runs_are_deterministic():
     sc = _quick_scenario(seed=2)
     a = run_pipeline(sc)
     b = run_pipeline(sc)
-    assert a.times.tobytes() == b.times.tobytes()
+    assert a.log.t.tobytes() == b.log.t.tobytes()
     assert a.nees.tobytes() == b.nees.tobytes()
     assert a.trans_errors.tobytes() == b.trans_errors.tobytes()
-    pa = np.stack([p.pos for p in a.est_poses])
-    pb = np.stack([p.pos for p in b.est_poses])
-    assert pa.tobytes() == pb.tobytes()
+    assert a.log.pos.tobytes() == b.log.pos.tobytes()
     assert a.events == b.events
 
 
@@ -212,7 +207,7 @@ def test_metrics_contents():
     assert m["final_trans_err"] <= m["max_trans_err"]
     assert np.isfinite(res.nees).all()
     # one record per camera frame plus the initial state
-    assert len(res.times) == int(sc.duration * sc.cam_rate) + 1
+    assert len(res.log) == int(sc.duration * sc.cam_rate) + 1
 
 
 def test_no_vision_produces_no_matches():
@@ -230,7 +225,7 @@ def test_blackout_recovery_event():
     assert rec and rec[0][0] >= 35.0
     assert res.trans_errors[-1] < 0.2
     # drift accumulates while the camera is dark
-    t = res.times
+    t = res.log.t
     dark_peak = res.trans_errors[(t > 20.0) & (t < 35.0)].max()
     assert dark_peak > res.trans_errors[(t < 15.0)].max()
 

@@ -45,10 +45,10 @@ def assignments(n, m):
 
 
 def test_is_lost_boundaries():
-    params = RecoveryParams(lost_after=3.0)
-    assert not is_lost(0.0, params)
-    assert not is_lost(3.0, params)  # strict inequality at the boundary
-    assert is_lost(3.0 + 1e-9, params)
+    assert recovery.LOST_AFTER == 3.0
+    assert not is_lost(0.0)
+    assert not is_lost(3.0)  # strict inequality at the boundary
+    assert is_lost(3.0 + 1e-9)
 
 
 def test_combination_count_matches_enumeration():
@@ -277,7 +277,7 @@ def _yaw(rot):
     return math.atan2(rot[1, 0], rot[0, 0])
 
 
-def score_candidate(state_before, state_after, matches, clusters_by_id, intr, params):
+def score_candidate(state_before, state_after, matches, clusters_by_id, intr):
     """Reference oracle: punishment score of one candidate after its update.
 
     Mean pixel reprojection residual of the matched pairs (0 when none),
@@ -301,9 +301,9 @@ def score_candidate(state_before, state_after, matches, clusters_by_id, intr, pa
     n_neg = len(matches.cluster_ids) - matches.positive_count()
     return (
         mean_resid
-        + params.gamma_pos * dt_xy
-        + params.gamma_yaw * d_yaw
-        + params.gamma_neg * n_neg
+        + recovery.GAMMA_POS * dt_xy
+        + recovery.GAMMA_YAW * d_yaw
+        + recovery.GAMMA_NEG * n_neg
     )
 
 
@@ -348,7 +348,7 @@ def serial_attempt_recovery(
                 continue
         else:
             st_, Pc = state, P
-        score = score_candidate(state, st_, ms, clusters_by_id, intr, params)
+        score = score_candidate(state, st_, ms, clusters_by_id, intr)
         if score is None:
             continue
         if best is None or score < best[0]:
@@ -357,7 +357,7 @@ def serial_attempt_recovery(
     if best is None:
         return None
     score, st_, Pc, ms = best
-    if score < params.th_score and ms.positive_count() > 2:
+    if score < recovery.TH_SCORE and ms.positive_count() > 2:
         return st_, Pc.copy(), ms
     return None
 
@@ -557,8 +557,8 @@ def test_recovery_exact_tie_across_blocks_keeps_earliest(monkeypatch):
     monkeypatch.setattr(recovery, "CANDIDATE_BLOCK", second)  # second starts block 2
     lin = recovery._SharedLinearization(dets, clusters, state, P, INTR, 2.0)
     pair = np.array([combos[first], combos[second]])
-    s1 = recovery._block_scores(pair[:1], lin, state, params, INTR)
-    s2 = recovery._block_scores(pair[1:], lin, state, params, INTR)
+    s1 = recovery._block_scores(pair[:1], lin, state, INTR)
+    s2 = recovery._block_scores(pair[1:], lin, state, INTR)
     assert s1.tobytes() == s2.tobytes()  # an exact tie, scored in separate blocks
     out = _check_against_oracle(dets, clusters, state, P, params)
     assert out[2].cluster_ids == [0, 1, 2, 3]
@@ -579,7 +579,7 @@ def test_recovery_lamps_only_behind_camera_leave_state_unchanged():
     lin = recovery._SharedLinearization(dets, behind, state, P, INTR, 2.0)
     combos = np.array(list(assignments(len(dets), len(behind))))
     assert not recovery._corrections(combos, lin).any()
-    scores = recovery._block_scores(combos, lin, state, RecoveryParams(), INTR)
+    scores = recovery._block_scores(combos, lin, state, INTR)
     assert np.isfinite(scores[0]) and np.isinf(scores[1:]).all()  # only all-NONE
     assert _check_against_oracle(dets, behind, state, P, RecoveryParams()) is None
 

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from nightrider.camera import DetectionBox, camera_point, pinhole
 from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate_window
-from nightrider.lie import ExtendedPose, so3_exp, so3_log
+from nightrider.lie import ExtendedPose, Trajectory, so3_exp, so3_log
 from nightrider.pipeline import run_pipeline
 from nightrider.sim import (
     Scenario,
-    Trajectory,
-    TrajectorySample,
     blackout_scenario,
     compute_ate,
     corridor_scenario,
@@ -44,9 +42,8 @@ def _visible_blobs(pose, smap, scenario, intr):
 
 
 def _pose_boxes(pose, smap, scenario):
-    """frame_boxes of one pose, passed as a one-sample Trajectory."""
-    zero = np.zeros((1, 3))
-    one = Trajectory(np.zeros(1), pose.rot[None], pose.vel[None], pose.pos[None], zero, zero)
+    """frame_boxes of one pose, passed as a one-row Trajectory."""
+    one = Trajectory(np.zeros(1), pose.rot[None], pose.vel[None], pose.pos[None])
     return frame_boxes(one, smap, scenario)[0]
 
 
@@ -60,11 +57,10 @@ def render_intensity_image(pose, smap, scenario):
 
 def _finite_difference_check(spec, times):
     h = 1e-4
-    pos_p, vel_p = _truth_arrays(spec, times + h)[:2]
-    pos_m, vel_m = _truth_arrays(spec, times - h)[:2]
-    pos, vel, acc = _truth_arrays(spec, times)[:3]
+    pos_p = _truth_arrays(spec, times + h)[0]
+    pos_m = _truth_arrays(spec, times - h)[0]
+    vel = _truth_arrays(spec, times)[1]
     np.testing.assert_allclose(vel, (pos_p - pos_m) / (2 * h), rtol=0, atol=1e-6)
-    np.testing.assert_allclose(acc, (vel_p - vel_m) / (2 * h), rtol=0, atol=1e-6)
 
 
 def test_trajectory_derivatives_match_finite_differences():
@@ -87,8 +83,7 @@ def test_trajectory_derivatives_match_finite_differences():
 
 def test_circle_yaw_rate_is_speed_over_radius():
     t = np.linspace(0.0, 20.0, 11)
-    _, _, _, yaw, yaw_rate = _truth_arrays({"kind": "circle", "radius": 50.0, "speed": 5.0}, t)
-    np.testing.assert_allclose(yaw_rate, 0.1, rtol=1e-12)
+    yaw = _truth_arrays({"kind": "circle", "radius": 50.0, "speed": 5.0}, t)[2]
     np.testing.assert_allclose(np.diff(np.unwrap(yaw)) / np.diff(t), 0.1, rtol=1e-9)
 
 
@@ -104,38 +99,39 @@ def test_generate_truth_equals_per_sample_construction():
         truth = generate_truth(sc)
         n = int(round(sc.duration * sc.imu_rate))
         t = np.arange(n + 1) / sc.imu_rate
-        pos, vel, acc, yaw, yaw_rate = _truth_arrays(sc.trajectory, t)
+        pos, vel, yaw = _truth_arrays(sc.trajectory, t)
         rot = _rotz(yaw)
-        assert len(truth) == n + 1
+        assert type(truth) is Trajectory and len(truth) == n + 1
         for k in (0, 1, n // 2, n):
-            s = truth[k]
-            assert isinstance(s, TrajectorySample) and s.t == t[k]
-            assert s.pose.rot.tobytes() == rot[k].tobytes()
-            assert s.pose.vel.tobytes() == vel[k].tobytes()
-            assert s.pose.pos.tobytes() == pos[k].tobytes()
-            assert s.body_rate.tolist() == [0.0, 0.0, yaw_rate[k]]
-            assert s.accel_world.tobytes() == acc[k].tobytes()
+            pose = truth.pose(k)
+            assert truth.t[k] == t[k]
+            assert pose.rot.tobytes() == rot[k].tobytes()
+            assert pose.vel.tobytes() == vel[k].tobytes()
+            assert pose.pos.tobytes() == pos[k].tobytes()
 
 
 def test_trajectory_indexes_slices_and_writes_through():
     truth = generate_truth(Scenario(duration=1.0))
-    assert truth[-1].t == truth[len(truth) - 1].t == 1.0
+    assert truth.t[-1] == truth.t[len(truth) - 1] == 1.0
+    assert truth.pose(-1).pos.tolist() == truth.pos[-1].tolist()
     with pytest.raises(IndexError):
-        truth[len(truth)]
+        truth.pose(len(truth))
+    with pytest.raises(TypeError, match="pose"):
+        truth[3]  # one row is a pose, not a trajectory
     part = truth[10:20:5]
     assert isinstance(part, Trajectory) and len(part) == 2
-    assert [s.t for s in part] == [truth[10].t, truth[15].t]
+    assert part.t.tolist() == [truth.t[10], truth.t[15]]
     picked = truth[np.array([3, 7])]
-    assert picked.pos.tolist() == [truth[k].pose.pos.tolist() for k in (3, 7)]
+    assert picked.pos.tolist() == [truth.pose(k).pos.tolist() for k in (3, 7)]
     assert [p.pos.tolist() for p in part.poses()] == part.pos.tolist()
-    # a sample's pose views its row, so writing into it writes the row
-    pose = part[1].pose
+    # a row's pose views the arrays, so writing into it writes the row
+    pose = part.pose(1)
     assert type(pose) is ExtendedPose
     pose.pos[:] = [1.0, 2.0, 3.0]
-    assert truth[15].pose.pos.tolist() == [1.0, 2.0, 3.0]
-    copy = truth[15].pose.copy()
+    assert truth.pose(15).pos.tolist() == [1.0, 2.0, 3.0]
+    copy = truth.pose(15).copy()
     copy.pos[0] = 9.0
-    assert truth[15].pose.pos[0] == 1.0
+    assert truth.pos[15, 0] == 1.0
 
 
 def test_stationary_imu_reads_reaction_to_gravity():
@@ -191,13 +187,13 @@ def test_noise_free_imu_integrates_back_to_truth():
     sc.accel_bias_sigma = 0.0
     truth = generate_truth(sc)
     gyro, accel, _, _ = simulate_imu(truth, sc, np.random.default_rng(1))
-    state = FilterState(pose=truth[0].pose.copy(), t=0.0)
+    state = FilterState(pose=truth.pose(0).copy(), t=0.0)
     P = np.eye(15) * 1e-6
     noise = NoiseConfig.from_sigmas()
     dt = 1.0 / sc.imu_rate
     for g, a in zip(gyro, accel):
         state, P = propagate_window(state, P, [g], [a], dt, noise)
-    final = truth[-1].pose
+    final = truth.pose(-1)
     assert np.linalg.norm(state.pose.pos - final.pos) < 1e-4
     assert np.linalg.norm(state.pose.rot - final.rot) < 1e-6
     assert np.linalg.norm(state.pose.vel - final.vel) < 1e-6
@@ -221,11 +217,11 @@ def _reference_imu(truth, sc, rng):
     noise_a = rng.normal(size=(n, 3)) * (sc.accel_sigma / math.sqrt(dt))
     out = []
     for k in range(n):
-        Rk = truth[k].pose.rot
-        omega = so3_log(Rk.T @ truth[k + 1].pose.rot) / dt
-        accel = Rk.T @ ((truth[k + 1].pose.vel - truth[k].pose.vel) / dt - GRAVITY)
+        Rk = truth.rot[k]
+        omega = so3_log(Rk.T @ truth.rot[k + 1]) / dt
+        accel = Rk.T @ ((truth.vel[k + 1] - truth.vel[k]) / dt - GRAVITY)
         gyro = omega + bias_g[k] + noise_g[k]
-        out.append((truth[k].t, gyro, accel + bias_a[k] + noise_a[k]))
+        out.append((truth.t[k], gyro, accel + bias_a[k] + noise_a[k]))
     return out, bias_g, bias_a
 
 
@@ -301,12 +297,12 @@ def _reference_detections(truth, sc, smap, rng):
     m = int(math.floor(sc.duration * sc.cam_rate + 1e-9))
     frames = []
     for j in range(1, m + 1):
-        s = truth[j * step]
-        if sc.in_blackout(s.t):
-            frames.append((s.t, [], [], True))
+        t = truth.t[j * step]
+        if sc.in_blackout(t):
+            frames.append((t, [], [], True))
             continue
         dets, tids = [], []
-        cps = camera_point(smap.centers(), s.pose)
+        cps = camera_point(smap.centers(), truth.pose(j * step))
         for c, cp in zip(smap.clusters, cps):
             if cp[2] < 1.0:
                 continue
@@ -332,7 +328,7 @@ def _reference_detections(truth, sc, smap, rng):
             )
             dets.append(DetectionBox(center, rng.uniform(8.0, 20.0, size=2)))
             tids.append(None)
-        frames.append((s.t, dets, tids, False))
+        frames.append((t, dets, tids, False))
     return frames
 
 
@@ -357,8 +353,8 @@ def test_simulate_detections_and_odom_match_per_frame_reference_bytes(build):
     odom_at = simulate_streams(sc, smap).odom_at
     assert odom_at.tolist() == [(j + 1) * step for j in range(len(odom))]
     for j, o in enumerate(odom):
-        s = truth[(j + 1) * step]
-        assert o.tobytes() == (s.pose.rot.T @ s.pose.vel + noise[j]).tobytes()
+        pose = truth.pose((j + 1) * step)
+        assert o.tobytes() == (pose.rot.T @ pose.vel + noise[j]).tobytes()
 
 
 def test_detection_frames_respect_blackouts_and_labels():
@@ -397,7 +393,7 @@ def test_detection_pixels_match_projection():
     checked = 0
     for f in frames[::17]:
         k = int(round(f.t * sc.imu_rate))
-        pose = truth[k].pose
+        pose = truth.pose(k)
         for det, tid in zip(f.detections, f.truth_ids):
             pix = project(lookup[tid].center, pose, sc.intrinsics())
             np.testing.assert_allclose(det.center, pix, atol=1e-9)
@@ -413,7 +409,7 @@ def test_frame_boxes_matches_rendered_segmentation():
     trials = 0
     for _ in range(25):
         k = rng.integers(0, len(truth))
-        pose = truth[k].pose
+        pose = truth.pose(k)
         fast = _pose_boxes(pose, smap, sc)
         img = render_intensity_image(pose, smap, sc)
         slow = segment_boxes(img)
@@ -436,7 +432,7 @@ def test_frame_boxes_over_poses_equal_per_pose_calls(build):
     sc = build()
     truth = generate_truth(sc)[::20]
     smap = make_map(sc)
-    one = [_box_bytes(_pose_boxes(s.pose, smap, sc)) for s in truth]
+    one = [_box_bytes(_pose_boxes(pose, smap, sc)) for pose in truth.poses()]
     assert [_box_bytes(b) for b in frame_boxes(truth, smap, sc)] == one
     assert sum(map(len, one)) > len(one) // 2
     assert frame_boxes(truth[:0], smap, sc) == []
@@ -453,7 +449,7 @@ def test_simulate_streams_attaches_each_frames_boxes():
         if f.blackout:
             assert f.boxes == []
             continue
-        pose = streams.truth[(j + 1) * step].pose
+        pose = streams.truth.pose((j + 1) * step)
         assert _box_bytes(f.boxes) == _box_bytes(_pose_boxes(pose, smap, sc))
         lit += bool(f.boxes)
     assert lit > 100
@@ -488,7 +484,7 @@ def test_visible_blobs_equal_per_cluster_reference():
         smap = make_map(sc)
         for k in rng.integers(0, len(truth), size=40):
             # yaw jitter pushes blobs across the image border
-            pose = truth[k].pose.copy()
+            pose = truth.pose(k).copy()
             pose.rot = pose.rot @ so3_exp([0.0, 0.0, rng.normal() * 0.5])
             got = _visible_blobs(pose, smap, sc, sc.intrinsics())
             assert got == _reference_blobs(pose, smap, sc)
@@ -542,20 +538,26 @@ def test_make_map_orders_and_sizes_clusters():
         assert np.max(np.linalg.norm(c.points - c.center, axis=1)) <= sc.lamp_size / 2 + 1e-12
 
 
+def _trajectory(times, poses):
+    """A Trajectory of one row per pose."""
+    rows = [np.array([getattr(p, f) for p in poses]) for f in ("rot", "vel", "pos")]
+    return Trajectory(np.asarray(times, dtype=float), *rows)
+
+
 def test_compute_ate_known_offsets():
     times = np.arange(11) * 0.1
-    truth = [ExtendedPose(pos=np.array([t, 0.0, 0.0])) for t in times]
-    est = [ExtendedPose(pos=np.array([t, 0.3, 0.4])) for t in times]
-    trans, rot = compute_ate(times, est, times, truth)
+    truth = _trajectory(times, [ExtendedPose(pos=np.array([t, 0.0, 0.0])) for t in times])
+    est = _trajectory(times, [ExtendedPose(pos=np.array([t, 0.3, 0.4])) for t in times])
+    trans, rot = compute_ate(est, truth)
     np.testing.assert_allclose(trans, 0.5, rtol=1e-12)
     np.testing.assert_allclose(rot, 0.0, atol=1e-12)
 
-    est2 = [ExtendedPose(rot=so3_exp([0.0, 0.0, 0.02])) for _ in times]
-    _, rot2 = compute_ate(times, est2, times, [ExtendedPose() for _ in times])
+    est2 = _trajectory(times, [ExtendedPose(rot=so3_exp([0.0, 0.0, 0.02])) for _ in times])
+    _, rot2 = compute_ate(est2, _trajectory(times, [ExtendedPose() for _ in times]))
     np.testing.assert_allclose(rot2, math.degrees(0.02), rtol=1e-9)
 
     with pytest.raises(ValueError):
-        compute_ate(times + 100.0, est, times, truth)
+        compute_ate(_trajectory(times + 100.0, est.poses()), truth)
 
 
 def test_compute_ate_against_rmse_oracle():
@@ -564,7 +566,7 @@ def test_compute_ate_against_rmse_oracle():
     offs = rng.normal(size=(50, 3)) * 0.2
     truth = [ExtendedPose(pos=rng.normal(size=3)) for _ in times]
     est = [ExtendedPose(pose.rot.copy(), pose.vel.copy(), pose.pos + o) for pose, o in zip(truth, offs)]
-    trans, _ = compute_ate(times, est, times, truth)
+    trans, _ = compute_ate(_trajectory(times, est), _trajectory(times, truth))
     np.testing.assert_allclose(trans, math.sqrt(np.mean(np.sum(offs**2, axis=1))), rtol=1e-12)
 
 
@@ -605,7 +607,7 @@ def test_compute_ate_equals_per_pose_reference():
         ]
         # every third estimate falls between truth stamps, outside max_dt
         est_times = times + np.where(np.arange(len(times)) % 3 == 0, 0.05, 0.001)
-        got = compute_ate(est_times, est, times, truth)
+        got = compute_ate(_trajectory(est_times, est), _trajectory(times, truth))
         want = _reference_ate(est_times, est, times, truth)
         assert repr(got) == repr(want)
 

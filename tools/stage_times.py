@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tools/stage_times.py ring --runs 7
 
-Each stage function is wrapped from outside, as benchmarks/hooks.py does:
-the wrapper replaces every binding of the function in the loaded
-nightrider modules, so nothing under src/ changes.  A stage's time is
+Each stage function is wrapped from outside by tools/rebind.py, as
+benchmarks/hooks.py does: the wrapper replaces every binding of the
+function in the loaded nightrider modules, so nothing under src/ changes.  A stage's time is
 its inclusive wall time summed over one run; its share is that time over
 the run's run_pipeline time.  Both are printed as the median over the
 runs: shares compare across hosts, milliseconds across trees on one
@@ -22,13 +22,17 @@ import argparse
 import platform
 import statistics
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import scipy
 
-from nightrider.pipeline import PipelineConfig, run_pipeline
-from nightrider.sim import blackout_scenario, default_scenario, ring_scenario
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from nightrider.pipeline import PipelineConfig, run_pipeline  # noqa: E402
+from nightrider.sim import blackout_scenario, default_scenario, ring_scenario  # noqa: E402
+from rebind import rebind, restore  # noqa: E402
 
 # (module, function, indented): indented stages run inside the one above
 STAGES = [
@@ -53,10 +57,6 @@ SCENARIOS = {
 
 def wrap_stages(totals):
     """Wrap every stage; returns the (module, attribute, original) list."""
-    modules = [
-        m for name, m in sys.modules.items()
-        if name == "nightrider" or name.startswith("nightrider.")
-    ]
     saved = []
     for mod_name, fn_name, _ in STAGES:
         original = getattr(sys.modules[f"nightrider.{mod_name}"], fn_name)
@@ -68,11 +68,7 @@ def wrap_stages(totals):
             finally:
                 totals[_name] += perf_counter() - t0
 
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is original:
-                    saved.append((m, attr, original))
-                    setattr(m, attr, timed)
+        saved += rebind(original, timed)
     return saved
 
 
@@ -92,8 +88,7 @@ def run_shares(name, runs):
             run_pipeline(scenario, config=config)
             wall = perf_counter() - t0
         finally:
-            for m, attr, original in reversed(saved):
-                setattr(m, attr, original)
+            restore(saved)
         top = sum(totals[fn] for _, fn, nested in STAGES if not nested)
         totals["rest"] = wall - top
         walls.append(wall)

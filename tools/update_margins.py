@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python tools/update_margins.py
 
-inekf.admissible, the update rule, is wrapped from outside, as
-tools/stage_times.py wraps stages: the wrapper replaces every binding of
-the function in the loaded nightrider modules, so nothing under src/
-changes.  Then everything tools/fixed_seed_digests.py runs is run, its
+inekf.admissible, the update rule, is wrapped from outside by
+tools/rebind.py, as tools/stage_times.py wraps stages: the wrapper replaces
+every binding of the function in the loaded nightrider modules, so nothing
+under src/ changes.  Then everything tools/fixed_seed_digests.py runs is run, its
 digests discarded.  For each kind of update the wrapper records how many
 innovation covariances S the rule judged, the largest, and the smallest
 lambda_min / lambda_max among the finite ones; the rule refuses an S
@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import fixed_seed_digests  # noqa: E402
 from nightrider import inekf  # noqa: E402
+from rebind import rebind, restore  # noqa: E402
 
 KINDS = ("bearing", "odometer", "S_all", "candidate")
 
@@ -60,14 +61,7 @@ def wrap_rule(seen):
             stats[2] = min(stats[2], float((lam[:, 0] / lam[:, -1]).min()))
         return original(S, max_var, margin)
 
-    saved = []
-    for name, m in list(sys.modules.items()):
-        if name == "nightrider" or name.startswith("nightrider."):
-            for attr, value in list(vars(m).items()):
-                if value is original:
-                    saved.append((m, attr, original))
-                    setattr(m, attr, recorded)
-    return saved
+    return rebind(original, recorded)
 
 
 def main():
@@ -77,8 +71,7 @@ def main():
         with contextlib.redirect_stdout(io.StringIO()):
             fixed_seed_digests.main()
     finally:
-        for m, attr, original in reversed(saved):
-            setattr(m, attr, original)
+        restore(saved)
 
     print(f"RCOND = {inekf.RCOND:g}; the runs of tools/fixed_seed_digests.py")
     head = ("kind", "S judged", "largest S", "least lambda_min/lambda_max")
