@@ -86,9 +86,13 @@ class DetectionBox:
 
 
 def camera_point(point_w, pose):
-    """World point expressed in the camera frame; an (n, 3) array maps row-wise."""
-    d = np.asarray(point_w, dtype=float) - pose.pos
-    return (CAMERA_MOUNT @ (pose.rot.T @ d[..., None]))[..., 0]
+    """World point expressed in the camera frame; an (n, 3) array maps
+    row-wise, and a stack of k poses (a Trajectory) gives (k, n, 3)."""
+    rot, pos = pose.rot, pose.pos
+    if rot.ndim == 3:
+        rot, pos = rot[:, None], pos[:, None]
+    d = np.asarray(point_w, dtype=float) - pos
+    return (CAMERA_MOUNT @ (np.swapaxes(rot, -1, -2) @ d[..., None]))[..., 0]
 
 
 def pinhole(c, intr):

@@ -154,6 +154,8 @@ def cmd_simulate(args):
 def cmd_localize(args):
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
+    if args.runs > 1 and args.write_frames:
+        raise ValueError("--write-frames needs a single run (--runs 1)")
     sc = _load_scenario(args.scenario, _resolve_seed(args))
     smap = _scenario_map(sc, args.map)
     config = PipelineConfig(

@@ -94,15 +94,9 @@ class ClusterTable:
         return self.keep & (np.sqrt(dot_many(d, d)) <= r)
 
 
-def as_table(clusters):
-    """clusters itself if it is a ClusterTable, else a table of the list."""
-    return clusters if isinstance(clusters, ClusterTable) else ClusterTable(clusters)
-
-
-def within_range(clusters, pos, r):
-    """The clusters (a list or ClusterTable) whose centers lie within r of
-    pos, in their order."""
-    table = as_table(clusters)
+def within_range(table, pos, r):
+    """The kept clusters of a ClusterTable whose centers lie within r of
+    pos, in table order."""
     return [table.clusters[i] for i in np.flatnonzero(table.near(pos, r))]
 
 
@@ -126,17 +120,16 @@ def _greedy(triples, boxes, key):
     return MatchSet(dets, ids, scores)
 
 
-def extend_matches(boxes, unmatched_clusters, state, intr, max_range=80.0):
+def extend_matches(boxes, table, state, intr, max_range):
     """Match unmatched clusters to segmentation boxes by projected points.
 
-    unmatched_clusters is a list or a ClusterTable.  A cluster within
+    table is a ClusterTable view of the unmatched clusters.  A cluster within
     max_range is a candidate for every box containing its projected
     center; the candidate ratio is the fraction of the cluster's points
     that project inside the box.  Conflicts resolve greedily by
     descending ratio, so each box and each cluster is used at most once.
     """
     pose = state.pose
-    table = as_table(unmatched_clusters)
     near = table.near(pose.pos, max_range)
     if not boxes or not near.any():
         return MatchSet([], [], [])

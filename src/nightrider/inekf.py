@@ -88,13 +88,7 @@ class NoiseConfig:
         object.__setattr__(self, "matrix", Q)
 
     @classmethod
-    def from_sigmas(
-        cls,
-        gyro_sigma=0.005,
-        accel_sigma=0.05,
-        gyro_bias_sigma=1e-4,
-        accel_bias_sigma=1e-3,
-    ):
+    def from_sigmas(cls, gyro_sigma, accel_sigma, gyro_bias_sigma, accel_bias_sigma):
         return cls(
             gyro_cov=np.eye(3) * gyro_sigma**2,
             accel_cov=np.eye(3) * accel_sigma**2,

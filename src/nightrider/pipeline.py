@@ -1,13 +1,17 @@
 """End-to-end localization runs on simulated night drives.
 
-run_pipeline wires the whole stack together: IMU propagation at full
-rate, odometer updates, detector association, segmentation-driven match
-extension, degeneration handling along lamp corridors, and combinatorial
-recovery after long match gaps.  The filter loop sees only the simulated
-sensor streams, each camera frame with its segmentation boxes, and
-records every frame's estimate and covariance.  Ground truth is used
-only by the simulation and by the scoring after the loop, which computes
-NEES and translation errors for all frames in one batched pass.
+localize is the filter loop: IMU propagation at full rate, odometer
+updates, detector association, segmentation-driven match extension,
+degeneration handling along lamp corridors, and combinatorial recovery
+after long match gaps.  It reads only the sensor streams (each camera
+frame with its segmentation boxes), the map and the scenario's sensor
+settings, and records every frame's estimate and covariance.  Every
+camera update goes through _camera_stage, and a frame's applied
+cluster ids are kept in one ordered list.
+
+run_pipeline simulates the streams, takes the initial state from the
+truth, runs localize, and scores the log against the truth: NEES and
+translation errors for all frames in one batched pass.
 
 The loop's clock is the IMU grid: its propagation windows end at the
 grid indices the streams carry for each odometer sample and frame
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import MAX_RANGE, MatchSet, associate
-from .camera import apply_camera_update, camera_point, project_many
+from .camera import apply_camera_update, camera_point, pinhole, project_many
 from .extension import (
     ClusterTable,
     DegenState,
@@ -168,27 +172,36 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
 def _recovery_candidates(table, pose, intr):
     """Clusters the camera could plausibly see from the current estimate."""
     near = np.flatnonzero(table.near(pose.pos, MAX_RANGE))
-    centers = table.centers[near]
-    depth = camera_point(centers, pose)[:, 2]
-    pix = project_many(centers, pose, intr)
-    seen = (depth >= 1.0) & intr.contains(pix, margin=-50.0)
+    c = camera_point(table.centers[near], pose)
+    front = np.flatnonzero(c[:, 2] >= 1.0)
+    seen = front[intr.contains(pinhole(c[front], intr), margin=-50.0)]
     return [table.clusters[i] for i in near[seen]]
 
 
-def run_pipeline(scenario, smap=None, config=None):
-    """Simulate the scenario and run the full filter over its sensors.
+def _camera_stage(state, P, ms, lookup, intr, sigma, kind, t, events):
+    """Camera update on ms's positive pairs: (state, P, the cluster ids
+    applied).  A rejected update applies none and is logged under kind."""
+    ids = ms.matched_ids()
+    if ids:
+        try:
+            state, P = apply_camera_update(state, P, ms, lookup, intr, sigma)
+        except UpdateRejected:
+            events.append((t, "update_rejected", kind))
+            return state, P, []
+    return state, P, ids
 
-    The sensors come from simulate_streams, whose per-sensor child seeds
-    of the scenario seed make a (scenario, config) pair reproduce
-    bit-identical results run to run.  The run is scored against the
-    truth after the filter loop.
+
+def localize(streams, smap, scenario, config, state, P):
+    """Run the filter from (state, P) over the sensor streams.
+
+    Of the streams it reads gyro, accel, odom, frames and the grid
+    indices odom_at and frame_at; of the scenario only the sensor
+    settings: IMU rate, camera intrinsics and noise sigmas.  Returns
+    (log, events, frame_matches, state, P), the last two at the end of
+    the stream.
     """
-    config = config if config is not None else PipelineConfig()
-    smap = smap if smap is not None else make_map(scenario)
-    streams = simulate_streams(scenario, smap)
-    truth, gyro, accel = streams.truth, streams.gyro, streams.accel
-    odom, frames = streams.odom, streams.frames
-    bias_g, bias_a = streams.bias_gyro, streams.bias_accel
+    gyro, accel, odom = streams.gyro, streams.accel, streams.odom
+    frames = streams.frames
     intr = scenario.intrinsics()
     lookup = smap.by_id()
     table = ClusterTable(smap.clusters)
@@ -201,16 +214,9 @@ def run_pipeline(scenario, smap=None, config=None):
     # the simulated odometer measures body-frame velocity (sim.simulate_odom)
     odom_cov = np.eye(3) * scenario.odom_sigma**2
     dt = 1.0 / scenario.imu_rate
-
-    P = initial_covariance()
-    pose0 = truth.pose(0).copy()
-    bg0, ba0 = np.zeros(3), np.zeros(3)
-    if config.perturb_init:
-        delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
-        pose0 = se23_exp(delta[:9]) @ pose0
-        bg0 = bias_g[0] + delta[9:12]
-        ba0 = bias_a[0] + delta[12:15]
-    state = FilterState(pose0, bg0, ba0, 0.0)
+    pixel_sigma = scenario.pixel_sigma
+    # extended and degeneration matches measure segmentation boxes
+    box_sigma = EXTENSION_SIGMA_SCALE * pixel_sigma
 
     degen = DegenState()
     last_match_t = 0.0
@@ -218,26 +224,6 @@ def run_pipeline(scenario, smap=None, config=None):
     frame_matches = []
     log = EstimateLog.empty(len(frames) + 1)
     log.record(0, 0.0, state, P)
-    # extended and degeneration matches measure segmentation boxes
-    box_sigma = EXTENSION_SIGMA_SCALE * scenario.pixel_sigma
-
-    def camera_stage(ms, sigma, kind):
-        """Camera update on ms's positive pairs; how many were applied.
-
-        A rejected update applies none and is logged under kind.
-        """
-        nonlocal state, P
-        n = ms.positive_count()
-        if n:
-            try:
-                state, P = apply_camera_update(state, P, ms, lookup, intr, sigma)
-            except UpdateRejected:
-                events.append((frame.t, "update_rejected", kind))
-                return 0
-            matched_pairs.extend(
-                (cid, lookup[cid].center) for _, cid in ms.positive_pairs()
-            )
-        return n
 
     # propagate in windows that end at each odometer sample and frame and at
     # the end of the stream; k, oi and fi count the IMU rows, odometer
@@ -259,32 +245,25 @@ def run_pipeline(scenario, smap=None, config=None):
         if fi == len(frame_at) or frame_at[fi] != end:
             continue
         frame = frames[fi]
+        t = frame.t
         fi += 1
         n_ass = n_ext = n_deg = 0
-        matched_pairs = []  # (cluster id, world center) seen this frame
+        matched = []  # cluster ids applied this frame, in update order
 
         if config.use_vision and not frame.blackout:
             lost = config.use_recovery and is_lost(state.t - last_match_t)
             if lost and frame.detections:
                 cands = _recovery_candidates(table, state.pose, intr)
                 found = attempt_recovery(
-                    frame.detections,
-                    cands,
-                    state,
-                    P,
-                    _RECOVERY,
-                    intr,
-                    scenario.pixel_sigma,
+                    frame.detections, cands, state, P, _RECOVERY, intr, pixel_sigma
                 )
                 if found is not None:
                     state, P, ms = found
-                    n_ass = ms.positive_count()
-                    matched_pairs += [
-                        (cid, lookup[cid].center) for _, cid in ms.positive_pairs()
-                    ]
-                    events.append((frame.t, "recovered", n_ass))
+                    matched += ms.matched_ids()
+                    n_ass = len(matched)
+                    events.append((t, "recovered", n_ass))
                 else:
-                    events.append((frame.t, "recovery_failed", len(frame.detections)))
+                    events.append((t, "recovery_failed", len(frame.detections)))
             elif not lost:
                 if frame.detections:
                     ms = associate(frame.detections, smap.clusters, state, P, intr)
@@ -296,13 +275,16 @@ def run_pipeline(scenario, smap=None, config=None):
                         ],
                         ms.scores,
                     )
-                    n_ass = camera_stage(ms, scenario.pixel_sigma, "camera")
-                matched_ids = {cid for cid, _ in matched_pairs}
+                    state, P, ids = _camera_stage(
+                        state, P, ms, lookup, intr, pixel_sigma, "camera", t, events
+                    )
+                    matched += ids
+                    n_ass = len(ids)
 
                 run_degen = config.use_degeneration and degen.degenerate
                 if config.use_extension or run_degen:
                     taken = project_many(
-                        [lookup[cid].center for cid in matched_ids], state.pose, intr
+                        [lookup[cid].center for cid in matched], state.pose, intr
                     )
                     hit = boxes_containing(frame.boxes, taken).any(axis=0)
                     free = [b for b, h in zip(frame.boxes, hit) if not h]
@@ -311,38 +293,69 @@ def run_pipeline(scenario, smap=None, config=None):
 
                 if config.use_extension and free:
                     ems = extend_matches(
-                        free,
-                        table.without(matched_ids),
-                        state,
-                        intr,
-                        config.extension_range,
+                        free, table.without(matched), state, intr, config.extension_range
                     )
-                    n_ext = camera_stage(ems, box_sigma, "extension")
+                    state, P, ids = _camera_stage(
+                        state, P, ems, lookup, intr, box_sigma, "extension", t, events
+                    )
+                    matched += ids
+                    n_ext = len(ids)
                     if n_ext:
                         used = {id(b) for b in ems.detections}
                         free = [b for b in free if id(b) not in used]
-                        matched_ids.update(ems.matched_ids())
 
                 if run_degen and free:
-                    unmatched = table.without(matched_ids)
+                    unmatched = table.without(matched)
                     near = within_range(unmatched, state.pose.pos, config.extension_range)
                     cands = offline_candidates(near, degen)
                     dms = degeneration_match(free, cands, state, intr)
-                    n_deg = camera_stage(dms, box_sigma, "degeneration")
+                    state, P, ids = _camera_stage(
+                        state, P, dms, lookup, intr, box_sigma, "degeneration", t, events
+                    )
+                    matched += ids
+                    n_deg = len(ids)
 
         if config.use_degeneration:
             was_degenerate = degen.degenerate
-            update_degeneracy(degen, matched_pairs, frame.t)
+            update_degeneracy(degen, [(cid, lookup[cid].center) for cid in matched], t)
             if degen.degenerate and not was_degenerate:
-                events.append((frame.t, "degeneration_entered", len(degen.window)))
+                events.append((t, "degeneration_entered", len(degen.window)))
             if degen.just_ended:
-                events.append((frame.t, "degeneration_ended", n_deg))
+                events.append((t, "degeneration_ended", n_deg))
 
-        if matched_pairs:
-            last_match_t = frame.t
+        if matched:
+            last_match_t = t
 
-        log.record(fi, frame.t, state, P)
-        frame_matches.append((frame.t, len(frame.detections), n_ass, n_ext, n_deg))
+        log.record(fi, t, state, P)
+        frame_matches.append((t, len(frame.detections), n_ass, n_ext, n_deg))
+    return log, events, frame_matches, state, P
+
+
+def run_pipeline(scenario, smap=None, config=None):
+    """Simulate the scenario, localize over its sensors, score the run.
+
+    simulate_streams' per-sensor child seeds of the scenario seed make a
+    (scenario, config) pair reproduce bit-identical results run to run.
+    The truth gives only the initial state (drawn about it from the
+    streams' rng_init when config.perturb_init is set) and the scores.
+    """
+    config = config if config is not None else PipelineConfig()
+    smap = smap if smap is not None else make_map(scenario)
+    streams = simulate_streams(scenario, smap)
+    truth, bias_g, bias_a = streams.truth, streams.bias_gyro, streams.bias_accel
+
+    P = initial_covariance()
+    pose0 = truth.pose(0).copy()
+    bg0, ba0 = np.zeros(3), np.zeros(3)
+    if config.perturb_init:
+        delta = np.sqrt(np.diag(P)) * streams.rng_init.standard_normal(15)
+        pose0 = se23_exp(delta[:9]) @ pose0
+        bg0 = bias_g[0] + delta[9:12]
+        ba0 = bias_a[0] + delta[12:15]
+    state = FilterState(pose0, bg0, ba0, 0.0)
+    log, events, frame_matches, state, P = localize(
+        streams, smap, scenario, config, state, P
+    )
 
     rows = streams.frame_rows()  # IMU-grid index of each log row
     truth_rows = truth[rows]

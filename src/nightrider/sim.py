@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import CAMERA_MOUNT, CameraIntrinsics, DetectionBox, pinhole
+from .camera import CameraIntrinsics, DetectionBox, camera_point, pinhole
 from .inekf import GRAVITY, MAX_DT
 from .lie import Trajectory, dot_many, so3_log_many
 from .mapping import StreetlightCluster, StreetlightMap
@@ -361,16 +361,6 @@ def _grid_indices(scenario, rate):
     return step * np.arange(1, m + 1)
 
 
-def _camera_points(rot, pos, points):
-    """Every world point in every pose's camera frame, as (poses, points, 3).
-
-    Entry [i, j] equals camera_point(points[j], pose i) bit for bit.
-    """
-    d = points[None, :, :] - pos[:, None, :]
-    rot_t = np.swapaxes(rot, 1, 2)[:, None]
-    return (CAMERA_MOUNT @ (rot_t @ d[..., None]))[..., 0]
-
-
 def simulate_detections(truth, scenario, smap, rng):
     """Detector output per camera frame.
 
@@ -382,7 +372,7 @@ def simulate_detections(truth, scenario, smap, rng):
     """
     intr = scenario.intrinsics()
     idx = _grid_indices(scenario, scenario.cam_rate)
-    cps = _camera_points(truth.rot[idx], truth.pos[idx], smap.centers())
+    cps = camera_point(smap.centers(), truth[idx])
     front = cps[..., 2] >= 1.0
     cp = cps[front]
     extents = np.zeros(front.shape + (2,))
@@ -472,14 +462,14 @@ def simulate_streams(scenario, smap):
     )
 
 
-def _blob_rects(rot, pos, smap, scenario, intr):
+def _blob_rects(poses, smap, scenario, intr):
     """Integer pixel rectangles [u0, u1) x [v0, v1) of the rendered blobs,
-    one list per pose of the (n, 3, 3) rot and (n, 3) pos stacks.
+    one list per row of the Trajectory poses.
 
     One per cluster at least 1 m in front of the camera whose blob
     overlaps the image, in cluster order.
     """
-    cps = _camera_points(rot, pos, smap.centers())
+    cps = camera_point(smap.centers(), poses)
     front = cps[..., 2] >= 1.0
     cp = cps[front]
     pix = pinhole(cp, intr)
@@ -498,7 +488,7 @@ def _blob_rects(rot, pos, smap, scenario, intr):
             lo[keep].astype(int).tolist(), hi[keep].astype(int).tolist()
         )
     ]
-    bounds = np.searchsorted(owner, np.arange(len(rot) + 1)).tolist()
+    bounds = np.searchsorted(owner, np.arange(len(poses) + 1)).tolist()
     return [rects[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -568,7 +558,7 @@ def frame_boxes(poses, smap, scenario):
     renderer (render_intensity_image in tests/test_sim.py) and the
     segmenter (segment_boxes in tests/test_extension.py) are the oracle.
     """
-    rects = _blob_rects(poses.rot, poses.pos, smap, scenario, scenario.intrinsics())
+    rects = _blob_rects(poses, smap, scenario, scenario.intrinsics())
     return [_segment_rects(r) for r in rects]
 
 

@@ -57,7 +57,7 @@ def observed(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("contract")
     sc = default_scenario(0)
     sc.duration = 12.0
-    sc.blackouts = [[3.0, 7.0]]  # longer than RecoveryParams.lost_after
+    sc.blackouts = [[3.0, 7.0]]  # longer than recovery.LOST_AFTER
     path = tmp / "scenario.json"
     sc.save(path)
     h = CountingHooks()

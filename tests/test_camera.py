@@ -18,7 +18,7 @@ from nightrider.camera import (
     project_many,
 )
 from nightrider.inekf import FilterState
-from nightrider.lie import ExtendedPose, se23_exp, so3_exp
+from nightrider.lie import ExtendedPose, Trajectory, se23_exp, so3_exp
 from nightrider.mapping import StreetlightCluster
 from test_extension import project
 
@@ -55,6 +55,18 @@ def test_project_many_equals_project_bitwise():
                 assert np.isnan(row).all()
             else:
                 assert row.tobytes() == ref.tobytes()
+
+
+def test_camera_point_of_a_pose_stack_equals_each_pose_bitwise():
+    rng = np.random.default_rng(17)
+    rot = np.array([so3_exp(rng.normal(size=3)) for _ in range(6)])
+    poses = Trajectory(np.arange(6.0), rot, np.zeros((6, 3)), rng.normal(size=(6, 3)))
+    points = rng.normal(size=(9, 3)) * 30.0
+    stacked = camera_point(points, poses)
+    assert stacked.shape == (6, 9, 3)
+    for i in range(6):
+        assert stacked[i].tobytes() == camera_point(points, poses.pose(i)).tobytes()
+        assert camera_point(points[0], poses.pose(i)).shape == (3,)
 
 
 def test_back_project_matches_camera_ray():

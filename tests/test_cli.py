@@ -442,3 +442,11 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, document, named):
 def test_localize_runs_zero_exits_1(tmp_path, capsys):
     assert main(["localize", "default", "--runs", "0", "--out", str(tmp_path)]) == 1
     assert "error: --runs must be at least 1" in capsys.readouterr().err
+
+
+def test_localize_monte_carlo_refuses_write_frames(tmp_path, capsys, short_scenario):
+    out = tmp_path / "mc"
+    argv = ["localize", short_scenario, "--runs", "2", "--write-frames", "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: --write-frames needs a single run" in capsys.readouterr().err
+    assert not out.exists()

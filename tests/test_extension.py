@@ -229,7 +229,8 @@ def test_within_range_equals_per_cluster_norm(centers, pos, data):
     exact = [float(np.linalg.norm(c.center - pos)) for c in clusters]
     r = data.draw(st.one_of(st.floats(0.0, 3000.0), *[st.just(d) for d in exact]))
     want = [c for c in clusters if np.linalg.norm(c.center - pos) <= r]
-    assert [c.id for c in within_range(clusters, pos, r)] == [c.id for c in want]
+    got = within_range(ClusterTable(clusters), pos, r)
+    assert [c.id for c in got] == [c.id for c in want]
 
 
 def _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h):
@@ -295,7 +296,7 @@ def test_extend_full_containment_ratio_one():
     st = FilterState()
     cluster = _cluster_at(0, [_lamp(0.1, 0.1), _lamp(-0.1, 0.0), _lamp(0.0, -0.1)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([20.0, 20.0]))
-    ms = extend_matches([box], [cluster], st, INTR)
+    ms = extend_matches([box], ClusterTable([cluster]), st, INTR, 80.0)
     assert ms.cluster_ids == [0]
     assert ms.scores == [1.0]
 
@@ -307,7 +308,7 @@ def test_extend_max_ratio_box_wins():
     cluster = _cluster_at(0, pts)
     box_a = DetectionBox(np.array([640.0, 360.0]), np.array([80.0, 40.0]))
     box_b = DetectionBox(np.array([675.0, 360.0]), np.array([90.0, 20.0]))
-    ms = extend_matches([box_a, box_b], [cluster], st, INTR)
+    ms = extend_matches([box_a, box_b], ClusterTable([cluster]), st, INTR, 80.0)
     assert ms.cluster_ids == [0]
     assert ms.detections[0] is box_a
     np.testing.assert_allclose(ms.scores, [0.7])
@@ -319,7 +320,7 @@ def test_extend_requires_center_containment():
     pts = [_lamp(0.8, 0.0)] * 2 + [_lamp(-3.2, 0.0)] * 3
     cluster = _cluster_at(0, pts)  # center pixel u = 640 + 25*1.6 = 680
     box = DetectionBox(np.array([620.0, 360.0]), np.array([12.0, 30.0]))
-    ms = extend_matches([box], [cluster], st, INTR)
+    ms = extend_matches([box], ClusterTable([cluster]), st, INTR, 80.0)
     assert ms.cluster_ids == []
 
 
@@ -327,8 +328,8 @@ def test_extend_range_gate():
     st = FilterState()
     cluster = _cluster_at(0, [_lamp(0.0, 0.0, x=90.0)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([30.0, 30.0]))
-    assert extend_matches([box], [cluster], st, INTR, max_range=80.0).cluster_ids == []
-    assert extend_matches([box], [cluster], st, INTR, max_range=120.0).cluster_ids == [0]
+    assert extend_matches([box], ClusterTable([cluster]), st, INTR, 80.0).cluster_ids == []
+    assert extend_matches([box], ClusterTable([cluster]), st, INTR, 120.0).cluster_ids == [0]
 
 
 def test_extend_box_used_once():
@@ -337,7 +338,7 @@ def test_extend_box_used_once():
     # one point in the box, one outside; the center still lands inside
     half = _cluster_at(1, [_lamp(0.2, 0.0), _lamp(-1.2, 0.0)])
     box = DetectionBox(np.array([640.0, 360.0]), np.array([30.0, 30.0]))
-    ms = extend_matches([box], [full, half], st, INTR)
+    ms = extend_matches([box], ClusterTable([full, half]), st, INTR, 80.0)
     assert ms.cluster_ids == [0]
     assert ms.scores == [1.0]
 
@@ -395,7 +396,7 @@ def test_extend_matches_equals_per_point_reference():
             px = project(c.center, pose, INTR)
             if px is not None:
                 boxes.append(DetectionBox(px + rng.normal(size=2), rng.uniform(4, 30, 2)))
-        ms = extend_matches(boxes, clusters, st, INTR, max_range=50.0)
+        ms = extend_matches(boxes, ClusterTable(clusters), st, INTR, 50.0)
         got = [
             (next(i for i, b in enumerate(boxes) if b is d), cid, s)
             for d, cid, s in zip(ms.detections, ms.cluster_ids, ms.scores)
@@ -459,14 +460,14 @@ def test_extend_matches_equals_per_candidate_loop(seed, max_range):
     unmatched = [c for c in clusters if c.id not in matched]
     want = _per_candidate_extend(boxes, unmatched, state, INTR, max_range)
     table = ClusterTable(clusters)
-    for arg in (unmatched, table.without(matched)):
+    for arg in (ClusterTable(unmatched), table.without(matched)):
         got = extend_matches(boxes, arg, state, INTR, max_range)
         assert [id(b) for b in got.detections] == [id(b) for b in want.detections]
         assert got.cluster_ids == want.cluster_ids
         assert got.scores == want.scores
     near = within_range(table.without(matched), pose.pos, max_range)
     assert [c.id for c in near] == [
-        c.id for c in within_range(unmatched, pose.pos, max_range)
+        c.id for c in within_range(ClusterTable(unmatched), pose.pos, max_range)
     ]
 
 

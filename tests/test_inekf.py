@@ -29,7 +29,7 @@ def _random_state(rng, t=0.0):
 
 
 def _default_noise():
-    return NoiseConfig.from_sigmas()
+    return NoiseConfig.from_sigmas(0.005, 0.05, 1e-4, 1e-3)
 
 
 # ------------------------------------------------------------ error dynamics

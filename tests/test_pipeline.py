@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,60 @@ def test_loop_applies_every_sample_once_at_its_own_index(
     assert len(frames) > 0 and frames_seen == frames
     assert camera_at and set(camera_at) <= set(streams.frame_at.tolist())
     assert res.log.t.tolist() == [0.0] + [f.t for f in streams.frames]
+
+
+@pytest.mark.parametrize(
+    "sc, config",
+    [
+        # recovery after the blackout, association and extension
+        (blackout_scenario(0), PipelineConfig()),
+        # degeneration matches along the corridor
+        (corridor_scenario(), PipelineConfig(use_odom=False, extension_range=35.0)),
+    ],
+    ids=["blackout", "corridor"],
+)
+def test_localize_reads_no_truth(sc, config):
+    smap = make_map(sc)
+    res = run_pipeline(sc, smap=smap, config=config)
+    streams = simulate_streams(sc, smap)
+    state = FilterState(streams.truth.pose(0).copy(), np.zeros(3), np.zeros(3), 0.0)
+    blind = dataclasses.replace(
+        streams,
+        truth=None,
+        bias_gyro=None,
+        bias_accel=None,
+        rng_init=None,
+        frames=[
+            dataclasses.replace(f, truth_ids=[None] * len(f.truth_ids))
+            for f in streams.frames
+        ],
+    )
+    # the filter may read the scenario's sensor settings, nothing else
+    other = Scenario.from_dict(
+        {
+            **sc.to_dict(),
+            "trajectory": {"kind": "circle", "radius": 30.0, "speed": 5.0},
+            "lamps": [[0.0, 0.0, 5.0]],
+            "blackouts": [],
+            "duration": 1.0,
+            "seed": sc.seed + 17,
+        }
+    )
+    log, events, frame_matches, state, P = pipeline.localize(
+        blind, smap, other, config, state, initial_covariance()
+    )
+
+    for name in ("t", "rot", "vel", "pos", "bias_gyro", "bias_accel", "P"):
+        assert getattr(log, name).tobytes() == getattr(res.log, name).tobytes()
+    assert events == res.events and frame_matches == res.frame_matches
+    assert state.pose.pos.tobytes() == res.final_state.pose.pos.tobytes()
+    assert P.tobytes() == res.final_P.tobytes()
+    counts = np.array([fm[2:] for fm in frame_matches]).sum(axis=0)
+    if sc.name == "blackout":
+        assert any(e[1] == "recovered" for e in events)
+        assert counts[0] > 0 and counts[1] > 0
+    else:
+        assert counts[2] > 0
 
 
 def test_odometer_bounds_drift():

@@ -37,8 +37,9 @@ BLOB_INTENSITY = 240
 
 
 def _visible_blobs(pose, smap, scenario, intr):
-    """The blob rectangles of one pose."""
-    return _blob_rects(pose.rot[None], pose.pos[None], smap, scenario, intr)[0]
+    """The blob rectangles of one pose, passed as a one-row Trajectory."""
+    one = Trajectory(np.zeros(1), pose.rot[None], pose.vel[None], pose.pos[None])
+    return _blob_rects(one, smap, scenario, intr)[0]
 
 
 def _pose_boxes(pose, smap, scenario):
@@ -189,7 +190,7 @@ def test_noise_free_imu_integrates_back_to_truth():
     gyro, accel, _, _ = simulate_imu(truth, sc, np.random.default_rng(1))
     state = FilterState(pose=truth.pose(0).copy(), t=0.0)
     P = np.eye(15) * 1e-6
-    noise = NoiseConfig.from_sigmas()
+    noise = NoiseConfig.from_sigmas(0.005, 0.05, 1e-4, 1e-3)
     dt = 1.0 / sc.imu_rate
     for g, a in zip(gyro, accel):
         state, P = propagate_window(state, P, [g], [a], dt, noise)
