@@ -15,7 +15,9 @@ from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose
 from nightrider.mapping import StreetlightCluster
 
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def main():

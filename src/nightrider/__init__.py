@@ -11,8 +11,8 @@ from .association import MatchSet, associate
 from .camera import CameraIntrinsics, DetectionBox
 from .inekf import (
     FilterState,
-    NoiseConfig,
     UpdateRejected,
+    imu_noise,
     invariant_update,
     propagate_window,
 )
@@ -49,8 +49,8 @@ __all__ = [
     "CameraIntrinsics",
     "DetectionBox",
     "FilterState",
-    "NoiseConfig",
     "UpdateRejected",
+    "imu_noise",
     "invariant_update",
     "propagate_window",
     "ExtendedPose",

@@ -12,15 +12,16 @@ invariant-error Jacobian, into one 3x3 camera-point covariance per
 cluster, Sc = Dc P Dc'; the pixel density reads it through
 diag(fx, fy) dh/dc and the angle density through d cos / dc.  The blend
 weight (WEIGHT), the base pixel variance (ALPHA) and the cut-off range
-(MAX_RANGE) are module constants; the pipeline's recovery reads MAX_RANGE
-too.
+(MAX_RANGE) are module constants; recovery's candidate rule reads
+MAX_RANGE too.
 
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
-explains the detection well.  The resulting rectangular problem has one
-solver, hungarian: the shortest-augmenting-path method of scipy's
-linear_sum_assignment, ported step for step so that it breaks ties the
-same way, without loading scipy.
+explains the detection well.  A pair the assignment makes at a score
+under MIN_MATCH_SCORE is left unmatched as well.  The resulting
+rectangular problem has one solver, hungarian: the shortest-augmenting-
+path method of scipy's linear_sum_assignment, ported step for step so
+that it breaks ties the same way, without loading scipy.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ SIGMA_FLOOR = 1e-12
 WEIGHT = 0.5  # blend between reprojection and angle densities
 ALPHA = 4.0  # base pixel variance (px^2)
 MAX_RANGE = 50.0  # clusters farther than this (m) score 0
+# A detection whose row sums above one forfeits its no-match option, so
+# the assignment can pin a stray detection onto a cluster at a vanishing
+# score; associate leaves such a pair unmatched.
+MIN_MATCH_SCORE = 1e-3
 _ALPHA_EYE2 = ALPHA * np.eye(2)
 _ALPHA_EYE2.flags.writeable = False
 
@@ -202,7 +207,9 @@ def associate(detections, clusters, state, P, intr):
 
     The score matrix gains one no-match column per detection carrying
     1 - (row sum of cluster scores), floored at NO_MATCH_FLOOR, so weakly
-    explained detections prefer staying unmatched.
+    explained detections prefer staying unmatched.  A detection assigned
+    a cluster at a score under MIN_MATCH_SCORE is left unmatched too; its
+    score stays the assignment's, so the scores sum to the optimal total.
     """
     n, m = len(detections), len(clusters)
     if n == 0:
@@ -217,7 +224,7 @@ def associate(detections, clusters, state, P, intr):
     scores = []
     for i, j in enumerate(cols):
         if j < m:
-            ids.append(clusters[j].id)
+            ids.append(clusters[j].id if S[i, j] >= MIN_MATCH_SCORE else None)
             scores.append(float(S[i, j]))
         else:
             ids.append(None)

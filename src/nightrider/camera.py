@@ -48,8 +48,8 @@ class CameraIntrinsics:
     fy: float
     cx: float
     cy: float
-    width: int = 1280
-    height: int = 720
+    width: int
+    height: int
 
     @property
     def K_inv(self):
@@ -82,12 +82,12 @@ class DetectionBox:
 
     center: np.ndarray
     extents: np.ndarray
-    source: str = "detector"
 
 
 def camera_point(point_w, pose):
     """World point expressed in the camera frame; an (n, 3) array maps
-    row-wise, and a stack of k poses (a Trajectory) gives (k, n, 3)."""
+    row-wise, and a stack of k poses (rot (k, 3, 3), pos (k, 3)) gives
+    (k, n, 3), mapping a (k, n, 3) array pose by pose."""
     rot, pos = pose.rot, pose.pos
     if rot.ndim == 3:
         rot, pos = rot[:, None], pos[:, None]

@@ -9,14 +9,16 @@ handles the straight-line degeneracy, where z, roll and pitch drift
 accumulate until an off-line streetlight appears; those first off-line
 clusters are matched through tall search rectangles instead of densities.
 
-Both matchers end in the same greedy step (_greedy), and both ask the
-same questions as array operations: within_range for the clusters near
-the vehicle, and boxes_containing, optionally padded by a search
-rectangle, for which boxes hold which projected pixels.  A ClusterTable
-holds the map's centers and projected rows as arrays, built once per
-run; its views leave out the clusters already matched in a frame.  The
-degeneracy state keeps the window's latest center per lamp as it goes,
-and refits the corridor line only when those centers change.
+Both matchers take the boxes free_boxes leaves (those holding no matched
+center), pick their own candidates, and end in the same greedy step
+(_greedy).  They ask the same questions as array operations:
+ClusterTable.near for the clusters near the vehicle, and
+boxes_containing, optionally padded by a search rectangle, for which
+boxes hold which projected pixels.  A ClusterTable holds the map's
+centers and projected rows as arrays, built once per run; its views
+leave out the clusters already matched in a frame.  The degeneracy state
+keeps the window's latest center per lamp as it goes, and refits the
+corridor line only when those centers change.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .association import MatchSet
 from .camera import project_many
 from .lie import dot_many
 
+# Extended and degeneration matches measure segmentation-box centers,
+# which quantize to whole pixels and carry bloom asymmetry; their pixel
+# sigma is the detector's scaled up to keep the filter consistent.
+EXTENSION_SIGMA_SCALE = 2.0
 # Degeneracy: matched centers are kept for HORIZON seconds, and a center
 # counts as off the corridor line at TH_LINE metres from it.
 HORIZON = 10.0
@@ -94,10 +100,13 @@ class ClusterTable:
         return self.keep & (np.sqrt(dot_many(d, d)) <= r)
 
 
-def within_range(table, pos, r):
-    """The kept clusters of a ClusterTable whose centers lie within r of
-    pos, in table order."""
-    return [table.clusters[i] for i in np.flatnonzero(table.near(pos, r))]
+def free_boxes(boxes, table, matched, state, intr):
+    """The boxes that hold no projected center of the clusters of table
+    whose ids are in matched; a center behind the camera holds no box."""
+    rows = [table.indices_of[cid][-1] for cid in matched]
+    taken = project_many(table.centers[rows], state.pose, intr)
+    hit = boxes_containing(boxes, taken).any(axis=0)
+    return [b for b, h in zip(boxes, hit) if not h]
 
 
 def _greedy(triples, boxes, key):
@@ -184,10 +193,11 @@ def _fit_line_xy(centers):
     return centroid, vt[0]
 
 
-def _perp_distance(center, line):
+def _perp_distance(centers, line):
+    """x-y distance from the line of each row of an (..., 3) array."""
     centroid, direction = line
-    d = np.asarray(center, dtype=float)[:2] - centroid
-    return abs(d[0] * direction[1] - d[1] * direction[0])
+    d = np.asarray(centers, dtype=float)[..., :2] - centroid
+    return np.abs(d[..., 0] * direction[1] - d[..., 1] * direction[0])
 
 
 def _unique_centers(degen):
@@ -238,7 +248,7 @@ def update_degeneracy(degen, matched, t):
         if key != degen.fit_key:
             line = _fit_line_xy(centers)
             degen.fit_key = key
-            degen.fit = line, max(_perp_distance(c, line) for c in centers)
+            degen.fit = line, _perp_distance(centers, line).max()
         line, max_perp = degen.fit
         if degen.just_ended:
             degen.line = None  # stale once off-line evidence arrived
@@ -252,29 +262,24 @@ def update_degeneracy(degen, matched, t):
     return degen
 
 
-def offline_candidates(clusters, degen):
-    """Clusters lying at least TH_LINE off the tracked corridor line."""
-    if degen.line is None:
-        return list(clusters)
-    return [
-        c for c in clusters if _perp_distance(c.center, degen.line) >= TH_LINE
-    ]
-
-
-def degeneration_match(boxes, new_clusters, state, intr):
+def degeneration_match(boxes, table, degen, state, intr, max_range):
     """Rectangle-gated matching for the first off-line streetlights.
 
-    Accumulated z/roll/pitch drift shifts projections mostly vertically,
-    so each cluster searches a tall RECT_W x RECT_H window around its
-    projected center; among intersecting boxes the nearest center wins,
-    greedily by ascending distance.
+    table is a ClusterTable view of the unmatched clusters.  The
+    candidates are those within max_range and, while degen tracks a
+    corridor line, at least TH_LINE off it.  Accumulated z/roll/pitch
+    drift shifts projections mostly vertically, so each candidate
+    searches a tall RECT_W x RECT_H window around its projected center;
+    among intersecting boxes the nearest center wins, greedily by
+    ascending distance.
     """
-    centers = np.reshape([c.center for c in new_clusters], (-1, 3))
-    pix = project_many(centers, state.pose, intr)
+    cands = np.flatnonzero(table.near(state.pose.pos, max_range))
+    if degen.line is not None:
+        cands = cands[_perp_distance(table.centers[cands], degen.line) >= TH_LINE]
+    pix = project_many(table.centers[cands], state.pose, intr)
     ci, bi = np.nonzero(boxes_containing(boxes, pix, RECT_W, RECT_H))
     d = np.reshape([boxes[b].center for b in bi], (-1, 2)) - pix[ci]
     dist = np.sqrt(dot_many(d, d))
-    triples = [
-        (float(s), new_clusters[c].id, int(b)) for s, c, b in zip(dist, ci, bi)
-    ]
+    ids = [table.clusters[i].id for i in cands]
+    triples = [(float(s), ids[c], int(b)) for s, c, b in zip(dist, ci, bi)]
     return _greedy(triples, boxes, key=None)

@@ -55,46 +55,15 @@ class FilterState:
     bias_accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     t: float = 0.0
 
-    def copy(self):
-        return FilterState(
-            self.pose.copy(), self.bias_gyro.copy(), self.bias_accel.copy(), self.t
-        )
 
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Continuous-time noise densities (all 3x3 covariance blocks).
-
-    gyro/accel are white-noise densities; the bias entries are random-walk
-    densities.  Gravity is GRAVITY, the same for every run.  The config
-    is frozen because propagate_window reads the 15x15 block-diagonal
-    noise matrix every window, built once here.
-    """
-
-    gyro_cov: np.ndarray
-    accel_cov: np.ndarray
-    gyro_bias_cov: np.ndarray
-    accel_bias_cov: np.ndarray
-    # derived in __post_init__
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        Q = np.zeros((15, 15))
-        Q[0:3, 0:3] = self.gyro_cov
-        Q[3:6, 3:6] = self.accel_cov
-        # position rows carry no direct noise
-        Q[9:12, 9:12] = self.gyro_bias_cov
-        Q[12:15, 12:15] = self.accel_bias_cov
-        object.__setattr__(self, "matrix", Q)
-
-    @classmethod
-    def from_sigmas(cls, gyro_sigma, accel_sigma, gyro_bias_sigma, accel_bias_sigma):
-        return cls(
-            gyro_cov=np.eye(3) * gyro_sigma**2,
-            accel_cov=np.eye(3) * accel_sigma**2,
-            gyro_bias_cov=np.eye(3) * gyro_bias_sigma**2,
-            accel_bias_cov=np.eye(3) * accel_bias_sigma**2,
-        )
+def imu_noise(gyro_sigma, accel_sigma, gyro_bias_sigma, accel_bias_sigma):
+    """The read-only 15x15 noise density Q that propagate_window reads:
+    gyro and accel white noise on the rotation and velocity rows, none on
+    the position rows, bias random walks on the bias rows."""
+    sigmas = (gyro_sigma, accel_sigma, 0.0, gyro_bias_sigma, accel_bias_sigma)
+    Q = np.diag(np.repeat([s**2 for s in sigmas], 3))
+    Q.flags.writeable = False
+    return Q
 
 
 def symmetrize(P):
@@ -128,7 +97,7 @@ def propagate(P, Phi, Qdt):
     return symmetrize(Phi @ (P + Qdt) @ Phi.T)
 
 
-def propagate_window(state, P, gyro, accel, dt, noise):
+def propagate_window(state, P, gyro, accel, dt, Q):
     """Strapdown propagation over a window of IMU samples, dt apart, given
     as (n, 3) gyro and accel arrays, one row per sample.
 
@@ -136,9 +105,9 @@ def propagate_window(state, P, gyro, accel, dt, noise):
     stay constant within the window.  The covariance uses the closed-form
     transition Phi = I + A dt + (A dt)^2/2 + (A dt)^3/6, which is exactly
     expm(A dt) because the error dynamics are nilpotent (A^4 = 0; Hartley
-    et al., IJRR 2020).  The noise maps through the adjoint of the
-    current estimate, Q = Ad Q_n Ad', and each sample's covariance step
-    is propagate(P, Phi, Q dt).
+    et al., IJRR 2020).  The noise density Q (imu_noise) maps through the
+    adjoint of the current estimate, Ad Q Ad', and each sample's
+    covariance step is propagate(P, Phi, Ad Q Ad' dt).
 
     Only the attitude chain and the covariance recursion run per sample;
     the rest is computed for the whole window at once, by the same
@@ -162,11 +131,11 @@ def propagate_window(state, P, gyro, accel, dt, noise):
         raise ValueError(f"non-finite IMU sample {k} of the window (t = {t})")
     for a in range(0, len(gyro), MAX_WINDOW):
         b = a + MAX_WINDOW
-        state, P = _propagate_batch(state, P, gyro[a:b], accel[a:b], dt, noise)
+        state, P = _propagate_batch(state, P, gyro[a:b], accel[a:b], dt, Q)
     return state, P
 
 
-def _propagate_batch(state, P, gyro, accel, dt, noise):
+def _propagate_batch(state, P, gyro, accel, dt, Q):
     """propagate_window on (n, 3) arrays of checked gyro and accel rows."""
     n = len(gyro)
     pose = state.pose
@@ -201,7 +170,7 @@ def _propagate_batch(state, P, gyro, accel, dt, noise):
     Ad[:, 0:9, 0:3] = cols
     Ad[:, 3:6, 3:6] = rot[:-1]
     Ad[:, 6:9, 6:9] = rot[:-1]
-    Qdt = Ad @ noise.matrix @ np.swapaxes(Ad, 1, 2) * dt
+    Qdt = Ad @ Q @ np.swapaxes(Ad, 1, 2) * dt
 
     t = state.t
     for k in range(n):

@@ -4,10 +4,12 @@ localize is the filter loop: IMU propagation at full rate, odometer
 updates, detector association, segmentation-driven match extension,
 degeneration handling along lamp corridors, and combinatorial recovery
 after long match gaps.  It reads only the sensor streams (each camera
-frame with its segmentation boxes), the map and the scenario's sensor
-settings, and records every frame's estimate and covariance.  Every
-camera update goes through _camera_stage, and a frame's applied
-cluster ids are kept in one ordered list.
+frame with its detections and segmentation boxes; a dark frame has
+neither), the map and the scenario's sensor settings, and records every
+frame's estimate and covariance.  It only sequences the stages: which
+pairs, candidates and boxes each stage takes is decided in the stage's
+own module.  Every camera update goes through _camera_stage, and a
+frame's applied cluster ids are kept in one ordered list.
 
 run_pipeline simulates the streams, takes the initial state from the
 truth, runs localize, and scores the log against the truth: NEES and
@@ -24,22 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import MAX_RANGE, MatchSet, associate
-from .camera import apply_camera_update, camera_point, pinhole, project_many
+from .association import associate
+from .camera import apply_camera_update
 from .extension import (
+    EXTENSION_SIGMA_SCALE,
     ClusterTable,
     DegenState,
-    boxes_containing,
     degeneration_match,
     extend_matches,
-    offline_candidates,
+    free_boxes,
     update_degeneracy,
-    within_range,
 )
-from .inekf import FilterState, NoiseConfig, UpdateRejected, propagate_window
+from .inekf import FilterState, UpdateRejected, imu_noise, propagate_window
 from .lie import Trajectory, dot_many, right_invariant_error_many, se23_exp
 from .odometry import apply_odom_update
-from .recovery import RecoveryParams, attempt_recovery, is_lost
+from .recovery import RecoveryParams, attempt_recovery, candidate_clusters, is_lost
 from .sim import (
     Scenario,
     compute_ate,
@@ -50,14 +51,6 @@ from .sim import (
 
 # recovery runs with RecoveryParams' defaults, which the benchmark reads
 _RECOVERY = RecoveryParams()
-# Extended and degeneration matches measure segmentation-box centers,
-# which quantize to whole pixels and carry bloom asymmetry; their pixel
-# sigma is scaled up to keep the filter consistent.
-EXTENSION_SIGMA_SCALE = 2.0
-# A detection whose row sums above one forfeits its no-match option, so
-# the assignment can pin a stray detection onto a cluster at a vanishing
-# score; such pairs are dropped before the update.
-MIN_MATCH_SCORE = 1e-3
 # 3-vector blocks: rotation, velocity, position, gyro bias, accel bias
 INIT_SIGMAS = (0.02, 0.05, 0.2, 1e-3, 5e-3)
 
@@ -169,15 +162,6 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
     return nees, np.sqrt(dot_many(d, d))
 
 
-def _recovery_candidates(table, pose, intr):
-    """Clusters the camera could plausibly see from the current estimate."""
-    near = np.flatnonzero(table.near(pose.pos, MAX_RANGE))
-    c = camera_point(table.centers[near], pose)
-    front = np.flatnonzero(c[:, 2] >= 1.0)
-    seen = front[intr.contains(pinhole(c[front], intr), margin=-50.0)]
-    return [table.clusters[i] for i in near[seen]]
-
-
 def _camera_stage(state, P, ms, lookup, intr, sigma, kind, t, events):
     """Camera update on ms's positive pairs: (state, P, the cluster ids
     applied).  A rejected update applies none and is logged under kind."""
@@ -194,18 +178,18 @@ def _camera_stage(state, P, ms, lookup, intr, sigma, kind, t, events):
 def localize(streams, smap, scenario, config, state, P):
     """Run the filter from (state, P) over the sensor streams.
 
-    Of the streams it reads gyro, accel, odom, frames and the grid
-    indices odom_at and frame_at; of the scenario only the sensor
-    settings: IMU rate, camera intrinsics and noise sigmas.  Returns
-    (log, events, frame_matches, state, P), the last two at the end of
-    the stream.
+    Of the streams it reads gyro, accel, odom, the grid indices odom_at
+    and frame_at, and each frame's time, detections and boxes; of the
+    scenario only the sensor settings: IMU rate, camera intrinsics and
+    noise sigmas.  Returns (log, events, frame_matches, state, P), the
+    last two at the end of the stream.
     """
     gyro, accel, odom = streams.gyro, streams.accel, streams.odom
     frames = streams.frames
     intr = scenario.intrinsics()
     lookup = smap.by_id()
     table = ClusterTable(smap.clusters)
-    noise = NoiseConfig.from_sigmas(
+    Q = imu_noise(
         scenario.gyro_sigma,
         scenario.accel_sigma,
         scenario.gyro_bias_sigma,
@@ -231,7 +215,7 @@ def localize(streams, smap, scenario, config, state, P):
     odom_at, frame_at = streams.odom_at.tolist(), streams.frame_at.tolist()
     k = oi = fi = 0
     for end in sorted({*odom_at, *frame_at, len(gyro)}):
-        state, P = propagate_window(state, P, gyro[k:end], accel[k:end], dt, noise)
+        state, P = propagate_window(state, P, gyro[k:end], accel[k:end], dt, Q)
         k = end
 
         if oi < len(odom_at) and odom_at[oi] == end:
@@ -250,10 +234,10 @@ def localize(streams, smap, scenario, config, state, P):
         n_ass = n_ext = n_deg = 0
         matched = []  # cluster ids applied this frame, in update order
 
-        if config.use_vision and not frame.blackout:
+        if config.use_vision:
             lost = config.use_recovery and is_lost(state.t - last_match_t)
             if lost and frame.detections:
-                cands = _recovery_candidates(table, state.pose, intr)
+                cands = candidate_clusters(table, state.pose, intr)
                 found = attempt_recovery(
                     frame.detections, cands, state, P, _RECOVERY, intr, pixel_sigma
                 )
@@ -267,14 +251,6 @@ def localize(streams, smap, scenario, config, state, P):
             elif not lost:
                 if frame.detections:
                     ms = associate(frame.detections, smap.clusters, state, P, intr)
-                    ms = MatchSet(
-                        ms.detections,
-                        [
-                            cid if s >= MIN_MATCH_SCORE else None
-                            for cid, s in zip(ms.cluster_ids, ms.scores)
-                        ],
-                        ms.scores,
-                    )
                     state, P, ids = _camera_stage(
                         state, P, ms, lookup, intr, pixel_sigma, "camera", t, events
                     )
@@ -282,14 +258,9 @@ def localize(streams, smap, scenario, config, state, P):
                     n_ass = len(ids)
 
                 run_degen = config.use_degeneration and degen.degenerate
-                if config.use_extension or run_degen:
-                    taken = project_many(
-                        [lookup[cid].center for cid in matched], state.pose, intr
-                    )
-                    hit = boxes_containing(frame.boxes, taken).any(axis=0)
-                    free = [b for b, h in zip(frame.boxes, hit) if not h]
-                else:
-                    free = []
+                free = []
+                if (config.use_extension or run_degen) and frame.boxes:
+                    free = free_boxes(frame.boxes, table, matched, state, intr)
 
                 if config.use_extension and free:
                     ems = extend_matches(
@@ -306,9 +277,9 @@ def localize(streams, smap, scenario, config, state, P):
 
                 if run_degen and free:
                     unmatched = table.without(matched)
-                    near = within_range(unmatched, state.pose.pos, config.extension_range)
-                    cands = offline_candidates(near, degen)
-                    dms = degeneration_match(free, cands, state, intr)
+                    dms = degeneration_match(
+                        free, unmatched, degen, state, intr, config.extension_range
+                    )
                     state, P, ids = _camera_stage(
                         state, P, dms, lookup, intr, box_sigma, "degeneration", t, events
                     )

@@ -2,8 +2,8 @@
 
 After a stretch with no accepted streetlight matches the filter is
 declared lost.  Recovery enumerates every one-to-one mapping between the
-current detections and nearby map clusters (each detection may also map
-to nothing), evaluates the camera update for each candidate mapping,
+current detections and the map clusters in view (candidate_clusters;
+each detection may also map to nothing), evaluates the camera update for each candidate mapping,
 and scores the result: reprojection residuals, planar position change,
 yaw change, and a flat penalty per unmatched detection.  The cheapest
 combination wins if it is cheap enough and matches at least MIN_LIGHTS
@@ -45,19 +45,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import MatchSet
+from .association import MAX_RANGE, MatchSet
 from .camera import (
-    CAMERA_MOUNT,
     MAX_BEARING_VAR,
     Z_MIN,
     apply_camera_update,
     back_project,
     bearing_jacobians,
+    camera_point,
     pinhole,
     pixel_noise_cov,
 )
-from .inekf import UpdateRejected, admissible, guarded_solve
-from .lie import so3_exp_many
+from .inekf import UpdateRejected, admissible, guarded_solve, symmetrize
+from .lie import ExtendedPose, so3_exp_many
 
 CANDIDATE_BLOCK = 512  # combinations evaluated per batch
 MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
@@ -138,7 +138,7 @@ class _SharedLinearization:
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
         S += pixel_noise_cov(intr, pixel_sigma, m)
-        self.S_all = (S + S.T) / 2.0
+        self.S_all = symmetrize(S)
         self.certified = _certifies(self.S_all)
         self.pixels = np.array([d.center for d in detections], dtype=float)
         self.rays = back_project(self.pixels, intr)[:, :2]
@@ -200,8 +200,8 @@ def _block_scores(combos, lin, state, intr):
     pos = E @ p + (J @ delta[:, 6:9, None])[..., 0]
 
     matched = combos >= 0
-    d = lin.centers[np.where(matched, combos, 0)] - pos[:, None, :]
-    c = np.einsum("bij,bki->bkj", rot, d) @ CAMERA_MOUNT.T
+    poses = ExtendedPose(rot, pos=pos)  # a stack of B poses
+    c = camera_point(lin.centers[np.where(matched, combos, 0)], poses)
     seen = matched & (c[..., 2] >= Z_MIN)
     behind = (matched & ~seen).any(axis=1)
     resid = np.zeros(combos.shape)
@@ -222,6 +222,17 @@ def _block_scores(combos, lin, state, intr):
     )
     score[rejected | behind] = np.inf
     return score
+
+
+def candidate_clusters(table, pose, intr):
+    """The clusters of an extension.ClusterTable that the camera could
+    plausibly see from pose: within MAX_RANGE, at least 1 m in front, and
+    projecting at most 50 px outside the image."""
+    near = np.flatnonzero(table.near(pose.pos, MAX_RANGE))
+    c = camera_point(table.centers[near], pose)
+    front = np.flatnonzero(c[:, 2] >= 1.0)
+    seen = front[intr.contains(pinhole(c[front], intr), margin=-50.0)]
+    return [table.clusters[i] for i in near[seen]]
 
 
 def _shrink(detections, clusters, state, params):
@@ -249,7 +260,7 @@ def _shrink(detections, clusters, state, params):
     return detections, clusters
 
 
-def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma=2.0):
+def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma):
     """Try to relocalize; returns (state, P, MatchSet) or None.
 
     Inputs are never mutated.  When the raw combination count exceeds the

@@ -540,7 +540,6 @@ def _segment_rects(rects):
             DetectionBox(
                 np.array([(u0 + u1 - 1) / 2.0, (v0 + v1 - 1) / 2.0]),
                 np.array([float(u1 - u0), float(v1 - v0)]),
-                source="segmentation",
             )
         )
     boxes.sort(key=lambda b: (b.center[1], b.center[0]))

@@ -48,7 +48,9 @@ from test_extension import project
 from test_inekf import build_error_dynamics
 
 G = np.array([0.0, 0.0, -9.81])
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def _report(num, name, ok, detail):

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nightrider import association
+from nightrider import association, pipeline
 from nightrider.association import (
     ALPHA,
     MAX_RANGE,
+    MIN_MATCH_SCORE,
+    NO_MATCH_FLOOR,
     SIGMA_FLOOR,
     WEIGHT,
     MatchSet,
@@ -28,10 +30,14 @@ from nightrider.camera import (
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, se23_exp, so3_exp
 from nightrider.mapping import StreetlightCluster
+from nightrider.pipeline import PipelineConfig, run_pipeline
+from nightrider.sim import default_scenario
 from test_extension import project
 
 
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def _state_looking_down_x(rng=None, pos=(0.0, 0.0, 1.0)):
@@ -467,6 +473,41 @@ def test_associate_leaves_stray_detection_unmatched():
     ms = associate(dets, clusters, st, P, INTR)
     assert ms.cluster_ids[0] == 0
     assert ms.cluster_ids[1] is None
+
+
+class _FirstCall(Exception):
+    pass
+
+
+def test_associate_leaves_a_pair_under_min_match_score_unmatched(monkeypatch):
+    # On the first frame of default_scenario(7) with perturb_init two
+    # detections claim one lamp: their rows sum above one, so the loser
+    # forfeits its no-match option and the assignment pins it onto
+    # cluster 10 at a score of 3.0e-6.
+    def first_call(*args):
+        raise _FirstCall(args)
+
+    monkeypatch.setattr(pipeline, "associate", first_call)
+    with pytest.raises(_FirstCall) as stop:
+        run_pipeline(default_scenario(7), config=PipelineConfig(perturb_init=True))
+    dets, clusters, state, P, intr = stop.value.args[0]
+    assert state.t == pytest.approx(0.1)
+
+    S = score_matrix(dets, clusters, state, P, intr)
+    no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
+    cols = hungarian(np.hstack([S, np.repeat(no_match[:, None], len(dets), axis=1)]))
+    m = len(clusters)
+    pinned = [i for i, j in enumerate(cols) if j < m and S[i, j] < MIN_MATCH_SCORE]
+    assert [clusters[cols[i]].id for i in pinned] == [10]
+    i = pinned[0]
+    assert NO_MATCH_FLOOR < S[i, cols[i]] < MIN_MATCH_SCORE
+
+    ms = associate(dets, clusters, state, P, intr)
+    assert ms.cluster_ids[i] is None
+    assert ms.scores[i] == S[i, cols[i]]  # the assignment's score stays
+    for k, j in enumerate(cols):
+        if k != i:
+            assert ms.cluster_ids[k] == (clusters[j].id if j < m else None)
 
 
 def test_associate_never_reuses_a_cluster():

@@ -22,7 +22,9 @@ from nightrider.lie import ExtendedPose, Trajectory, se23_exp, so3_exp
 from nightrider.mapping import StreetlightCluster
 from test_extension import project
 
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def test_project_known_point():

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,15 +24,16 @@ from nightrider.extension import (
     boxes_containing,
     degeneration_match,
     extend_matches,
-    offline_candidates,
+    free_boxes,
     update_degeneracy,
-    within_range,
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, dot_many, so3_exp
 from nightrider.mapping import StreetlightCluster
 
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def project(point_w, pose, intr):
@@ -74,7 +76,7 @@ def segment_boxes(image, th_int=220, min_area=4):
         extents = np.array(
             [float(cols.stop - cols.start), float(rows.stop - rows.start)]
         )
-        boxes.append(DetectionBox(center, extents, source="segmentation"))
+        boxes.append(DetectionBox(center, extents))
     return boxes
 
 
@@ -168,7 +170,7 @@ def test_segment_matches_flood_fill_reference():
         assert got == want
 
 
-# ------------------------------------------- boxes_containing, within_range
+# --------------------------------------- boxes_containing, ClusterTable.near
 
 
 def box_contains(box, pixel, pad_w=0.0, pad_h=0.0):
@@ -222,14 +224,14 @@ _point = st.tuples(_coord, _coord, st.floats(-20.0, 20.0))
 
 
 @given(st.lists(_point, max_size=8), _point, st.data())
-def test_within_range_equals_per_cluster_norm(centers, pos, data):
+def test_cluster_table_near_equals_per_cluster_norm(centers, pos, data):
     clusters = [StreetlightCluster(i, np.array(c)) for i, c in enumerate(centers)]
     pos = np.array(pos)
     # the range is arbitrary or exactly some cluster's distance
     exact = [float(np.linalg.norm(c.center - pos)) for c in clusters]
     r = data.draw(st.one_of(st.floats(0.0, 3000.0), *[st.just(d) for d in exact]))
     want = [c for c in clusters if np.linalg.norm(c.center - pos) <= r]
-    got = within_range(ClusterTable(clusters), pos, r)
+    got = [clusters[i] for i in np.flatnonzero(ClusterTable(clusters).near(pos, r))]
     assert [c.id for c in got] == [c.id for c in want]
 
 
@@ -248,9 +250,11 @@ def _loop_degeneration_match(boxes, clusters, state, rect_w, rect_h):
 
 
 def _degeneration_match(boxes, clusters, state, rect_w, rect_h):
-    """degeneration_match with its search window set to rect_w x rect_h."""
+    """degeneration_match with its search window set to rect_w x rect_h,
+    every cluster a candidate: no range limit and no corridor line."""
+    table = ClusterTable(clusters)
     with mock.patch.multiple(extension, RECT_W=rect_w, RECT_H=rect_h):
-        return degeneration_match(boxes, clusters, state, INTR)
+        return degeneration_match(boxes, table, DegenState(), state, INTR, math.inf)
 
 
 @given(st.integers(0, 2**32 - 1), _size, _size)
@@ -465,10 +469,33 @@ def test_extend_matches_equals_per_candidate_loop(seed, max_range):
         assert [id(b) for b in got.detections] == [id(b) for b in want.detections]
         assert got.cluster_ids == want.cluster_ids
         assert got.scores == want.scores
-    near = within_range(table.without(matched), pose.pos, max_range)
-    assert [c.id for c in near] == [
-        c.id for c in within_range(ClusterTable(unmatched), pose.pos, max_range)
+    near = np.flatnonzero(table.without(matched).near(pose.pos, max_range))
+    assert [table.clusters[i].id for i in near] == [
+        unmatched[i].id
+        for i in np.flatnonzero(ClusterTable(unmatched).near(pose.pos, max_range))
     ]
+
+
+def test_free_boxes_leaves_out_boxes_holding_a_matched_center():
+    st = FilterState()
+    ahead = StreetlightCluster(0, _lamp(0.0, 0.0))  # projects to (640, 360)
+    right = StreetlightCluster(1, _lamp(-2.0, 0.0))  # (690, 360)
+    behind = StreetlightCluster(2, np.array([-20.0, 0.0, 0.0]))  # NaN
+    table = ClusterTable([ahead, right, behind])
+    small = DetectionBox(np.array([640.0, 360.0]), np.array([10.0, 10.0]))
+    side = DetectionBox(np.array([690.0, 360.0]), np.array([10.0, 10.0]))
+    image = DetectionBox(np.array([640.0, 360.0]), np.array([4000.0, 4000.0]))
+    boxes = [small, side, image]
+
+    def free(matched):
+        return [id(b) for b in free_boxes(boxes, table, matched, st, INTR)]
+
+    assert free([]) == [id(b) for b in boxes]
+    # a center behind the camera holds no box, not even one over the image
+    assert free([2]) == [id(b) for b in boxes]
+    assert free([1]) == [id(small)]
+    assert free([0, 2]) == [id(side)]
+    assert free([1, 0]) == []
 
 
 # ------------------------------------------------------------- degeneracy
@@ -549,14 +576,22 @@ def test_degeneracy_order_insensitive():
     assert d1.degenerate == d2.degenerate
 
 
-def test_offline_candidates_filters_by_line():
+def test_degeneration_match_candidates_lie_off_the_line():
     d = DegenState()
     update_degeneracy(d, _centers([(0, 0), (10, 0), (20, 0)]), t=0.0)
     on = StreetlightCluster(0, np.array([30.0, 0.2, 4.0]))
     off = StreetlightCluster(1, np.array([30.0, 5.0, 4.0]))
-    got = offline_candidates([on, off], d)
-    assert [c.id for c in got] == [1]
-    assert len(offline_candidates([on, off], DegenState())) == 2
+    # one box on each projection, so each candidate takes its own box
+    st = FilterState()
+    table = ClusterTable([on, off])
+    pixels = project_many(table.centers, st.pose, INTR)
+    boxes = [DetectionBox(px, np.array([10.0, 10.0])) for px in pixels]
+    got = degeneration_match(boxes, table, d, st, INTR, math.inf)
+    assert got.cluster_ids == [1]
+    got = degeneration_match(boxes, table, DegenState(), st, INTR, math.inf)
+    assert len(got.cluster_ids) == 2
+    # both lie 30 m ahead, out of a 20 m range
+    assert degeneration_match(boxes, table, d, st, INTR, 20.0).cluster_ids == []
 
 
 # ------------------------------------------------------ degeneration_match
@@ -594,7 +629,8 @@ def test_rectangle_match_unique_assignment():
     c1 = StreetlightCluster(1, _lamp(-0.4, 0.0))  # projects 10 px right
     b0 = DetectionBox(np.array([640.0, 380.0]), np.array([10.0, 10.0]))
     b1 = DetectionBox(np.array([650.0, 390.0]), np.array([10.0, 10.0]))
-    ms = degeneration_match([b0, b1], [c0, c1], st, INTR)
+    table = ClusterTable([c0, c1])
+    ms = degeneration_match([b0, b1], table, DegenState(), st, INTR, math.inf)
     assert sorted(ms.cluster_ids) == [0, 1]
     assert len(set(id(d) for d in ms.detections)) == 2
 

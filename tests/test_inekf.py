@@ -11,8 +11,8 @@ from nightrider.camera import MAX_BEARING_VAR
 from nightrider.inekf import (
     MAX_WINDOW,
     FilterState,
-    NoiseConfig,
     UpdateRejected,
+    imu_noise,
     invariant_update,
     propagate_window,
 )
@@ -28,8 +28,11 @@ def _random_state(rng, t=0.0):
     return FilterState(pose, rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.05, t)
 
 
+_DEFAULT_SIGMAS = (0.005, 0.05, 1e-4, 1e-3)
+
+
 def _default_noise():
-    return NoiseConfig.from_sigmas(0.005, 0.05, 1e-4, 1e-3)
+    return imu_noise(*_DEFAULT_SIGMAS)
 
 
 # ------------------------------------------------------------ error dynamics
@@ -226,18 +229,20 @@ def test_propagate_first_order_close_to_exact():
     gyro, accel = rng.normal(size=3) * 0.1, rng.normal(size=3)
     sa, Pa = propagate_window(st, P, [gyro], [accel], 0.005, _default_noise())
     pose_b, Pb = _reference_propagate(
-        st, P, gyro, accel, 0.005, _default_noise(), first_order=True
+        st, P, gyro, accel, 0.005, _DEFAULT_SIGMAS, first_order=True
     )
     np.testing.assert_allclose(sa.pose.pos, pose_b.pos)  # mean identical
     assert np.abs(Pa - Pb).max() < 1e-6
 
 
-def _reference_propagate(state, P, gyro, accel, dt, noise, first_order=False):
+def _reference_propagate(state, P, gyro, accel, dt, sigmas, first_order=False):
     """The propagation step written out term by term.
 
-    Phi = expm_taylor(A dt), or I + A dt with first_order,
+    Phi = expm_taylor(A dt), or I + A dt with first_order, Q_n the block
+    diagonal of the squared gyro, accel, gyro-bias and accel-bias sigmas,
     Q = Ad Q_n Ad' with the full 15x15 adjoint, P' = sym(Phi (P + Q dt) Phi').
     """
+    gyro_sigma, accel_sigma, gyro_bias_sigma, accel_bias_sigma = sigmas
     R, v, p = state.pose.rot, state.pose.vel, state.pose.pos
     omega = gyro - state.bias_gyro
     acc_w = R @ (accel - state.bias_accel) + G
@@ -247,11 +252,11 @@ def _reference_propagate(state, P, gyro, accel, dt, noise, first_order=False):
     A_dt = build_error_dynamics(state) * dt
     Phi = np.eye(15) + A_dt if first_order else expm_taylor(A_dt)
     Qn = scipy.linalg.block_diag(
-        noise.gyro_cov,
-        noise.accel_cov,
+        np.eye(3) * gyro_sigma**2,
+        np.eye(3) * accel_sigma**2,
         np.zeros((3, 3)),
-        noise.gyro_bias_cov,
-        noise.accel_bias_cov,
+        np.eye(3) * gyro_bias_sigma**2,
+        np.eye(3) * accel_bias_sigma**2,
     )
     Ad = np.eye(15)
     Ad[0:9, 0:9] = adjoint_se23(state.pose)
@@ -263,7 +268,7 @@ def _reference_propagate(state, P, gyro, accel, dt, noise, first_order=False):
 def test_propagate_equals_expm_reference_exactly():
     # the closed-form cubic Phi must not change a single bit against expm
     rng = np.random.default_rng(40)
-    noise = NoiseConfig.from_sigmas(0.004, 0.07, 3e-4, 2e-3)
+    sigmas = (0.004, 0.07, 3e-4, 2e-3)
     for trial in range(40):
         st = _random_state(rng, t=0.25)
         L = rng.normal(size=(15, 15))
@@ -277,8 +282,8 @@ def test_propagate_equals_expm_reference_exactly():
             gyro = rng.normal(size=3) * 0.5
         accel = rng.normal(size=3) * 2.0 - G
         dt = [0.005, 0.01, 0.1][trial % 3]
-        ref_pose, ref_P = _reference_propagate(st, P, gyro, accel, dt, noise)
-        out, P_out = propagate_window(st, P, [gyro], [accel], dt, noise)
+        ref_pose, ref_P = _reference_propagate(st, P, gyro, accel, dt, sigmas)
+        out, P_out = propagate_window(st, P, [gyro], [accel], dt, imu_noise(*sigmas))
         np.testing.assert_array_equal(out.pose.rot, ref_pose.rot)
         np.testing.assert_array_equal(out.pose.vel, ref_pose.vel)
         np.testing.assert_array_equal(out.pose.pos, ref_pose.pos)
@@ -313,7 +318,7 @@ def test_window_error_names_the_bad_sample():
 # ---------------------------------------------------- serial propagation oracle
 
 
-def serial_propagate(state, P, gyro, accel, dt, noise):
+def serial_propagate(state, P, gyro, accel, dt, Qn):
     """One strapdown step, the single-sample propagation that
     propagate_window batches, kept here as its bit-for-bit oracle."""
     gyro = np.asarray(gyro, dtype=float)
@@ -347,7 +352,7 @@ def serial_propagate(state, P, gyro, accel, dt, noise):
     Ad[0:9, 0:3] = cols
     Ad[3:6, 3:6] = R
     Ad[6:9, 6:9] = R
-    Q = Ad @ noise.matrix @ Ad.T
+    Q = Ad @ Qn @ Ad.T
     P_new = Phi @ (P + Q * dt) @ Phi.T
 
     new_state = FilterState(
@@ -400,7 +405,7 @@ def test_window_equals_serial_steps_bit_for_bit(seed, n, dt, rates):
     state = _random_state(rng, t=float(rng.uniform(0.0, 100.0)))
     L = rng.normal(size=(15, 15))
     P = L @ L.T * 10.0 ** rng.uniform(-6, 0)
-    noise = NoiseConfig.from_sigmas(*rng.uniform(1e-4, 0.1, size=4))
+    noise = imu_noise(*rng.uniform(1e-4, 0.1, size=4))
     gyro, accel = _random_window(rng, state, n, rates)
 
     ref, P_ref = state, P

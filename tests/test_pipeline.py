@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nightrider import pipeline
 from nightrider.association import associate
 from nightrider.camera import apply_camera_update
-from nightrider.inekf import FilterState, NoiseConfig, propagate_window
+from nightrider.inekf import FilterState, imu_noise, propagate_window
 from nightrider.lie import ExtendedPose, Trajectory, right_invariant_error, so3_exp
 from nightrider.odometry import apply_odom_update
 from nightrider.pipeline import (
@@ -104,16 +104,14 @@ def test_dead_reckoning_equals_manual_propagation():
     truth = generate_truth(sc)
     rng_imu = np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(4)[0])
     gyro, accel, _, _ = simulate_imu(truth, sc, rng_imu)
-    noise = NoiseConfig.from_sigmas(
-        sc.gyro_sigma, sc.accel_sigma, sc.gyro_bias_sigma, sc.accel_bias_sigma
-    )
+    Q = imu_noise(sc.gyro_sigma, sc.accel_sigma, sc.gyro_bias_sigma, sc.accel_bias_sigma)
     state = FilterState(truth.pose(0).copy(), t=0.0)
     P = initial_covariance()
     dt = 1.0 / sc.imu_rate
     step = int(round(sc.imu_rate / sc.cam_rate))
     manual = [state.pose.pos.copy()]
     for k, (g, a) in enumerate(zip(gyro, accel)):
-        state, P = propagate_window(state, P, [g], [a], dt, noise)
+        state, P = propagate_window(state, P, [g], [a], dt, Q)
         if (k + 1) % step == 0:
             manual.append(state.pose.pos.copy())
 
@@ -133,9 +131,9 @@ def test_loop_applies_every_sample_once_at_its_own_index(
     reached = [0]  # IMU rows propagated so far
     odom_seen, frames_seen, camera_at = [], [], []
 
-    def window(state, P, gyro, accel, dt, noise):
+    def window(state, P, gyro, accel, dt, Q):
         reached[0] += len(gyro)
-        return propagate_window(state, P, gyro, accel, dt, noise)
+        return propagate_window(state, P, gyro, accel, dt, Q)
 
     def odom_update(state, P, velocity_b, cov_b):
         odom_seen.append((reached[0], velocity_b.tobytes()))
@@ -186,6 +184,7 @@ def test_localize_reads_no_truth(sc, config):
     res = run_pipeline(sc, smap=smap, config=config)
     streams = simulate_streams(sc, smap)
     state = FilterState(streams.truth.pose(0).copy(), np.zeros(3), np.zeros(3), 0.0)
+    # a dark frame is told apart by its lack of detections and boxes only
     blind = dataclasses.replace(
         streams,
         truth=None,
@@ -193,7 +192,9 @@ def test_localize_reads_no_truth(sc, config):
         bias_accel=None,
         rng_init=None,
         frames=[
-            dataclasses.replace(f, truth_ids=[None] * len(f.truth_ids))
+            dataclasses.replace(
+                f, truth_ids=[None] * len(f.truth_ids), blackout=False
+            )
             for f in streams.frames
         ],
     )

@@ -35,7 +35,9 @@ from nightrider.recovery import (
 )
 from test_extension import project
 
-INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=640.0, cy=360.0)
+INTR = CameraIntrinsics(
+    fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
+)
 
 
 def assignments(n, m):
@@ -154,7 +156,7 @@ def test_recovery_finds_planted_combination():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
+    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
     assert out is not None
     st, P2, ms = out
     assert ms.cluster_ids == [0, 1, 2, 3]
@@ -169,7 +171,7 @@ def test_recovery_does_not_mutate_inputs():
     pos_before = state.pose.pos.copy()
     rot_before = state.pose.rot.copy()
     P_before = P.copy()
-    attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
+    attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
     np.testing.assert_array_equal(state.pose.pos, pos_before)
     np.testing.assert_array_equal(state.pose.rot, rot_before)
     np.testing.assert_array_equal(P, P_before)
@@ -179,7 +181,7 @@ def test_recovery_needs_more_than_two_matches():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), INTR)
+    out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), INTR, 2.0)
     assert out is None  # at most 2 positive matches possible
 
 
@@ -197,13 +199,13 @@ def test_recovery_below_three_lights_searches_nothing(monkeypatch):
     monkeypatch.setattr(recovery, "_SharedLinearization", counting)
     params = RecoveryParams()
     for n, m in ((2, 4), (4, 2), (1, 1), (0, 4)):
-        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, INTR) is None
+        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, INTR, 2.0) is None
     assert built == []
     # max_detections shrinks the detections before the count is taken
     shrunk = RecoveryParams(max_detections=2)
-    assert attempt_recovery(dets, clusters, state, P, shrunk, INTR) is None
+    assert attempt_recovery(dets, clusters, state, P, shrunk, INTR, 2.0) is None
     assert built == []
-    assert attempt_recovery(dets[:3], clusters, state, P, params, INTR)
+    assert attempt_recovery(dets[:3], clusters, state, P, params, INTR, 2.0)
     assert built == [3]
 
 
@@ -215,7 +217,7 @@ def test_recovery_rejects_expensive_scores():
         ExtendedPose(pos=truth.pos + np.array([6.0, -5.0, 0.0]))
     )
     P = np.eye(15) * 1e-8
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
+    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
     assert out is None
 
 
@@ -233,7 +235,7 @@ def test_recovery_abandons_on_budget():
     ]
     params = RecoveryParams(max_combinations=1000)
     assert combination_count(len(many_dets), len(clusters + more)) > 1000
-    out = attempt_recovery(many_dets, clusters + more, state, P, params, INTR)
+    out = attempt_recovery(many_dets, clusters + more, state, P, params, INTR, 2.0)
     assert out is None
 
 
@@ -241,8 +243,8 @@ def test_recovery_empty_inputs():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    assert attempt_recovery([], clusters, state, P, RecoveryParams(), INTR) is None
-    assert attempt_recovery(dets, [], state, P, RecoveryParams(), INTR) is None
+    assert attempt_recovery([], clusters, state, P, RecoveryParams(), INTR, 2.0) is None
+    assert attempt_recovery(dets, [], state, P, RecoveryParams(), INTR, 2.0) is None
 
 
 def test_recovery_applies_one_update_for_the_winner(monkeypatch):
@@ -255,7 +257,7 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 
     monkeypatch.setattr(recovery, "apply_camera_update", counting)
     out = attempt_recovery(
-        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), INTR
+        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), INTR, 2.0
     )
     assert out is not None
     assert calls == [[0, 1, 2, 3]]
@@ -264,13 +266,13 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 def test_recovery_returns_none_when_the_winners_update_is_rejected(monkeypatch):
     truth, clusters, dets = _planted_scene()
     state, P, params = _offset_state(truth), _loose_cov(), RecoveryParams()
-    assert attempt_recovery(dets, clusters, state, P, params, INTR) is not None
+    assert attempt_recovery(dets, clusters, state, P, params, INTR, 2.0) is not None
 
     def rejecting(*args):
         raise UpdateRejected("planted")
 
     monkeypatch.setattr(recovery, "apply_camera_update", rejecting)
-    assert attempt_recovery(dets, clusters, state, P, params, INTR) is None
+    assert attempt_recovery(dets, clusters, state, P, params, INTR, 2.0) is None
 
 
 def _yaw(rot):
@@ -383,7 +385,7 @@ def _assert_same_recovery(got, want):
 
 def _check_against_oracle(dets, clusters, state, P, params):
     P_before = P.copy()
-    got = attempt_recovery(dets, clusters, state, P, params, INTR)
+    got = attempt_recovery(dets, clusters, state, P, params, INTR, 2.0)
     want = serial_attempt_recovery(dets, clusters, state, P, params, INTR)
     _assert_same_recovery(got, want)
     np.testing.assert_array_equal(P, P_before)
@@ -602,7 +604,7 @@ def test_recovery_memory_is_bounded_by_block():
     assert combination_count(5, 8) == 19_081
     tracemalloc.start()
     try:
-        attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR)
+        attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nightrider.camera import DetectionBox, camera_point, pinhole
-from nightrider.inekf import GRAVITY, FilterState, NoiseConfig, propagate_window
+from nightrider.inekf import GRAVITY, FilterState, imu_noise, propagate_window
 from nightrider.lie import ExtendedPose, Trajectory, so3_exp, so3_log
 from nightrider.pipeline import run_pipeline
 from nightrider.sim import (
@@ -190,10 +190,10 @@ def test_noise_free_imu_integrates_back_to_truth():
     gyro, accel, _, _ = simulate_imu(truth, sc, np.random.default_rng(1))
     state = FilterState(pose=truth.pose(0).copy(), t=0.0)
     P = np.eye(15) * 1e-6
-    noise = NoiseConfig.from_sigmas(0.005, 0.05, 1e-4, 1e-3)
+    Q = imu_noise(0.005, 0.05, 1e-4, 1e-3)
     dt = 1.0 / sc.imu_rate
     for g, a in zip(gyro, accel):
-        state, P = propagate_window(state, P, [g], [a], dt, noise)
+        state, P = propagate_window(state, P, [g], [a], dt, Q)
     final = truth.pose(-1)
     assert np.linalg.norm(state.pose.pos - final.pos) < 1e-4
     assert np.linalg.norm(state.pose.rot - final.rot) < 1e-6
@@ -425,7 +425,7 @@ def test_frame_boxes_matches_rendered_segmentation():
 
 
 def _box_bytes(boxes):
-    return [(b.center.tobytes(), b.extents.tobytes(), b.source) for b in boxes]
+    return [(b.center.tobytes(), b.extents.tobytes()) for b in boxes]
 
 
 @pytest.mark.parametrize("build", [default_scenario, ring_scenario, corridor_scenario])

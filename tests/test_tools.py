@@ -27,7 +27,9 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["stage_times", "update_margins", "fixed_seed_digests"])
+@pytest.mark.parametrize(
+    "name", ["stage_times", "update_margins", "fixed_seed_digests", "settables"]
+)
 def test_tool_imports(name):
     assert callable(_load(name).main)
 
@@ -64,3 +66,44 @@ def test_fixed_seed_digests_lists_every_run():
     runs = list(_load("fixed_seed_digests").runs())
     assert len(runs) == 24  # and three more lines: Monte Carlo and two CLI calls
     assert len({label for label, _, _ in runs}) == len(runs)
+
+
+def test_settables_counts_defaults_and_defaulted_dataclass_fields(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        "    def inner(q=3):\n"
+        "        return lambda r=4: r\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    a: int\n"
+        "    b: int = 5\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d = 6  # not a field\n"
+        "    def g(self, k=7):\n"
+        "        pass\n"
+        "\n"
+        "class Plain:\n"
+        "    e: int = 8\n"
+        "\n"
+        "@dataclass\n"
+        "class Scenario:\n"
+        "    seed: int = 0\n"
+    )
+    settables = _load("settables")
+    settables.main([str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "6",
+        "a.py:3 f(y=)",
+        "a.py:3 f(z=)",
+        "a.py:4 inner(q=)",
+        "a.py:10 Config.b",
+        "a.py:11 Config.c",
+        "a.py:13 g(k=)",
+    ]
+    # the package itself: one line per value after the count
+    values = settables.settables()
+    assert values and not any(name.startswith("Scenario.") for _, _, name in values)
