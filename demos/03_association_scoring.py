@@ -13,7 +13,7 @@ from nightrider.association import associate, score_matrix
 from nightrider.camera import CameraIntrinsics, DetectionBox, project_many
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose
-from nightrider.mapping import StreetlightCluster
+from nightrider.mapping import ClusterTable, StreetlightCluster
 
 INTR = CameraIntrinsics(
     fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
@@ -32,6 +32,7 @@ def main():
         StreetlightCluster(i, c, c + rng.normal(size=(10, 3)) * 0.1)
         for i, c in enumerate(lamps)
     ]
+    table = ClusterTable(clusters)  # the map's arrays, built once per run
 
     pix = project_many(lamps, state.pose, INTR)
     print("predicted pixel positions of the mapped lamps:")
@@ -44,13 +45,13 @@ def main():
         DetectionBox(np.array([200.0, 600.0]), np.array([9.0, 9.0])),  # stray blob
     ]
 
-    S = score_matrix(detections, clusters, state, P, INTR)
+    S = score_matrix(detections, table, state, P, INTR)
     no_match = np.maximum(1.0 - S.sum(axis=1), 1e-12)
     print("\nscore matrix (rows: detections, cols: clusters):")
     print(S)
     print("no-match scores per detection:", no_match)
 
-    ms = associate(detections, clusters, state, P, INTR)
+    ms = associate(detections, table, state, P, INTR)
     print("\nassignment:")
     for i, (cid, s) in enumerate(zip(ms.cluster_ids, ms.scores)):
         target = f"cluster {cid}" if cid is not None else "no match"

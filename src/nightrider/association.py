@@ -1,19 +1,19 @@
 """Detection-to-map association for streetlight bearings.
 
-Each detection box is scored against each mapped cluster with a blend of
-two Gaussian densities: a reprojection residual in pixels, and an angular
-residual (1 - cos) between the back-projected ray and the predicted ray.
-Both covariances are driven by the filter's covariance, so a confident
-filter is strict and an uncertain one is tolerant.  score_matrix computes
-every pair at once, and linearizes only the clusters within MAX_RANGE and
-in front of the camera: the others score 0 without it.  It pushes P
+Each detection box is scored against each cluster of a ClusterTable with
+a blend of two Gaussian densities: a reprojection residual in pixels, and
+an angular residual (1 - cos) between the back-projected ray and the
+predicted ray.  Both covariances are driven by the filter's covariance,
+so a confident filter is strict and an uncertain one is tolerant.
+score_matrix computes every pair at once, and linearizes only the
+clusters table.near finds within MAX_RANGE and in front of the camera:
+the others score 0 without it.  It pushes P
 through camera.bearing_jacobians' dc/dxi, the filter's own
 invariant-error Jacobian, into one 3x3 camera-point covariance per
 cluster, Sc = Dc P Dc'; the pixel density reads it through
 diag(fx, fy) dh/dc and the angle density through d cos / dc.  The blend
 weight (WEIGHT), the base pixel variance (ALPHA) and the cut-off range
-(MAX_RANGE) are module constants; recovery's candidate rule reads
-MAX_RANGE too.
+(MAX_RANGE) are module constants.
 
 A detection may also stay unmatched: its no-match score is one minus the
 sum of its cluster scores (floored), which wins exactly when no cluster
@@ -66,20 +66,19 @@ class MatchSet:
         return [cid for cid in self.cluster_ids if cid is not None]
 
 
-def score_matrix(detections, clusters, state, P, intr):
-    """Blended pair scores, one row per detection, one column per cluster.
+def score_matrix(detections, table, state, P, intr):
+    """Blended pair scores: a row per detection, a column per table cluster.
 
     Each score is WEIGHT times the pixel density plus 1 - WEIGHT times the
-    angle density.  Pairs beyond MAX_RANGE or behind the camera score
-    exactly 0; only the other clusters are linearized and scored.
+    angle density.  Pairs beyond MAX_RANGE, behind the camera or left out
+    of a view score exactly 0; only the others are linearized and scored.
     """
-    n, m = len(detections), len(clusters)
+    n, m = len(detections), len(table.centers)
     S = np.zeros((n, m))
     if n == 0 or m == 0:
         return S
-    Cw = np.array([c.center for c in clusters], dtype=float)
-    near = np.flatnonzero(np.linalg.norm(Cw - state.pose.pos, axis=1) <= MAX_RANGE)
-    front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw[near], state)
+    near = np.flatnonzero(table.near(state.pose.pos, MAX_RANGE))
+    front, cc, h, _, dh_dc, Dc = bearing_jacobians(table.centers[near], state)
     cols = near[front]
     if len(cols) == 0:
         return S
@@ -202,8 +201,9 @@ def hungarian(score):
     return col4row
 
 
-def associate(detections, clusters, state, P, intr):
-    """Assign detections to clusters (or to no-match) by total score.
+def associate(detections, table, state, P, intr):
+    """Assign detections to the clusters of the ClusterTable table (or to
+    no-match) by total score.
 
     The score matrix gains one no-match column per detection carrying
     1 - (row sum of cluster scores), floored at NO_MATCH_FLOOR, so weakly
@@ -211,10 +211,10 @@ def associate(detections, clusters, state, P, intr):
     a cluster at a score under MIN_MATCH_SCORE is left unmatched too; its
     score stays the assignment's, so the scores sum to the optimal total.
     """
-    n, m = len(detections), len(clusters)
+    n, m = len(detections), len(table.centers)
     if n == 0:
         return MatchSet([], [], [])
-    S = score_matrix(detections, clusters, state, P, intr)
+    S = score_matrix(detections, table, state, P, intr)
     no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
     full = np.concatenate(
         [S, np.repeat(no_match[:, None], n, axis=1)], axis=1
@@ -224,7 +224,7 @@ def associate(detections, clusters, state, P, intr):
     scores = []
     for i, j in enumerate(cols):
         if j < m:
-            ids.append(clusters[j].id if S[i, j] >= MIN_MATCH_SCORE else None)
+            ids.append(table.ids[j] if S[i, j] >= MIN_MATCH_SCORE else None)
             scores.append(float(S[i, j]))
         else:
             ids.append(None)

@@ -168,19 +168,17 @@ def pixel_noise_cov(intr, pixel_sigma, k=1):
     return np.diag(np.tile(pixel_noise_var(intr, pixel_sigma), k))
 
 
-def apply_camera_update(state, P, matches, clusters_by_id, intr, pixel_sigma):
+def apply_camera_update(state, P, matches, table, intr, pixel_sigma):
     """Stacked bearing update for all positive matches in a MatchSet.
 
-    matches pairs detection boxes with cluster ids; each matched pair
-    contributes a 2-row block (observed bearing minus prediction).
-    Matches whose cluster sits behind the camera are dropped.  Returns
-    (state, P) unchanged when nothing usable remains; raises
-    UpdateRejected past MAX_BEARING_VAR (see invariant_update).
+    matches pairs detection boxes with ids of table's clusters; each
+    matched pair contributes a 2-row block (observed bearing minus
+    prediction).  Matches whose cluster sits behind the camera are
+    dropped.  Returns (state, P) unchanged when nothing usable remains;
+    raises UpdateRejected past MAX_BEARING_VAR (see invariant_update).
     """
     pairs = list(matches.positive_pairs())
-    front, _, h, H, _, _ = bearing_jacobians(
-        [clusters_by_id[cid].center for _, cid in pairs], state
-    )
+    front, _, h, H, _, _ = bearing_jacobians(table.centers_of([c for _, c in pairs]), state)
     k = int(np.count_nonzero(front))
     if not k:
         return state, P

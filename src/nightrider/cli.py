@@ -130,7 +130,7 @@ def cmd_simulate(args):
         [
             {
                 "t": f.t,
-                "blackout": f.blackout,
+                "blackout": sc.in_blackout(f.t),
                 "detections": [
                     {
                         "center": [float(v) for v in d.center],

@@ -10,15 +10,13 @@ accumulate until an off-line streetlight appears; those first off-line
 clusters are matched through tall search rectangles instead of densities.
 
 Both matchers take the boxes free_boxes leaves (those holding no matched
-center), pick their own candidates, and end in the same greedy step
-(_greedy).  They ask the same questions as array operations:
-ClusterTable.near for the clusters near the vehicle, and
-boxes_containing, optionally padded by a search rectangle, for which
-boxes hold which projected pixels.  A ClusterTable holds the map's
-centers and projected rows as arrays, built once per run; its views
-leave out the clusters already matched in a frame.  The degeneracy state
-keeps the window's latest center per lamp as it goes, and refits the
-corridor line only when those centers change.
+center), pick their own candidates from a mapping.ClusterTable view of
+the unmatched clusters, and end in the same greedy step (_greedy).  They
+ask the same questions as array operations: the table's near for the
+clusters near the vehicle, and boxes_containing, optionally padded by a
+search rectangle, for which boxes hold which projected pixels.  The
+degeneracy state keeps the window's latest center per lamp as it goes,
+and refits the corridor line only when those centers change.
 """
 
 from __future__ import annotations
@@ -58,53 +56,10 @@ def boxes_containing(boxes, pixels, pad_w=0.0, pad_h=0.0):
     return (d[..., 0] <= halves[:, 0]) & (d[..., 1] <= halves[:, 1])
 
 
-class ClusterTable:
-    """A cluster list as arrays, built once per map and shared by views.
-
-    centers (m, 3) holds the centers in list order.  rows holds one
-    block per cluster, its center and then its points (the center again
-    when it has none); sizes counts each block's points and block gives
-    each row's cluster index.  keep marks the clusters in view: without
-    leaves some out, and the matchers below read only kept clusters.
-    """
-
-    def __init__(self, clusters):
-        self.clusters = list(clusters)
-        self.indices_of = {}  # cluster id -> its indices in the list
-        for i, c in enumerate(self.clusters):
-            self.indices_of.setdefault(c.id, []).append(i)
-        centers = [c.center for c in self.clusters]
-        self.centers = np.array(centers, dtype=float).reshape(-1, 3)
-        blocks = []
-        for c in self.clusters:
-            points = c.points if c.points is not None and len(c.points) else [c.center]
-            points = np.asarray(points, dtype=float).reshape(-1, 3)
-            blocks += [np.atleast_2d(c.center), points]
-        self.rows = np.concatenate(blocks) if blocks else np.zeros((0, 3))
-        self.sizes = np.array([len(b) for b in blocks[1::2]], dtype=int)
-        self.block = np.repeat(np.arange(len(self.sizes)), self.sizes + 1)
-        self.keep = np.ones(len(self.clusters), dtype=bool)
-
-    def without(self, ids):
-        """A view of this table with the clusters of ids left out."""
-        view = object.__new__(ClusterTable)
-        view.__dict__.update(self.__dict__)
-        view.keep = self.keep.copy()
-        for cid in ids:
-            view.keep[self.indices_of.get(cid, [])] = False
-        return view
-
-    def near(self, pos, r):
-        """Mask of the kept clusters whose centers lie within r of pos."""
-        d = self.centers - pos
-        return self.keep & (np.sqrt(dot_many(d, d)) <= r)
-
-
 def free_boxes(boxes, table, matched, state, intr):
     """The boxes that hold no projected center of the clusters of table
     whose ids are in matched; a center behind the camera holds no box."""
-    rows = [table.indices_of[cid][-1] for cid in matched]
-    taken = project_many(table.centers[rows], state.pose, intr)
+    taken = project_many(table.centers_of(matched), state.pose, intr)
     hit = boxes_containing(boxes, taken).any(axis=0)
     return [b for b, h in zip(boxes, hit) if not h]
 
@@ -151,12 +106,9 @@ def extend_matches(boxes, table, state, intr, max_range):
     center_in = inside[starts]
     # per-block sums count the center row too
     counts = np.add.reduceat(inside.astype(int), starts) - center_in
-    triples = []
-    for ci, bi in zip(*np.nonzero(center_in & (counts > 0))):
-        c, bi = table.clusters[cands[ci]], int(bi)
-        ratio = int(counts[ci, bi]) / int(sizes[ci])
-        triples.append((ratio, c.id, bi))
-
+    ci, bi = np.nonzero(center_in & (counts > 0))
+    ratios = (counts[ci, bi] / sizes[ci]).tolist()
+    triples = [(r, table.ids[cands[c]], int(b)) for r, c, b in zip(ratios, ci, bi)]
     return _greedy(triples, boxes, key=lambda t: (-t[0], t[1], t[2]))
 
 
@@ -176,7 +128,7 @@ class DegenState:
     line: tuple | None = None  # (centroid_xy, direction_xy)
     # each cluster id in the window -> its (position, center) entries,
     # oldest first; positions count every entry ever appended
-    by_id: dict = field(default_factory=dict, repr=False)
+    entries_of: dict = field(default_factory=dict, repr=False)
     appended: int = 0
     # the last fit: the unique centers it was fitted to, as bytes, and
     # (line, max_perp)
@@ -204,7 +156,7 @@ def _unique_centers(degen):
     """One center per cluster id in the window: its latest, with the ids
     in the order of their oldest entries, as a dict filled from the
     window entry by entry would hold them."""
-    queues = sorted(degen.by_id.values(), key=lambda q: q[0][0])
+    queues = sorted(degen.entries_of.values(), key=lambda q: q[0][0])
     return [q[-1][1] for q in queues]
 
 
@@ -230,14 +182,14 @@ def update_degeneracy(degen, matched, t):
     window = degen.window
     for entry in new_entries:
         window.append(entry)
-        degen.by_id.setdefault(entry[1], deque()).append((degen.appended, entry[2]))
+        degen.entries_of.setdefault(entry[1], deque()).append((degen.appended, entry[2]))
         degen.appended += 1
     cutoff = t - HORIZON
     while window and not window[0][0] >= cutoff:
         cid = window.popleft()[1]
-        degen.by_id[cid].popleft()
-        if not degen.by_id[cid]:
-            del degen.by_id[cid]
+        degen.entries_of[cid].popleft()
+        if not degen.entries_of[cid]:
+            del degen.entries_of[cid]
 
     centers = _unique_centers(degen)
     if len(centers) >= 2:
@@ -280,6 +232,5 @@ def degeneration_match(boxes, table, degen, state, intr, max_range):
     ci, bi = np.nonzero(boxes_containing(boxes, pix, RECT_W, RECT_H))
     d = np.reshape([boxes[b].center for b in bi], (-1, 2)) - pix[ci]
     dist = np.sqrt(dot_many(d, d))
-    ids = [table.clusters[i].id for i in cands]
-    triples = [(float(s), ids[c], int(b)) for s, c, b in zip(dist, ci, bi)]
+    triples = [(float(s), table.ids[cands[c]], int(b)) for s, c, b in zip(dist, ci, bi)]
     return _greedy(triples, boxes, key=None)

@@ -4,6 +4,10 @@ Bright-point clouds are clustered with DBSCAN; each cluster becomes one
 streetlight with its center at the arithmetic mean of its points.  Maps
 serialize to a versioned JSON document that keeps the raw cluster points,
 so downstream consumers can re-derive centers or statistics.
+
+The filter reads a map through one ClusterTable, built once per run.
+Every stage asks it the same two questions: near, the one range test,
+and centers_of, the one id lookup.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .lie import dot_many
 
 SCHEMA_VERSION = 1
 # knn_outlier_filter drops points whose KNN_K-th neighbor lies more than
@@ -37,16 +43,68 @@ class StreetlightCluster:
 @dataclass
 class StreetlightMap:
     map_id: str = ""
-    frame: str = "world"
     clusters: list = field(default_factory=list)
 
-    def by_id(self):
-        return {c.id: c for c in self.clusters}
-
     def centers(self):
-        if not self.clusters:
-            return np.zeros((0, 3))
-        return np.stack([c.center for c in self.clusters])
+        return np.array([c.center for c in self.clusters], dtype=float).reshape(-1, 3)
+
+
+class ClusterTable:
+    """A cluster list as arrays, built once per map and shared by views.
+
+    centers (m, 3) holds the centers in list order and ids the cluster
+    ids.  rows holds one block per cluster, its center and then its
+    points (the center again when it has none); sizes counts each block's
+    points and block gives each row's cluster index.  keep marks the
+    clusters in view (those matched in a frame, or those recovery cannot
+    see, are left out): near and len see only kept clusters.
+    """
+
+    def __init__(self, clusters):
+        clusters = list(clusters)
+        self.ids = [c.id for c in clusters]
+        self.indices_of = {}  # cluster id -> its indices in the list
+        for i, cid in enumerate(self.ids):
+            self.indices_of.setdefault(cid, []).append(i)
+        self.centers = np.array([c.center for c in clusters], dtype=float).reshape(-1, 3)
+        blocks = []
+        for c in clusters:
+            points = c.points if c.points is not None and len(c.points) else [c.center]
+            blocks += [np.atleast_2d(c.center), np.asarray(points, dtype=float).reshape(-1, 3)]
+        self.rows = np.concatenate(blocks) if blocks else np.zeros((0, 3))
+        self.sizes = np.array([len(b) for b in blocks[1::2]], dtype=int)
+        self.block = np.repeat(np.arange(len(self.sizes)), self.sizes + 1)
+        self.keep = np.ones(len(clusters), dtype=bool)
+
+    def __len__(self):
+        return int(np.count_nonzero(self.keep))
+
+    def centers_of(self, ids):
+        """(k, 3) centers of k cluster ids; a repeated id's last cluster."""
+        return self.centers[[self.indices_of[cid][-1] for cid in ids]]
+
+    def view(self, keep):
+        """A view of this table that keeps the clusters the mask keep marks."""
+        view = object.__new__(ClusterTable)
+        view.__dict__.update(self.__dict__)
+        view.keep = keep
+        return view
+
+    def without(self, ids):
+        """A view of this table with the clusters of ids left out."""
+        keep = self.keep.copy()
+        for cid in ids:
+            keep[self.indices_of.get(cid, [])] = False
+        return self.view(keep)
+
+    def distances(self, pos):
+        """Distance from pos of every center, kept or not."""
+        d = self.centers - pos
+        return np.sqrt(dot_many(d, d))
+
+    def near(self, pos, r):
+        """Mask of the kept clusters whose centers lie within r of pos."""
+        return self.keep & (self.distances(pos) <= r)
 
 
 def dbscan(points, eps, min_pts):
@@ -104,8 +162,7 @@ def knn_outlier_filter(points):
     return pts[keep]
 
 
-def build_map(points, eps=1.0, min_pts=5, map_id="", frame="world",
-              filter_outliers=False):
+def build_map(points, eps=1.0, min_pts=5, map_id="", filter_outliers=False):
     """Cluster a point cloud into a streetlight map.
 
     Noise points are discarded.  Clusters are renumbered 0..k-1 after
@@ -123,7 +180,6 @@ def build_map(points, eps=1.0, min_pts=5, map_id="", frame="world",
     clusters.sort(key=lambda pair: (pair[0][0], pair[0][1]))
     return StreetlightMap(
         map_id=map_id,
-        frame=frame,
         clusters=[
             StreetlightCluster(i, center, member)
             for i, (center, member) in enumerate(clusters)
@@ -135,7 +191,7 @@ def save_map(smap, path):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map_id": smap.map_id,
-        "frame": smap.frame,
+        "frame": "world",
         "clusters": [
             {
                 "id": int(c.id),
@@ -195,6 +251,8 @@ def load_map(path):
     version = doc["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise MapFormatError(f"{path}: unsupported schema_version {version!r}")
+    if doc.get("frame", "world") != "world":  # map coordinates are world coordinates
+        raise MapFormatError(f"{path}: unsupported frame {doc['frame']!r}, only 'world'")
     entries = doc.get("clusters")
     if not isinstance(entries, list):
         raise MapFormatError(f"{path}: clusters must be a list, got {entries!r}")
@@ -206,7 +264,7 @@ def load_map(path):
             raise MapFormatError(f"{path}: cluster id {c.id} repeats")
         seen.add(c.id)
         clusters.append(c)
-    return StreetlightMap(doc.get("map_id", ""), doc.get("frame", "world"), clusters)
+    return StreetlightMap(doc.get("map_id", ""), clusters)
 
 
 def load_xyz(path):

@@ -6,7 +6,8 @@ degeneration handling along lamp corridors, and combinatorial recovery
 after long match gaps.  It reads only the sensor streams (each camera
 frame with its detections and segmentation boxes; a dark frame has
 neither), the map and the scenario's sensor settings, and records every
-frame's estimate and covariance.  It only sequences the stages: which
+frame's estimate and covariance.  It only sequences the stages, which
+read the map through the one mapping.ClusterTable it builds: which
 pairs, candidates and boxes each stage takes is decided in the stage's
 own module.  Every camera update goes through _camera_stage, and a
 frame's applied cluster ids are kept in one ordered list.
@@ -30,7 +31,6 @@ from .association import associate
 from .camera import apply_camera_update
 from .extension import (
     EXTENSION_SIGMA_SCALE,
-    ClusterTable,
     DegenState,
     degeneration_match,
     extend_matches,
@@ -39,6 +39,7 @@ from .extension import (
 )
 from .inekf import FilterState, UpdateRejected, imu_noise, propagate_window
 from .lie import Trajectory, dot_many, right_invariant_error_many, se23_exp
+from .mapping import ClusterTable
 from .odometry import apply_odom_update
 from .recovery import RecoveryParams, attempt_recovery, candidate_clusters, is_lost
 from .sim import (
@@ -162,13 +163,13 @@ def score_estimates(log, truth, bias_gyro, bias_accel):
     return nees, np.sqrt(dot_many(d, d))
 
 
-def _camera_stage(state, P, ms, lookup, intr, sigma, kind, t, events):
+def _camera_stage(state, P, ms, table, intr, sigma, kind, t, events):
     """Camera update on ms's positive pairs: (state, P, the cluster ids
     applied).  A rejected update applies none and is logged under kind."""
     ids = ms.matched_ids()
     if ids:
         try:
-            state, P = apply_camera_update(state, P, ms, lookup, intr, sigma)
+            state, P = apply_camera_update(state, P, ms, table, intr, sigma)
         except UpdateRejected:
             events.append((t, "update_rejected", kind))
             return state, P, []
@@ -187,7 +188,6 @@ def localize(streams, smap, scenario, config, state, P):
     gyro, accel, odom = streams.gyro, streams.accel, streams.odom
     frames = streams.frames
     intr = scenario.intrinsics()
-    lookup = smap.by_id()
     table = ClusterTable(smap.clusters)
     Q = imu_noise(
         scenario.gyro_sigma,
@@ -250,9 +250,9 @@ def localize(streams, smap, scenario, config, state, P):
                     events.append((t, "recovery_failed", len(frame.detections)))
             elif not lost:
                 if frame.detections:
-                    ms = associate(frame.detections, smap.clusters, state, P, intr)
+                    ms = associate(frame.detections, table, state, P, intr)
                     state, P, ids = _camera_stage(
-                        state, P, ms, lookup, intr, pixel_sigma, "camera", t, events
+                        state, P, ms, table, intr, pixel_sigma, "camera", t, events
                     )
                     matched += ids
                     n_ass = len(ids)
@@ -267,7 +267,7 @@ def localize(streams, smap, scenario, config, state, P):
                         free, table.without(matched), state, intr, config.extension_range
                     )
                     state, P, ids = _camera_stage(
-                        state, P, ems, lookup, intr, box_sigma, "extension", t, events
+                        state, P, ems, table, intr, box_sigma, "extension", t, events
                     )
                     matched += ids
                     n_ext = len(ids)
@@ -281,14 +281,14 @@ def localize(streams, smap, scenario, config, state, P):
                         free, unmatched, degen, state, intr, config.extension_range
                     )
                     state, P, ids = _camera_stage(
-                        state, P, dms, lookup, intr, box_sigma, "degeneration", t, events
+                        state, P, dms, table, intr, box_sigma, "degeneration", t, events
                     )
                     matched += ids
                     n_deg = len(ids)
 
         if config.use_degeneration:
             was_degenerate = degen.degenerate
-            update_degeneracy(degen, [(cid, lookup[cid].center) for cid in matched], t)
+            update_degeneracy(degen, zip(matched, table.centers_of(matched)), t)
             if degen.degenerate and not was_degenerate:
                 events.append((t, "degeneration_entered", len(degen.window)))
             if degen.just_ended:

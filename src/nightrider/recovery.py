@@ -2,9 +2,10 @@
 
 After a stretch with no accepted streetlight matches the filter is
 declared lost.  Recovery enumerates every one-to-one mapping between the
-current detections and the map clusters in view (candidate_clusters;
-each detection may also map to nothing), evaluates the camera update for each candidate mapping,
-and scores the result: reprojection residuals, planar position change,
+current detections and the map clusters in view (candidate_clusters, a
+mapping.ClusterTable view; each detection may also map to nothing),
+evaluates the camera update for each, and scores the result:
+reprojection residuals, planar position change,
 yaw change, and a flat penalty per unmatched detection.  The cheapest
 combination wins if it is cheap enough and matches at least MIN_LIGHTS
 lights; apply_camera_update then applies the winner's update alone.
@@ -131,10 +132,10 @@ class _SharedLinearization:
     observed bearing.
     """
 
-    def __init__(self, detections, clusters, state, P, intr, pixel_sigma):
-        m = len(clusters)
-        self.centers = np.array([c.center for c in clusters], dtype=float)
-        self.front, _, self.h, H, _, _ = bearing_jacobians(self.centers, state)
+    def __init__(self, detections, centers, state, P, intr, pixel_sigma):
+        m = len(centers)
+        self.centers = centers
+        self.front, _, self.h, H, _, _ = bearing_jacobians(centers, state)
         self.HP = H @ P
         S = self.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
         S += pixel_noise_cov(intr, pixel_sigma, m)
@@ -225,43 +226,36 @@ def _block_scores(combos, lin, state, intr):
 
 
 def candidate_clusters(table, pose, intr):
-    """The clusters of an extension.ClusterTable that the camera could
-    plausibly see from pose: within MAX_RANGE, at least 1 m in front, and
-    projecting at most 50 px outside the image."""
-    near = np.flatnonzero(table.near(pose.pos, MAX_RANGE))
-    c = camera_point(table.centers[near], pose)
-    front = np.flatnonzero(c[:, 2] >= 1.0)
-    seen = front[intr.contains(pinhole(c[front], intr), margin=-50.0)]
-    return [table.clusters[i] for i in near[seen]]
+    """The view of a mapping.ClusterTable that keeps the clusters the
+    camera could plausibly see from pose: within MAX_RANGE, at least 1 m
+    in front, and projecting at most 50 px outside the image."""
+    c = camera_point(table.centers, pose)
+    keep = table.near(pose.pos, MAX_RANGE) & (c[:, 2] >= 1.0)
+    keep[keep] = intr.contains(pinhole(c[keep], intr), margin=-50.0)
+    return table.view(keep)
 
 
-def _shrink(detections, clusters, state, params):
-    """The detections and clusters attempt_recovery searches over.
+def _shrink(detections, table, state, params):
+    """The detections, and the table indices of the clusters, to search.
 
     Only the max_detections largest boxes are kept; then, while the
     combination count exceeds the budget, the farthest cluster is dropped.
     """
     if len(detections) > params.max_detections:
-        order = sorted(
-            range(len(detections)),
-            key=lambda i: float(np.prod(detections[i].extents)),
-            reverse=True,
-        )
-        detections = [detections[i] for i in order[: params.max_detections]]
-    n, m = len(detections), len(clusters)
+        by_area = sorted(detections, key=lambda d: float(np.prod(d.extents)), reverse=True)
+        detections = by_area[: params.max_detections]
+    cols = np.flatnonzero(table.keep)
+    n, m = len(detections), len(cols)
     if n and m and combination_count(n, m) > params.max_combinations:
-        clusters = sorted(
-            clusters,
-            key=lambda c: float(np.linalg.norm(c.center - state.pose.pos)),
-        )
+        cols = cols[np.argsort(table.distances(state.pose.pos)[cols], kind="stable")]
         while m > 1 and combination_count(n, m) > params.max_combinations:
             m -= 1
-        clusters = clusters[:m]
-    return detections, clusters
+        cols = cols[:m]
+    return detections, cols
 
 
-def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma):
-    """Try to relocalize; returns (state, P, MatchSet) or None.
+def attempt_recovery(detections, table, state, P, params, intr, pixel_sigma):
+    """Relocalize on the clusters table keeps: (state, P, MatchSet) or None.
 
     Inputs are never mutated.  When the raw combination count exceeds the
     budget the problem is first shrunk deterministically: only the
@@ -280,12 +274,12 @@ def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma):
     rejected.  With fewer than MIN_LIGHTS detections or clusters left
     after the shrink no map can be accepted, so nothing is searched.
     """
-    detections, clusters = _shrink(detections, clusters, state, params)
-    n, m = len(detections), len(clusters)
+    detections, cols = _shrink(detections, table, state, params)
+    n, m = len(detections), len(cols)
     if min(n, m) < MIN_LIGHTS:  # no map could be accepted
         return None
 
-    lin = _SharedLinearization(detections, clusters, state, P, intr, pixel_sigma)
+    lin = _SharedLinearization(detections, table.centers[cols], state, P, intr, pixel_sigma)
     best, winner = np.inf, None
     combos = assignment_array(n, m)
     for start in range(0, len(combos), CANDIDATE_BLOCK):
@@ -297,11 +291,10 @@ def attempt_recovery(detections, clusters, state, P, params, intr, pixel_sigma):
 
     if best >= TH_SCORE or (winner >= 0).sum() < MIN_LIGHTS:
         return None
-    ids = [clusters[j].id if j >= 0 else None for j in winner]
+    ids = [table.ids[cols[j]] if j >= 0 else None for j in winner]
     ms = MatchSet(list(detections), ids, [0.0] * n)
-    clusters_by_id = {c.id: c for c in clusters}
     try:
-        st, Pc = apply_camera_update(state, P, ms, clusters_by_id, intr, pixel_sigma)
+        st, Pc = apply_camera_update(state, P, ms, table, intr, pixel_sigma)
     except UpdateRejected:
         return None
     return st, Pc.copy(), ms

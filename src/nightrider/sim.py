@@ -231,7 +231,6 @@ class CameraFrame:
     t: float
     detections: list
     truth_ids: list  # cluster id per detection, None for false positives
-    blackout: bool = False
     # segmentation boxes of the rendered frame (frame_boxes); none while dark
     boxes: list = field(default_factory=list)
 
@@ -394,7 +393,7 @@ def simulate_detections(truth, scenario, smap, rng):
     frames = []
     for j, t in enumerate(truth.t[idx]):
         if scenario.in_blackout(t):
-            frames.append(CameraFrame(t, [], [], blackout=True))
+            frames.append(CameraFrame(t, [], []))
             continue
         dets, tids = [], []
         for c in np.flatnonzero(visible[j]).tolist():
@@ -453,7 +452,7 @@ def simulate_streams(scenario, smap):
     odom = simulate_odom(truth, scenario, rng_odom)
     frames = simulate_detections(truth, scenario, smap, rng_cam)
     frame_at = _grid_indices(scenario, scenario.cam_rate)
-    lit = [j for j, f in enumerate(frames) if not f.blackout]
+    lit = [j for j, f in enumerate(frames) if not scenario.in_blackout(f.t)]
     for j, boxes in zip(lit, frame_boxes(truth[frame_at[lit]], smap, scenario)):
         frames[j].boxes = boxes
     odom_at = _grid_indices(scenario, scenario.odom_rate)

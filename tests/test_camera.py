@@ -19,7 +19,7 @@ from nightrider.camera import (
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, Trajectory, se23_exp, so3_exp
-from nightrider.mapping import StreetlightCluster
+from nightrider.mapping import ClusterTable, StreetlightCluster
 from test_extension import project
 
 INTR = CameraIntrinsics(
@@ -181,7 +181,7 @@ def test_bearing_jacobians_on_far_states(seed, m):
     offsets = rng.normal(size=(len(seen), 2)) * 3.0
     dets = [DetectionBox(p + d, np.array([8.0, 8.0])) for p, d in zip(pix, offsets)]
     with mock.patch.multiple(association, WEIGHT=1.0, MAX_RANGE=np.inf):
-        S = np.diagonal(score_matrix(dets, clusters, state, P, INTR))
+        S = np.diagonal(score_matrix(dets, ClusterTable(clusters), state, P, INTR))
     Sp = association.ALPHA * np.eye(2) + F @ H[seen] @ P @ H[seen].transpose(0, 2, 1) @ F
     quad = np.einsum("ni,nij,nj->n", offsets, np.linalg.inv(Sp), offsets)
     expect = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(Sp)))
@@ -226,7 +226,7 @@ def test_update_recovers_pose_offset():
     clusters = _scene_clusters(truth, offsets)
     dets = _exact_detections(clusters, truth)
     matches = MatchSet(dets, [c.id for c in clusters], [1.0] * len(dets))
-    by_id = {c.id: c for c in clusters}
+    table = ClusterTable(clusters)
 
     est = FilterState(
         ExtendedPose(
@@ -239,7 +239,7 @@ def test_update_recovers_pose_offset():
     P[0:3, 0:3] = np.eye(3) * 0.01
     P[6:9, 6:9] = np.eye(3) * 1.0
     for _ in range(4):
-        est, P = apply_camera_update(est, P, matches, by_id, INTR, 2.0)
+        est, P = apply_camera_update(est, P, matches, table, INTR, 2.0)
     assert np.linalg.norm(est.pose.pos - truth.pos) < 0.05
     assert np.linalg.norm(est.pose.rot - truth.rot) < 0.01
 
@@ -248,7 +248,7 @@ def test_update_empty_matchset_is_identity():
     st = FilterState()
     P = np.eye(15)
     matches = MatchSet([DetectionBox(np.array([1.0, 1.0]), np.ones(2))], [None], [0.0])
-    st2, P2 = apply_camera_update(st, P, matches, {}, INTR, 2.0)
+    st2, P2 = apply_camera_update(st, P, matches, ClusterTable([]), INTR, 2.0)
     assert st2 is st
     assert P2 is P
 
@@ -259,7 +259,7 @@ def test_update_drops_behind_camera_matches():
     cluster = StreetlightCluster(0, np.array([-10.0, 0.0, 3.0]))
     det = DetectionBox(np.array([640.0, 360.0]), np.ones(2))
     matches = MatchSet([det], [0], [1.0])
-    st2, P2 = apply_camera_update(st, P, matches, {0: cluster}, INTR, 2.0)
+    st2, P2 = apply_camera_update(st, P, matches, ClusterTable([cluster]), INTR, 2.0)
     assert st2 is st
     assert P2 is P
 
@@ -268,18 +268,18 @@ def test_batch_update_equals_sequential_for_small_errors():
     truth = ExtendedPose(pos=np.array([0.0, 0.0, 1.0]))
     clusters = _scene_clusters(truth, [[20.0, -4.0, 5.0], [26.0, 3.0, 6.0], [30.0, 0.0, 4.5]])
     dets = _exact_detections(clusters, truth)
-    by_id = {c.id: c for c in clusters}
+    table = ClusterTable(clusters)
 
     est0 = FilterState(ExtendedPose(pos=truth.pos + np.array([1e-4, -1e-4, 2e-4])))
     P0 = np.eye(15) * 1e-3
 
     batch = MatchSet(dets, [0, 1, 2], [1.0] * 3)
-    st_b, P_b = apply_camera_update(est0, P0, batch, by_id, INTR, 2.0)
+    st_b, P_b = apply_camera_update(est0, P0, batch, table, INTR, 2.0)
 
     st_s, P_s = est0, P0
     for i in range(3):
         single = MatchSet([dets[i]], [i], [1.0])
-        st_s, P_s = apply_camera_update(st_s, P_s, single, by_id, INTR, 2.0)
+        st_s, P_s = apply_camera_update(st_s, P_s, single, table, INTR, 2.0)
 
     assert np.linalg.norm(st_b.pose.pos - st_s.pose.pos) < 1e-6
     assert np.linalg.norm(P_b - P_s) / np.linalg.norm(P_b) < 1e-3

@@ -96,7 +96,7 @@ def test_simulate_writes_the_pipeline_streams(tmp_path, short_scenario):
     frames = [json.loads(line) for line in (out / "frames.jsonl").open()]
     assert len(frames) == len(streams.frames)
     for rec, f in zip(frames, streams.frames):
-        assert rec["t"] == f.t and rec["blackout"] == f.blackout
+        assert rec["t"] == f.t and rec["blackout"] == sc.in_blackout(f.t)
         assert rec["truth_ids"] == f.truth_ids
         for d_rec, d in zip(rec["detections"], f.detections, strict=True):
             assert np.array(d_rec["center"]).tobytes() == d.center.tobytes()
@@ -214,6 +214,14 @@ def test_evaluate_matches_pipeline_metrics(tmp_path, short_scenario, capsys):
 def test_unknown_scenario_exits_1(tmp_path, capsys):
     assert main(["localize", "nosuch", "--out", str(tmp_path / "x")]) == 1
     assert "no such scenario" in capsys.readouterr().err
+
+
+def test_map_in_another_frame_exits_1(tmp_path, capsys):
+    path = tmp_path / "utm.json"
+    path.write_text(json.dumps({"schema_version": 1, "frame": "utm", "clusters": []}))
+    argv = ["localize", "default", "--map", str(path), "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert "unsupported frame 'utm'" in capsys.readouterr().err
 
 
 def test_evaluate_missing_file_exits_1(tmp_path, capsys):

@@ -18,7 +18,6 @@ from nightrider.camera import (
 from nightrider.extension import (
     HORIZON,
     TH_LINE,
-    ClusterTable,
     DegenState,
     _greedy,
     boxes_containing,
@@ -29,7 +28,7 @@ from nightrider.extension import (
 )
 from nightrider.inekf import FilterState
 from nightrider.lie import ExtendedPose, dot_many, so3_exp
-from nightrider.mapping import StreetlightCluster
+from nightrider.mapping import ClusterTable, StreetlightCluster
 
 INTR = CameraIntrinsics(
     fx=500.0, fy=500.0, cx=640.0, cy=360.0, width=1280, height=720
@@ -470,7 +469,7 @@ def test_extend_matches_equals_per_candidate_loop(seed, max_range):
         assert got.cluster_ids == want.cluster_ids
         assert got.scores == want.scores
     near = np.flatnonzero(table.without(matched).near(pose.pos, max_range))
-    assert [table.clusters[i].id for i in near] == [
+    assert [table.ids[i] for i in near] == [
         unmatched[i].id
         for i in np.flatnonzero(ClusterTable(unmatched).near(pose.pos, max_range))
     ]

@@ -135,12 +135,12 @@ def test_map_json_roundtrip(tmp_path):
             np.array([20.0, 5.0, 4.0]) + rng.normal(scale=0.1, size=(9, 3)),
         ]
     )
-    smap = build_map(pts, eps=1.0, min_pts=5, map_id="lot-7", frame="world")
+    smap = build_map(pts, eps=1.0, min_pts=5, map_id="lot-7")
     path = tmp_path / "map.json"
     save_map(smap, path)
     back = load_map(path)
     assert back.map_id == "lot-7"
-    assert back.frame == "world"
+    assert json.loads(path.read_text())["frame"] == "world"
     assert [c.id for c in back.clusters] == [c.id for c in smap.clusters]
     for a, b in zip(back.clusters, smap.clusters):
         np.testing.assert_allclose(a.center, b.center, rtol=0, atol=1e-15)
@@ -175,6 +175,15 @@ def test_load_map_rejects_garbage(tmp_path):
     noversion.write_text(json.dumps({"clusters": []}))
     with pytest.raises(MapFormatError):
         load_map(noversion)
+    # map coordinates are world coordinates; a file may omit the frame
+    # but name no other
+    utm = tmp_path / "utm.json"
+    utm.write_text(json.dumps({"schema_version": 1, "frame": "utm", "clusters": []}))
+    with pytest.raises(MapFormatError, match="utm.json: unsupported frame 'utm'"):
+        load_map(utm)
+    frameless = tmp_path / "frameless.json"
+    frameless.write_text(json.dumps({"schema_version": 1, "clusters": []}))
+    assert load_map(frameless).clusters == []
     # True == 1 and 1.0 == 1, but neither is the integer version 1
     for version in (True, 1.0, "1"):
         path = tmp_path / "version.json"
@@ -242,7 +251,7 @@ def test_load_points_pools_map_clusters(tmp_path):
     c0 = StreetlightCluster(0, np.zeros(3), np.zeros((4, 3)))
     c1 = StreetlightCluster(1, np.ones(3), np.ones((3, 3)))
     path = tmp_path / "m.json"
-    save_map(StreetlightMap("", "world", [c0, c1]), path)
+    save_map(StreetlightMap("", [c0, c1]), path)
     pts = load_points(path)
     assert pts.shape == (7, 3)
 

@@ -192,9 +192,7 @@ def test_localize_reads_no_truth(sc, config):
         bias_accel=None,
         rng_init=None,
         frames=[
-            dataclasses.replace(
-                f, truth_ids=[None] * len(f.truth_ids), blackout=False
-            )
+            dataclasses.replace(f, truth_ids=[None] * len(f.truth_ids))
             for f in streams.frames
         ],
     )

@@ -24,7 +24,7 @@ from nightrider.inekf import (
     invariant_update,
 )
 from nightrider.lie import ExtendedPose, so3_exp
-from nightrider.mapping import StreetlightCluster
+from nightrider.mapping import ClusterTable, StreetlightCluster
 from nightrider.pipeline import initial_covariance
 from nightrider.recovery import (
     RecoveryParams,
@@ -156,7 +156,7 @@ def test_recovery_finds_planted_combination():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
+    out = attempt_recovery(dets, ClusterTable(clusters), state, P, RecoveryParams(), INTR, 2.0)
     assert out is not None
     st, P2, ms = out
     assert ms.cluster_ids == [0, 1, 2, 3]
@@ -171,7 +171,7 @@ def test_recovery_does_not_mutate_inputs():
     pos_before = state.pose.pos.copy()
     rot_before = state.pose.rot.copy()
     P_before = P.copy()
-    attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
+    attempt_recovery(dets, ClusterTable(clusters), state, P, RecoveryParams(), INTR, 2.0)
     np.testing.assert_array_equal(state.pose.pos, pos_before)
     np.testing.assert_array_equal(state.pose.rot, rot_before)
     np.testing.assert_array_equal(P, P_before)
@@ -181,7 +181,8 @@ def test_recovery_needs_more_than_two_matches():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    out = attempt_recovery(dets[:2], clusters[:2], state, P, RecoveryParams(), INTR, 2.0)
+    two = ClusterTable(clusters[:2])
+    out = attempt_recovery(dets[:2], two, state, P, RecoveryParams(), INTR, 2.0)
     assert out is None  # at most 2 positive matches possible
 
 
@@ -199,13 +200,14 @@ def test_recovery_below_three_lights_searches_nothing(monkeypatch):
     monkeypatch.setattr(recovery, "_SharedLinearization", counting)
     params = RecoveryParams()
     for n, m in ((2, 4), (4, 2), (1, 1), (0, 4)):
-        assert attempt_recovery(dets[:n], clusters[:m], state, P, params, INTR, 2.0) is None
+        table = ClusterTable(clusters[:m])
+        assert attempt_recovery(dets[:n], table, state, P, params, INTR, 2.0) is None
     assert built == []
     # max_detections shrinks the detections before the count is taken
     shrunk = RecoveryParams(max_detections=2)
-    assert attempt_recovery(dets, clusters, state, P, shrunk, INTR, 2.0) is None
+    assert attempt_recovery(dets, ClusterTable(clusters), state, P, shrunk, INTR, 2.0) is None
     assert built == []
-    assert attempt_recovery(dets[:3], clusters, state, P, params, INTR, 2.0)
+    assert attempt_recovery(dets[:3], ClusterTable(clusters), state, P, params, INTR, 2.0)
     assert built == [3]
 
 
@@ -217,7 +219,7 @@ def test_recovery_rejects_expensive_scores():
         ExtendedPose(pos=truth.pos + np.array([6.0, -5.0, 0.0]))
     )
     P = np.eye(15) * 1e-8
-    out = attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
+    out = attempt_recovery(dets, ClusterTable(clusters), state, P, RecoveryParams(), INTR, 2.0)
     assert out is None
 
 
@@ -235,7 +237,8 @@ def test_recovery_abandons_on_budget():
     ]
     params = RecoveryParams(max_combinations=1000)
     assert combination_count(len(many_dets), len(clusters + more)) > 1000
-    out = attempt_recovery(many_dets, clusters + more, state, P, params, INTR, 2.0)
+    table = ClusterTable(clusters + more)
+    out = attempt_recovery(many_dets, table, state, P, params, INTR, 2.0)
     assert out is None
 
 
@@ -243,8 +246,9 @@ def test_recovery_empty_inputs():
     truth, clusters, dets = _planted_scene()
     state = _offset_state(truth)
     P = _loose_cov()
-    assert attempt_recovery([], clusters, state, P, RecoveryParams(), INTR, 2.0) is None
-    assert attempt_recovery(dets, [], state, P, RecoveryParams(), INTR, 2.0) is None
+    table, empty = ClusterTable(clusters), ClusterTable([])
+    assert attempt_recovery([], table, state, P, RecoveryParams(), INTR, 2.0) is None
+    assert attempt_recovery(dets, empty, state, P, RecoveryParams(), INTR, 2.0) is None
 
 
 def test_recovery_applies_one_update_for_the_winner(monkeypatch):
@@ -257,7 +261,13 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 
     monkeypatch.setattr(recovery, "apply_camera_update", counting)
     out = attempt_recovery(
-        dets, clusters, _offset_state(truth), _loose_cov(), RecoveryParams(), INTR, 2.0
+        dets,
+        ClusterTable(clusters),
+        _offset_state(truth),
+        _loose_cov(),
+        RecoveryParams(),
+        INTR,
+        2.0,
     )
     assert out is not None
     assert calls == [[0, 1, 2, 3]]
@@ -266,13 +276,14 @@ def test_recovery_applies_one_update_for_the_winner(monkeypatch):
 def test_recovery_returns_none_when_the_winners_update_is_rejected(monkeypatch):
     truth, clusters, dets = _planted_scene()
     state, P, params = _offset_state(truth), _loose_cov(), RecoveryParams()
-    assert attempt_recovery(dets, clusters, state, P, params, INTR, 2.0) is not None
+    table = ClusterTable(clusters)
+    assert attempt_recovery(dets, table, state, P, params, INTR, 2.0) is not None
 
     def rejecting(*args):
         raise UpdateRejected("planted")
 
     monkeypatch.setattr(recovery, "apply_camera_update", rejecting)
-    assert attempt_recovery(dets, clusters, state, P, params, INTR, 2.0) is None
+    assert attempt_recovery(dets, table, state, P, params, INTR, 2.0) is None
 
 
 def _yaw(rot):
@@ -337,6 +348,7 @@ def serial_attempt_recovery(
         clusters = clusters[:m]
 
     clusters_by_id = {c.id: c for c in clusters}
+    table = ClusterTable(clusters)
     best = None
     for combo in assignments(n, m):
         ids = [clusters[j].id if j >= 0 else None for j in combo]
@@ -344,7 +356,7 @@ def serial_attempt_recovery(
         if ms.positive_count():
             try:
                 st_, Pc = apply_camera_update(
-                    state, P, ms, clusters_by_id, intr, pixel_sigma
+                    state, P, ms, table, intr, pixel_sigma
                 )
             except UpdateRejected:
                 continue
@@ -385,7 +397,7 @@ def _assert_same_recovery(got, want):
 
 def _check_against_oracle(dets, clusters, state, P, params):
     P_before = P.copy()
-    got = attempt_recovery(dets, clusters, state, P, params, INTR, 2.0)
+    got = attempt_recovery(dets, ClusterTable(clusters), state, P, params, INTR, 2.0)
     want = serial_attempt_recovery(dets, clusters, state, P, params, INTR)
     _assert_same_recovery(got, want)
     np.testing.assert_array_equal(P, P_before)
@@ -505,10 +517,9 @@ def _scene_uncertified_without_rejections():
 def test_scene_features_occur():
     """The explicit examples below hit the cases the property test targets."""
     dets, clusters, state, P, params = _scene_rejecting_updates()
-    ids = {c.id: c for c in clusters}
     ms = MatchSet(dets, [c.id for c in clusters], [0.0] * len(dets))
     with pytest.raises(UpdateRejected):
-        apply_camera_update(state, P, ms, ids, INTR, 2.0)
+        apply_camera_update(state, P, ms, ClusterTable(clusters), INTR, 2.0)
     dets, clusters, state, P, params = _scene_with_lamps_behind()
     assert sum(project(c.center, state.pose, INTR) is None for c in clusters) == 2
     dets, clusters, state, P, params = _scene_over_budget()
@@ -557,7 +568,8 @@ def test_recovery_exact_tie_across_blocks_keeps_earliest(monkeypatch):
     first, second = combos.index((0, 1, 2, 3)), combos.index((0, 1, 4, 3))
     assert first < second
     monkeypatch.setattr(recovery, "CANDIDATE_BLOCK", second)  # second starts block 2
-    lin = recovery._SharedLinearization(dets, clusters, state, P, INTR, 2.0)
+    centers = ClusterTable(clusters).centers
+    lin = recovery._SharedLinearization(dets, centers, state, P, INTR, 2.0)
     pair = np.array([combos[first], combos[second]])
     s1 = recovery._block_scores(pair[:1], lin, state, INTR)
     s2 = recovery._block_scores(pair[1:], lin, state, INTR)
@@ -575,10 +587,11 @@ def test_recovery_lamps_only_behind_camera_leave_state_unchanged():
     state, P = _offset_state(truth), _loose_cov()
     # what apply_camera_update does with such pairs: nothing
     ms = MatchSet(dets[:3], [0, 1, 2], [0.0] * 3)
-    st_, Pc = apply_camera_update(state, P, ms, {c.id: c for c in behind}, INTR, 2.0)
+    st_, Pc = apply_camera_update(state, P, ms, ClusterTable(behind), INTR, 2.0)
     assert st_ is state and Pc is P
     # the batched path leaves every combination's state alone too
-    lin = recovery._SharedLinearization(dets, behind, state, P, INTR, 2.0)
+    centers = ClusterTable(behind).centers
+    lin = recovery._SharedLinearization(dets, centers, state, P, INTR, 2.0)
     combos = np.array(list(assignments(len(dets), len(behind))))
     assert not recovery._corrections(combos, lin).any()
     scores = recovery._block_scores(combos, lin, state, INTR)
@@ -604,7 +617,7 @@ def test_recovery_memory_is_bounded_by_block():
     assert combination_count(5, 8) == 19_081
     tracemalloc.start()
     try:
-        attempt_recovery(dets, clusters, state, P, RecoveryParams(), INTR, 2.0)
+        attempt_recovery(dets, ClusterTable(clusters), state, P, RecoveryParams(), INTR, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -641,10 +654,10 @@ def oracle_corrections(combos, lin, G, noise):
     return delta
 
 
-def _pair_blocks(lin, clusters, state):
+def _pair_blocks(lin, centers, state):
     """G[a, b] = H_a P H_b' as an (m, m, 2, 2) array, from lin's H P."""
-    m = len(clusters)
-    H = bearing_jacobians([c.center for c in clusters], state)[3]
+    m = len(centers)
+    H = bearing_jacobians(centers, state)[3]
     G = lin.HP.reshape(2 * m, 15) @ H.reshape(2 * m, 15).T
     return G.reshape(m, 2, m, 2).transpose(0, 2, 1, 3)
 
@@ -655,12 +668,13 @@ def _corrections_equal_oracle(dets, clusters, state, P, params):
     Returns (lin.certified, number of rejected combinations), or None when
     the attempt has nothing to search.
     """
-    dets, clusters = recovery._shrink(dets, clusters, state, params)
-    n, m = len(dets), len(clusters)
+    table = ClusterTable(clusters)
+    dets, cols = recovery._shrink(dets, table, state, params)
+    n, m = len(dets), len(cols)
     if n == 0 or m == 0:
         return None
-    lin = recovery._SharedLinearization(dets, clusters, state, P, INTR, 2.0)
-    G = _pair_blocks(lin, clusters, state)
+    lin = recovery._SharedLinearization(dets, table.centers[cols], state, P, INTR, 2.0)
+    G = _pair_blocks(lin, table.centers[cols], state)
     noise = pixel_noise_cov(INTR, 2.0)
     combos = assignment_array(n, m).astype(np.intp)
     rejected = 0
@@ -795,7 +809,7 @@ def test_recovery_survives_a_candidate_singular_to_solve():
         ]
         out = attempt_recovery(
             dets,
-            clusters,
+            ClusterTable(clusters),
             FilterState(pose),
             initial_covariance(),
             RecoveryParams(),

@@ -344,7 +344,7 @@ def test_simulate_detections_and_odom_match_per_frame_reference_bytes(build):
     ref = _reference_detections(truth, sc, smap, np.random.default_rng(21))
     assert len(frames) == len(ref)
     for f, (t, dets, tids, dark) in zip(frames, ref):
-        assert repr(f.t) == repr(t) and f.blackout == dark and f.truth_ids == tids
+        assert repr(f.t) == repr(t) and sc.in_blackout(f.t) == dark and f.truth_ids == tids
         assert [(d.center.tobytes(), d.extents.tobytes()) for d in f.detections] == [
             (d.center.tobytes(), d.extents.tobytes()) for d in dets
         ]
@@ -364,8 +364,8 @@ def test_detection_frames_respect_blackouts_and_labels():
     smap = make_map(sc)
     frames = simulate_detections(truth, sc, smap, np.random.default_rng(2))
     dark = [f for f in frames if 15.0 <= f.t < 35.0]
-    assert dark and all(f.blackout and not f.detections for f in dark)
-    lit = [f for f in frames if f.detections and not f.blackout]
+    assert dark and all(sc.in_blackout(f.t) and not f.detections for f in dark)
+    lit = [f for f in frames if f.detections and not sc.in_blackout(f.t)]
     assert lit
     ids = {c.id for c in smap.clusters}
     real = fake = 0
@@ -390,7 +390,7 @@ def test_detection_pixels_match_projection():
     frames = simulate_detections(truth, sc, smap, np.random.default_rng(5))
     from test_extension import project
 
-    lookup = smap.by_id()
+    lookup = {c.id: c for c in smap.clusters}
     checked = 0
     for f in frames[::17]:
         k = int(round(f.t * sc.imu_rate))
@@ -447,7 +447,7 @@ def test_simulate_streams_attaches_each_frames_boxes():
     assert streams.frame_at.tolist() == [(j + 1) * step for j in range(len(streams.frames))]
     lit = 0
     for j, f in enumerate(streams.frames):
-        if f.blackout:
+        if sc.in_blackout(f.t):
             assert f.boxes == []
             continue
         pose = streams.truth.pose((j + 1) * step)

@@ -9,8 +9,10 @@ PYTHONPATH at the tree under test:
 
 Digests come from `result_digest` in benchmarks/checks.py, which hashes
 everything a RunResult holds.  Then one line hashes a 3-run Monte Carlo,
-and the last two hash every file that `nightrider localize ring
---write-frames` and `nightrider simulate default` write.
+the next two hash every file that `nightrider localize ring
+--write-frames` and `nightrider simulate default` write, and the last
+hashes the map `nightrider build-map --filter-outliers` writes for a
+fixed seeded point file.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def runs():
 
 
 def files_digest(argv):
-    """SHA-256 over the names and bytes of the files one CLI call writes."""
+    """SHA-256 over the names and bytes of the files one CLI call writes
+    to its --out directory, or of the one file it writes as --out."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -92,10 +95,23 @@ def files_digest(argv):
             code = cli.main([*argv, "--out", str(out)])
         if code != 0:
             raise SystemExit(f"nightrider {' '.join(argv)} exited with {code}")
-        for path in sorted(out.iterdir()):
+        for path in sorted(out.iterdir()) if out.is_dir() else [out]:
             h.update(path.name.encode() + b"\0")
             h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def build_map_digest():
+    """files_digest of `nightrider build-map --filter-outliers` on a seeded
+    cloud: 12 lamps of 40 points 0.2 m apart, and 60 stray points."""
+    rng = np.random.default_rng(30)
+    lamps = rng.uniform([-60.0, -60.0, 3.0], [60.0, 60.0, 8.0], size=(12, 3))
+    blobs = lamps[:, None] + 0.2 * rng.standard_normal((12, 40, 3))
+    stray = rng.uniform([-70.0, -70.0, 0.0], [70.0, 70.0, 10.0], size=(60, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        points = Path(tmp) / "points.xyz"
+        np.savetxt(points, np.concatenate([blobs.reshape(-1, 3), stray]))
+        return files_digest(["build-map", str(points), "--filter-outliers"])
 
 
 def main():
@@ -108,6 +124,7 @@ def main():
     print(f"{h.hexdigest()}  monte_carlo default seed=0 runs=3", flush=True)
     for argv in (["localize", "ring", "--write-frames"], ["simulate", "default"]):
         print(f"{files_digest(argv)}  files of nightrider {' '.join(argv)}", flush=True)
+    print(f"{build_map_digest()}  map of nightrider build-map --filter-outliers", flush=True)
 
 
 if __name__ == "__main__":
