@@ -17,16 +17,34 @@ camera.bearing_jacobians call gives each cluster's bearing Jacobian H and
 prediction h, the same ones apply_camera_update uses; recovery adds
 each detection's bearing, HP = H P and the 2m x 2m innovation covariance
 S_all = sym(H P H') plus the pixel noise on its diagonal, over all m
-clusters.  A combination's innovation covariance is the principal
-submatrix of S_all on its matched clusters' rows.  The combinations are
-evaluated in blocks of CANDIDATE_BLOCK.  Within a block, combinations
-with equally many in-front matched pairs gather their S from S_all and
-are solved in one batch; their corrections are retracted in one batch
-and scored with array operations.  The scoring's memory is bounded by
-the block.  The enumeration is not: assignment_array holds every
-combination at once, n bytes each while m <= 127, and while it is built
-NumPy's index arrays take about 16 bytes more per combination, so its
-memory grows with the max_combinations budget.
+clusters.  A combination's innovation covariance S_T is the principal
+submatrix of S_all on the rows of the set T of in-front clusters it
+matches, and its correction HP_T' S_T^-1 z_T does not change when its
+matched pairs are permuted.  So each lamp set's gain G_T = S_T^-1 HP_T
+is solved once per attempt, and a combination's correction is G_T' z_T.
+Each set orders its lamps by center, then by index, so twin lamps (one
+center, two ids) give byte-identical gains and an exact tie stays
+exact.  The gains of every set of up to n lamps are solved in batches
+of at most CANDIDATE_BLOCK sets and kept in a table, looked up by a
+set's size and colex rank: sum_k C(m, k) 2k x 15 doubles, 0.2 MB for 5
+detections onto 8 lamps (218 sets for 19,081 combinations) and 2.3 MB
+for 3 onto 27 (3,303 sets for 19,738).
+
+The combinations are scored in blocks of CANDIDATE_BLOCK.  A score adds
+the mean residual, the weighted planar and yaw changes and the NONE
+penalty, left to right; every term is non-negative and rounding is
+monotone, so the sum without the residual is a lower bound on the score,
+and so is the NONE penalty alone.  A block leaves unscored every
+combination whose NONE penalty reaches the best score of the blocks
+before it, retracts the corrections of the rest in one batch, and
+computes camera points and residuals only where the lower bound is still
+below that best.  An unscored combination cannot beat the best
+strictly, so the earliest of equal lowest scores still wins.  The
+scoring's memory is bounded by the block.  The enumeration is not:
+assignment_array holds every combination at once, n bytes each while
+m <= 127, and while it is built NumPy's index arrays take about 16 bytes
+more per combination, so its memory grows with the max_combinations
+budget.
 
 By Cauchy interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the
 eigenvalues of a principal submatrix lie within [lambda_min, lambda_max]
@@ -34,13 +52,15 @@ of S_all, so its lambda_max is at most S_all's and its ratio lambda_min /
 lambda_max at least S_all's, up to rounding.  So when S_all passes the
 update rule (inekf.admissible) with a rounding margin at each end of its
 spectrum, every candidate passes it too, and one eigvalsh per attempt
-stands in for one per candidate.  Otherwise every candidate's S is
-checked by the rule, in one batched eigvalsh per block.  Either way the
-candidates are solved by inekf.guarded_solve, as invariant_update solves.
+stands in for one per lamp set.  Otherwise every set's S_T is checked
+by the rule, in one batched eigvalsh per batch of sets, and a set that
+fails it rejects every combination matching it.  Either way the gains
+are solved by inekf.guarded_solve, as invariant_update solves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +80,7 @@ from .camera import (
 from .inekf import UpdateRejected, admissible, guarded_solve, symmetrize
 from .lie import ExtendedPose, so3_exp_many
 
-CANDIDATE_BLOCK = 512  # combinations evaluated per batch
+CANDIDATE_BLOCK = 512  # combinations scored, or lamp sets solved, per batch
 MIN_LIGHTS = 3  # matched lights an accepted recovery needs at least
 # eigvalsh is backward stable, so by Weyl's inequality each eigenvalue it
 # gives for an n x n symmetric S is off by at most about n eps ||S||_2
@@ -129,7 +149,11 @@ class _SharedLinearization:
     HP = H P (zero behind the camera).  Over all clusters: the 2m x 2m
     innovation covariance S_all, and whether one eigvalsh of it certifies
     every candidate's update rule (certified).  For each detection: its
-    observed bearing.
+    observed bearing.  For the clusters in front: label, each one's place
+    in the order of centers, then indices (-1 behind the camera), and
+    by_label, its inverse; z (n, labels, 2), each detection's bearing
+    less each one's prediction; and gains, the _GainTable of every set of
+    at most n of them.
     """
 
     def __init__(self, detections, centers, state, P, intr, pixel_sigma):
@@ -143,6 +167,14 @@ class _SharedLinearization:
         self.certified = _certifies(self.S_all)
         self.pixels = np.array([d.center for d in detections], dtype=float)
         self.rays = back_project(self.pixels, intr)[:, :2]
+        ahead = np.flatnonzero(self.front)
+        c = centers[ahead]
+        self.by_label = ahead[np.lexsort((c[:, 2], c[:, 1], c[:, 0]))]  # stable: ties by index
+        self.label = np.full(m, -1)
+        self.label[self.by_label] = np.arange(len(ahead))
+        self.z = self.rays[:, None] - self.h[self.by_label]
+        kmax = min(len(detections), len(ahead))
+        self.gains = _GainTable(self, [_lamp_sets(len(ahead), k) for k in range(1, kmax + 1)])
 
 
 def _certifies(S_all):
@@ -153,6 +185,65 @@ def _certifies(S_all):
     return bool(admissible(S_all, MAX_BEARING_VAR, CERTIFY_MARGIN * len(S_all)))
 
 
+def _lamp_sets(m, k):
+    """Every k-subset of range(m), one ascending row each, as a (C(m, k), k) array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), k))
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(m, k) * k).reshape(-1, k)
+
+
+class _GainTable:
+    """The gain G_T = S_T^-1 HP_T of each given lamp set T.
+
+    A set is an ascending row of lin's labels; its S_T and HP_T take its
+    lamps in that order.  gains[k] holds the (s, 2k, 15) gains of the
+    sets of k lamps, in ascending order of their colex rank, ranks[k];
+    a set's gain is NaN when S_T fails the update rule (inekf.admissible)
+    or guarded_solve finds it singular.
+    """
+
+    def __init__(self, lin, sets):
+        m, kmax = len(lin.by_label), max((s.shape[1] for s in sets), default=0)
+        # binom[c, i] = C(c, i + 1): the colex rank of c_1 < ... < c_k is
+        # sum_i C(c_i, i)
+        self.binom = np.array(
+            [[math.comb(c, i + 1) for i in range(kmax)] for c in range(m)], dtype=np.int64
+        ).reshape(m, kmax)
+        self.ranks, self.gains = {}, {}
+        for s in sets:
+            k = s.shape[1]
+            rank = self.rank(s)
+            order = np.argsort(rank)
+            s = s[order]
+            self.ranks[k] = rank[order]
+            self.gains[k] = np.empty((len(s), 2 * k, 15))
+            for a in range(0, len(s), CANDIDATE_BLOCK):
+                self.gains[k][a : a + CANDIDATE_BLOCK] = _set_gains(s[a : a + CANDIDATE_BLOCK], lin)
+
+    def rank(self, sets):
+        """Colex rank of each ascending row of a (r, k) array of labels."""
+        return self.binom[sets, np.arange(sets.shape[1])].sum(axis=1)
+
+    def lookup(self, sets):
+        """The (r, 2k, 15) gains of a (r, k) array of ascending label rows."""
+        k = sets.shape[1]
+        return self.gains[k][np.searchsorted(self.ranks[k], self.rank(sets))]
+
+
+def _set_gains(sets, lin):
+    """G_T of each ascending row of labels in a (s, k) array, in one batch."""
+    s, k = sets.shape
+    cl = lin.by_label[sets]
+    idx = (2 * cl[:, :, None] + np.arange(2)).reshape(s, 2 * k)
+    S = lin.S_all[idx[:, :, None], idx[:, None, :]]
+    HP = lin.HP[cl].reshape(s, 2 * k, 15)
+    if lin.certified:
+        return guarded_solve(S, HP)
+    G = np.full((s, 2 * k, 15), np.nan)
+    ok = admissible(S, MAX_BEARING_VAR)
+    G[ok] = guarded_solve(S[ok], HP[ok])
+    return G
+
+
 def _corrections(combos, lin):
     """Error-state corrections of a (B, n) block of combinations.
 
@@ -161,67 +252,67 @@ def _corrections(combos, lin):
     (apply_camera_update then leaves the state alone), and NaN when the
     innovation covariance fails the update rule (inekf.admissible) or
     guarded_solve finds it singular.  Either rejects that combination alone.
+    Otherwise it is G_T' z_T, with the matched pairs in the order of the
+    set's labels.
     """
-    infront = combos >= 0
-    infront[infront] = lin.front[combos[infront]]
-    k = infront.sum(axis=1)
+    labels = np.where(combos >= 0, lin.label[combos], -1)
+    r, d = np.nonzero(labels >= 0)
+    k = np.bincount(r, minlength=len(combos))
+    # slots[b, l]: the detection combination b matches to label l, or -1
+    slots = np.full((len(combos), len(lin.by_label)), -1)
+    slots[r, labels[r, d]] = d
     delta = np.zeros((len(combos), 15))
     for kk in np.unique(k[k > 0]):
         rows = np.flatnonzero(k == kk)
-        dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
-        cl = combos[rows[:, None], dets]
-        idx = (2 * cl[:, :, None] + np.arange(2)).reshape(len(rows), 2 * kk)
-        S = lin.S_all[idx[:, :, None], idx[:, None, :]]
-        if not lin.certified:
-            ok = admissible(S, MAX_BEARING_VAR)
-            delta[rows[~ok]] = np.nan
-            rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
-        HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
-        z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
-        # K z = (H P)' S^-1 z, one right-hand side per combination
-        x = guarded_solve(S, z[..., None])
-        delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
+        held = slots[rows]
+        r, lab = np.nonzero(held >= 0)  # each row's labels, ascending
+        z = lin.z[held[r, lab], lab].reshape(len(rows), 1, 2 * kk)
+        delta[rows] = (z @ lin.gains.lookup(lab.reshape(len(rows), kk)))[:, 0]
     return delta
 
 
-def _block_scores(combos, lin, state, intr):
+def _block_scores(combos, lin, state, intr, best=np.inf):
     """Punishment score of each combination in a (B, n) block.
 
     Mean pixel reprojection residual of the matched pairs after the
     combination's update (0 when none), plus weighted planar translation,
     weighted yaw change, and the per-NONE penalty.  inf where the update
     is rejected or a matched cluster reprojects behind the camera after it.
+    Also inf, unscored, where a lower bound on the score reaches best:
+    the NONE penalty, or the score without its residual term.  Each row
+    scored has the bytes it has with best = inf.
     """
-    delta = _corrections(combos, lin)
-    rejected = np.isnan(delta[:, 0])
-    delta[rejected] = 0.0
+    matched = combos >= 0
+    n_pos = matched.sum(axis=1)
+    penalty = GAMMA_NEG * (combos.shape[1] - n_pos)
+    score = np.full(len(combos), np.inf)
+    rows = np.flatnonzero(penalty < best)
+    delta = _corrections(combos[rows], lin)
+    kept = ~np.isnan(delta[:, 0])  # the rest are rejected
+    rows, delta = rows[kept], delta[kept]
     R, p = state.pose.rot, state.pose.pos
     E, J = so3_exp_many(delta[:, 0:3], jacobian=True)
     rot = E @ R
     pos = E @ p + (J @ delta[:, 6:9, None])[..., 0]
-
-    matched = combos >= 0
-    poses = ExtendedPose(rot, pos=pos)  # a stack of B poses
-    c = camera_point(lin.centers[np.where(matched, combos, 0)], poses)
-    seen = matched & (c[..., 2] >= Z_MIN)
-    behind = (matched & ~seen).any(axis=1)
-    resid = np.zeros(combos.shape)
-    resid[seen] = np.linalg.norm(
-        lin.pixels[np.nonzero(seen)[1]] - pinhole(c[seen], intr), axis=1
-    )
-    n_pos = matched.sum(axis=1)
-    mean_resid = resid.sum(axis=1) / np.maximum(n_pos, 1)
-
     dt_xy = np.linalg.norm((pos - p)[:, :2], axis=1)
     # yaw of R' rot from its first column
     d_yaw = np.abs(np.arctan2(rot[:, :, 0] @ R[:, 1], rot[:, :, 0] @ R[:, 0]))
-    score = (
-        mean_resid
-        + GAMMA_POS * dt_xy
-        + GAMMA_YAW * d_yaw
-        + GAMMA_NEG * (combos.shape[1] - n_pos)
+    kept = GAMMA_POS * dt_xy + GAMMA_YAW * d_yaw + penalty[rows] < best
+    rows, rot, pos, dt_xy, d_yaw = rows[kept], rot[kept], pos[kept], dt_xy[kept], d_yaw[kept]
+
+    matched = matched[rows]
+    poses = ExtendedPose(rot, pos=pos)  # a stack of poses
+    c = camera_point(lin.centers[np.where(matched, combos[rows], 0)], poses)
+    seen = matched & (c[..., 2] >= Z_MIN)
+    behind = (matched & ~seen).any(axis=1)
+    resid = np.zeros(matched.shape)
+    resid[seen] = np.linalg.norm(
+        lin.pixels[np.nonzero(seen)[1]] - pinhole(c[seen], intr), axis=1
     )
-    score[rejected | behind] = np.inf
+    mean_resid = resid.sum(axis=1) / np.maximum(n_pos[rows], 1)
+    score[rows] = np.where(
+        behind, np.inf, mean_resid + GAMMA_POS * dt_xy + GAMMA_YAW * d_yaw + penalty[rows]
+    )
     return score
 
 
@@ -266,8 +357,10 @@ def attempt_recovery(detections, table, state, P, params, intr, pixel_sigma):
     Each combination is scored after its own camera update, in blocks of
     CANDIDATE_BLOCK that share one linearization (see the module
     docstring).  A combination whose update is numerically rejected, or
-    that leaves a matched cluster behind the camera, is skipped.  The
-    lowest score wins, the earliest in enumeration order on a tie.  The
+    that leaves a matched cluster behind the camera, is skipped, and one
+    whose lower bound shows it cannot beat an earlier block's best is not
+    scored.  The lowest score wins, the earliest in enumeration order on
+    a tie.  The
     winner is accepted when its score is under TH_SCORE and it matches at
     least MIN_LIGHTS lights; the returned state and covariance are then
     those of one apply_camera_update for it, and None if that update is
@@ -284,7 +377,7 @@ def attempt_recovery(detections, table, state, P, params, intr, pixel_sigma):
     combos = assignment_array(n, m)
     for start in range(0, len(combos), CANDIDATE_BLOCK):
         block = combos[start : start + CANDIDATE_BLOCK].astype(np.intp)
-        scores = _block_scores(block, lin, state, intr)
+        scores = _block_scores(block, lin, state, intr, best)
         i = int(np.argmin(scores))  # the first of equal lowest scores
         if scores[i] < best:
             best, winner = scores[i], block[i]

@@ -559,6 +559,50 @@ def test_recovery_block_size_does_not_change_result(monkeypatch, block):
     assert out[2].cluster_ids == [0, 1, 2, 3]
 
 
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scene=planted_scenes())
+@example(scene=_scene_rejecting_updates())
+@example(scene=_scene_with_lamps_behind())
+@example(scene=_scene_over_budget())
+@example(scene=_scene_uncertified_without_rejections())
+def test_pruning_skips_only_rows_that_cannot_win(scene):
+    """_block_scores with a best score scores each row it scores to the
+    bytes it gets without one, and leaves at inf only rows whose score
+    reaches that best; the search picks the same winner either way."""
+    dets, clusters, state, P, params = scene
+    table = ClusterTable(clusters)
+    found, cols = recovery._shrink(dets, table, state, params)
+    if not len(found) or not len(cols):
+        return
+    lin = recovery._SharedLinearization(found, table.centers[cols], state, P, INTR, 2.0)
+    combos = assignment_array(len(found), len(cols)).astype(np.intp)
+    best = np.inf
+    for start in range(0, len(combos), recovery.CANDIDATE_BLOCK):
+        block = combos[start : start + recovery.CANDIDATE_BLOCK]
+        full = recovery._block_scores(block, lin, state, INTR)
+        finite = full[np.isfinite(full)]
+        # the search's best so far, one inside this block's scores, and
+        # just above each of the block's five lowest, which that row beats
+        lowest = np.sort(finite)[:5]
+        bounds = [best, np.median(finite) if len(finite) else np.inf]
+        for bound in bounds + list(np.nextafter(lowest, np.inf)):
+            pruned = recovery._block_scores(block, lin, state, INTR, bound)
+            scored = np.isfinite(pruned)
+            assert pruned[scored].tobytes() == full[scored].tobytes()
+            assert (full[~scored] >= bound).all()
+        best = min(best, full.min())
+
+    with pytest.MonkeyPatch.context() as mp:
+        real = recovery._block_scores
+        mp.setattr(recovery, "_block_scores", lambda *args: real(*args[:4]))
+        unpruned = attempt_recovery(dets, table, state, P, params, INTR, 2.0)
+    _assert_same_recovery(attempt_recovery(dets, table, state, P, params, INTR, 2.0), unpruned)
+
+
 def test_recovery_exact_tie_across_blocks_keeps_earliest(monkeypatch):
     truth, clusters, dets = _planted_scene()
     twin = StreetlightCluster(9, clusters[2].center.copy())  # same lamp, other id
@@ -623,19 +667,86 @@ def test_recovery_memory_is_bounded_by_block():
         tracemalloc.stop()
     assert peak < 4e6, peak
 
+    # the budget's other extreme: 3 detections onto 27 lamps, 19,738
+    # combinations of 3,303 lamp sets, whose gain table holds
+    # sum_k C(27, k) 2k x 15 doubles, 2.3 MB; the enumeration, one batch
+    # of sets and one block of scores stay under 2 MB more
+    args = _lamps_ahead(3, 27)
+    assert combination_count(3, 27) == 19_738
+    table_bytes = sum(math.comb(27, k) * 2 * k * 15 * 8 for k in (1, 2, 3))
+    assert table_bytes == 2_280_960
+    tracemalloc.start()
+    try:
+        attempt_recovery(*args, RecoveryParams(), INTR, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + 2e6, peak
+
+
+def _lamps_ahead(n, m):
+    """Detections of the first n of m lamps spread ahead of the camera:
+    (detections, table, state, P), every lamp in front of it."""
+    truth = ExtendedPose(pos=np.array([0.0, 0.0, 1.0]))
+    clusters = [
+        StreetlightCluster(
+            i, truth.pos + np.array([15.0 + 3 * i, (-1) ** i * (2.0 + i), 5.0])
+        )
+        for i in range(m)
+    ]
+    dets = [
+        DetectionBox(project(c.center, truth, INTR), np.array([10.0, 10.0]))
+        for c in clusters[:n]
+    ]
+    return dets, ClusterTable(clusters), _offset_state(truth), _loose_cov()
+
+
+def test_recovery_solves_each_lamp_set_once(monkeypatch):
+    """One gain per matched lamp set: 5 detections onto 8 lamps match 218
+    sets, sum_k C(8, k) for k = 1..5, in 19,081 combinations; each batch
+    of sets holds at most CANDIDATE_BLOCK."""
+    stacks = []
+    real = recovery.guarded_solve
+
+    def counting(S, b):
+        stacks.append(len(S))
+        return real(S, b)
+
+    monkeypatch.setattr(recovery, "guarded_solve", counting)
+    for (n, m), sets in (((5, 8), 218), ((3, 27), 3_303)):
+        args = _lamps_ahead(n, m)
+        assert sum(math.comb(m, k) for k in range(1, n + 1)) == sets
+        lin = recovery._SharedLinearization(args[0], args[1].centers, *args[2:], INTR, 2.0)
+        assert lin.front.all() and lin.certified  # so no set is rejected unsolved
+        stacks.clear()
+        assert attempt_recovery(*args, RecoveryParams(), INTR, 2.0) is not None
+        assert sum(stacks) == sets
+        assert max(stacks) <= recovery.CANDIDATE_BLOCK
+
 
 def oracle_corrections(combos, lin, G, noise):
-    """Reference oracle: _corrections before S_all and its certificate.
+    """Reference oracle: _corrections before S_all, its certificate and
+    the gains per lamp set.
 
     Each block gathers S from the pair blocks G[a, b] = H_a P H_b', adds
     the pixel noise per matched pair and symmetrizes, and every
     combination's S goes through invariant_update's rule: eigenvalues in
-    (0, MAX_BEARING_VAR].
+    (0, MAX_BEARING_VAR].  Each combination solves S x = z in its own
+    pair order, and its correction is HP' x.
+
+    Also returns each row's rounding bound against any other
+    backward-stable evaluation of HP' S^-1 z: each is within about
+    3 n cond(S) eps of the exact correction for an n x n S, relative to
+    the largest entry of |HP|' |x|, the product's scale before any
+    cancellation (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 3.5, Thm 7.2 and 9.4), so two may differ by twice that.
+    It is 0 where nothing is solved, where both give exact zeros.
     """
     infront = combos >= 0
     infront[infront] = lin.front[combos[infront]]
     k = infront.sum(axis=1)
     delta = np.zeros((len(combos), 15))
+    tol = np.zeros(len(combos))
     for kk in np.unique(k[k > 0]):
         rows = np.flatnonzero(k == kk)
         dets = np.nonzero(infront[rows])[1].reshape(len(rows), kk)
@@ -646,12 +757,14 @@ def oracle_corrections(combos, lin, G, noise):
         lam = np.linalg.eigvalsh(S)
         ok = (lam[:, 0] > 0) & (lam[:, -1] <= MAX_BEARING_VAR)
         delta[rows[~ok]] = np.nan
-        rows, S, cl, dets = rows[ok], S[ok], cl[ok], dets[ok]
+        rows, S, cl, dets, lam = rows[ok], S[ok], cl[ok], dets[ok], lam[ok]
         HP = lin.HP[cl].reshape(len(rows), 2 * kk, 15)
         z = (lin.rays[dets] - lin.h[cl]).reshape(len(rows), 2 * kk)
         x = np.linalg.solve(S, z[..., None])
         delta[rows] = (HP.transpose(0, 2, 1) @ x)[..., 0]
-    return delta
+        scale = (np.abs(HP).transpose(0, 2, 1) @ np.abs(x))[..., 0].max(axis=1)
+        tol[rows] = 6 * (2 * kk) * (lam[:, -1] / lam[:, 0]) * np.finfo(float).eps * scale
+    return delta, tol
 
 
 def _pair_blocks(lin, centers, state):
@@ -663,7 +776,9 @@ def _pair_blocks(lin, centers, state):
 
 
 def _corrections_equal_oracle(dets, clusters, state, P, params):
-    """Compare _corrections with the oracle on every block of one attempt.
+    """Compare _corrections with the oracle on every block of one attempt:
+    the same rejected rows, and the others within the oracle's rounding
+    bound, since each lamp set's gain is solved in the set's own lamp order.
 
     Returns (lin.certified, number of rejected combinations), or None when
     the attempt has nothing to search.
@@ -681,8 +796,12 @@ def _corrections_equal_oracle(dets, clusters, state, P, params):
     for start in range(0, len(combos), recovery.CANDIDATE_BLOCK):
         block = combos[start : start + recovery.CANDIDATE_BLOCK]
         got = recovery._corrections(block, lin)
-        assert got.tobytes() == oracle_corrections(block, lin, G, noise).tobytes()
-        rejected += int(np.isnan(got[:, 0]).sum())
+        want, tol = oracle_corrections(block, lin, G, noise)
+        rejected_rows = np.isnan(want).all(axis=1)
+        assert (np.isnan(got) == rejected_rows[:, None]).all()
+        got, want, tol = got[~rejected_rows], want[~rejected_rows], tol[~rejected_rows]
+        assert (np.abs(got - want).max(axis=1) <= tol).all()
+        rejected += int(rejected_rows.sum())
     return lin.certified, rejected
 
 
@@ -892,8 +1011,12 @@ def test_one_rule_decides_every_update(seed, k, log_top, log_cond, kind):
         HP=rng.normal(size=(m, 2, 15)),
         h=rng.normal(size=(m, 2)),
         rays=rng.normal(size=(k, 2)),
+        label=np.arange(m),
+        by_label=np.arange(m),
     )
+    lin.z = lin.rays[:, None] - lin.h[lin.by_label]
     combos = np.arange(m).reshape(len(batch), k)
+    lin.gains = recovery._GainTable(lin, [combos])  # the six lamp sets combos match
     delta = recovery._corrections(combos, lin)
     np.testing.assert_array_equal(np.isnan(delta).all(axis=1), ~ok)
     assert np.isfinite(delta[ok]).all()

@@ -5,6 +5,7 @@ functions, inekf.admissible and its arguments, the digested runs.  A
 rename under src/ would break them without failing any other test.
 """
 
+import argparse
 import importlib.util
 import math
 import sys
@@ -66,6 +67,22 @@ def test_fixed_seed_digests_lists_every_run():
     runs = list(_load("fixed_seed_digests").runs())
     assert len(runs) == 24  # and three more lines: Monte Carlo and two CLI calls
     assert len({label for label, _, _ in runs}) == len(runs)
+
+
+def test_fixed_seed_digests_sweeps_blackout_seeds():
+    digests = _load("fixed_seed_digests")
+    sweep = list(digests.blackout_runs(*digests.seed_range("3-4")))
+    assert [label for label, _, _ in sweep] == [
+        "blackout seed=3 start=15",
+        "blackout seed=3 start=16.5",
+        "blackout seed=4 start=15",
+        "blackout seed=4 start=16.5",
+    ]
+    assert [sc.blackouts for _, sc, _ in sweep[:2]] == [[[15.0, 35.0]], [[16.5, 36.5]]]
+    assert [sc.seed for _, sc, _ in sweep] == [3, 3, 4, 4]
+    for bad in ("4-3", "3", "a-b", "-1-2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            digests.seed_range(bad)
 
 
 def test_settables_counts_defaults_and_defaulted_dataclass_fields(tmp_path, capsys):

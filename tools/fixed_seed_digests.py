@@ -7,6 +7,12 @@ PYTHONPATH at the tree under test:
 
     PYTHONPATH=src python tools/fixed_seed_digests.py > after.txt
 
+With --blackout-seeds A-B it then prints one more line per run of
+blackout_scenario(seed, start) for each seed from A to B and start 15
+(the default window) and 16.5 (the benchmark's), two per seed.  The
+20 s blackout leaves the filter lost, so the sweep shows whether
+recovery still decides the same on each run.
+
 Digests come from `result_digest` in benchmarks/checks.py, which hashes
 everything a RunResult holds.  Then one line hashes a 3-run Monte Carlo,
 the next two hash every file that `nightrider localize ring
@@ -17,6 +23,7 @@ fixed seeded point file.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -85,6 +92,21 @@ def runs():
     yield "default seed=0 odom_rate=20", Scenario.from_dict(doc), None
 
 
+def blackout_runs(first, last):
+    """(label, scenario, config) of the blackout sweep over seeds first..last."""
+    for s in range(first, last + 1):
+        for start in (15.0, 16.5):
+            yield f"blackout seed={s} start={start:g}", blackout_scenario(s, start=start), None
+
+
+def seed_range(text):
+    """'A-B' as (A, B), for --blackout-seeds."""
+    first, sep, last = text.partition("-")
+    if not sep or not first.isdigit() or not last.isdigit() or int(first) > int(last):
+        raise argparse.ArgumentTypeError(f"expected A-B with A <= B, got {text!r}")
+    return int(first), int(last)
+
+
 def files_digest(argv):
     """SHA-256 over the names and bytes of the files one CLI call writes
     to its --out directory, or of the one file it writes as --out."""
@@ -114,9 +136,16 @@ def build_map_digest():
         return files_digest(["build-map", str(points), "--filter-outliers"])
 
 
-def main():
-    for label, scenario, config in runs():
+def print_digests(labelled_runs):
+    for label, scenario, config in labelled_runs:
         print(f"{result_digest(run_pipeline(scenario, config=config))}  {label}", flush=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digest every fixed-seed run.")
+    parser.add_argument("--blackout-seeds", type=seed_range, metavar="A-B")
+    args = parser.parse_args(argv)
+    print_digests(runs())
     mc = monte_carlo(default_scenario(0), 3)
     h = hashlib.sha256()
     for a in (mc.mean_nees, mc.final_errors):
@@ -125,6 +154,8 @@ def main():
     for argv in (["localize", "ring", "--write-frames"], ["simulate", "default"]):
         print(f"{files_digest(argv)}  files of nightrider {' '.join(argv)}", flush=True)
     print(f"{build_map_digest()}  map of nightrider build-map --filter-outliers", flush=True)
+    if args.blackout_seeds:
+        print_digests(blackout_runs(*args.blackout_seeds))
 
 
 if __name__ == "__main__":

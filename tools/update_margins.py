@@ -14,7 +14,7 @@ whose ratio is at most inekf.RCOND.  Kinds follow the rule's arguments:
     bearing     an invariant_update with the camera.MAX_BEARING_VAR cap
     odometer    an invariant_update with no cap
     S_all       recovery's certificate, the one call with a margin
-    candidate   recovery's per-candidate check, a stack of S
+    candidate   recovery's per-lamp-set check, a stack of S
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def main():
     saved = wrap_rule(seen)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            fixed_seed_digests.main()
+            fixed_seed_digests.main([])
     finally:
         restore(saved)
 
